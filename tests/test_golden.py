@@ -1,0 +1,100 @@
+"""Frozen sha256 digests of the CLI's outputs on the shipped fixtures.
+
+Rerun checks (criterion 9) only compare two runs of the same code; these
+digests catch a refactor that changes output bytes. The manifest and the
+eval/ablate JSON are left out: they echo the config and carry float sums
+that may move by an ulp when the arithmetic is restructured.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from fusekit.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+PIPE = FIXTURES / "pipeline"
+EVID = FIXTURES / "evidence"
+
+PIPELINE_DIGESTS = {
+    "subqueries.run": "573149d88210d1a20cf935d71fd997395ab1eb489e7bdd3a263162ac41a8cba4",
+    "fused.run": "badd1a90d9704faa4cac4a2a7c34492eb5da398c05503187e9c2366c938c2952",
+    "reranked.run": "36d037e9a44b3249da7b5ca532fe7946a2a1bdcb0f6fdc46153fc24fd8756a67",
+}
+
+FUSE_DIGESTS = {
+    "rrf": PIPELINE_DIGESTS["fused.run"],
+    "weighted_rrf": "c3234c4b9f2a973bde1d30be4e6010244a221f00e2444ef9f0b6bead902fd916",
+    "sum_sim": "cd9943da06b525b61dd87fae0be3da5c7760440a4c6c6189ca610fecf8e9b20e",
+    "max_sim": "ec3fbb67ba6c34d4d55746217e6978f7153cd49d42ac8857bc4f13f55d0c7e17",
+    "mean_sim": "c57065cdcb30d4865dac822e7a6f23d2b360e66284aab09cf45aed5dcf9a18bc",
+}
+
+DECOMPOSE_DIGEST = "ae94fc5ea55e9f75f3b01098b9ef674ab729703ae0cef88aca6a985bf2842d8a"
+
+CLAIMS_DIGESTS = {
+    "out": "91fd9d92463a5c5c458062b30bbbae31a0c5bdfc9ef6c89ec28c5cad8f9da96d",
+    "unmatched": "6560380d8ea99ddca2635c4a19f00a74facb921ad32c75f6b520960ee33ca44e",
+    "kept": "30ebc462c396a53f8d7e2b6f829684b95c7f9d447fc990d08b392b98651b11e6",
+    "dropped": "68f01ff41c20aa942ea7eaf7cea7b8e247a206ec76f327b6ddb1f3d7d0b47939",
+}
+
+
+def run_cli(*argv) -> None:
+    assert main([str(a) for a in argv]) == 0
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pipeline_stage_files(tmp_path, capsys):
+    run_cli("pipeline", "--config", PIPE / "config.json", "--out-dir", tmp_path)
+    assert {name: digest(tmp_path / name) for name in PIPELINE_DIGESTS} == PIPELINE_DIGESTS
+
+
+@pytest.mark.parametrize("strategy", sorted(FUSE_DIGESTS))
+def test_fuse(tmp_path, capsys, strategy):
+    out = tmp_path / "fused.run"
+    run_cli(
+        "fuse",
+        "--runs", PIPE / "subqueries.run",
+        "--map", PIPE / "subquery_map.jsonl",
+        "--strategy", strategy,
+        "--k", "10",
+        "--depth", "50",
+        "--out", out,
+    )
+    assert digest(out) == FUSE_DIGESTS[strategy]
+
+
+def test_decompose_replay(tmp_path, capsys):
+    out = tmp_path / "map.jsonl"
+    run_cli(
+        "decompose",
+        "--queries", PIPE / "queries.jsonl",
+        "--replay", PIPE / "decomposer_replay.jsonl",
+        "--out", out,
+    )
+    assert digest(out) == DECOMPOSE_DIGEST
+
+
+def test_claims_attach_and_filter(tmp_path, capsys):
+    paths = {name: tmp_path / f"{name}.jsonl" for name in CLAIMS_DIGESTS}
+    run_cli(
+        "claims", "attach",
+        "--artifacts", EVID / "artifacts.jsonl",
+        "--predictions", EVID / "predictions.jsonl",
+        "--out", paths["out"],
+        "--unmatched", paths["unmatched"],
+    )
+    run_cli(
+        "claims", "filter",
+        "--in", paths["out"],
+        "--kept", paths["kept"],
+        "--dropped", paths["dropped"],
+    )
+    assert {name: digest(path) for name, path in paths.items()} == CLAIMS_DIGESTS

@@ -14,9 +14,8 @@ plain fuse-and-evaluate result with std 0.
 from __future__ import annotations
 
 import random
+import statistics
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import Qrels, RunSet, SubQueryMap
 from .errors import ValidationError
@@ -120,11 +119,10 @@ def run_ablation(
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
-    # identical per-seed values must report std exactly 0 (np.mean(5*[x])
-    # can differ from x by an ulp)
+    # identical per-seed values must report std exactly 0 and mean exactly x
     if min(values) == max(values):
         return values[0], 0.0
-    return float(np.mean(values)), float(np.std(values))
+    return statistics.fmean(values), statistics.pstdev(values)
 
 
 def _cell(mapping, sub_query_runs, qrels, strategy, cutoffs, output_depth) -> EvalReport:

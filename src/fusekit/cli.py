@@ -19,6 +19,7 @@ from . import __version__
 from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_ablation
 from .core import (
     RunSet,
+    atomic_write,
     parse_qrels,
     parse_run,
     parse_subquery_map,
@@ -36,10 +37,10 @@ from .evidence import (
     load_evidence,
     load_predictions,
     record_to_dict,
+    serialize,
     serialize_calibrated,
-    validate,
 )
-from .fusion import FusionStrategy
+from .fusion import STRATEGY_KINDS, FusionStrategy
 from .memory import FactEntry, MemoryBank
 from .metrics import (
     Cutoffs,
@@ -51,7 +52,14 @@ from .metrics import (
     report_records,
     report_to_json,
 )
-from .pipeline import PipelineConfig, decompose_all, inject_rerank, run_pipeline
+from .pipeline import (
+    ENDPOINT_NAMES,
+    PipelineConfig,
+    decompose_all,
+    inject_rerank,
+    read_query_records,
+    run_pipeline,
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -85,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="fuse per-sub-query runs into one run per query")
     p.add_argument("--runs", required=True, type=Path, help="per-sub-query run file")
     p.add_argument("--map", dest="map_path", required=True, type=Path, help="sub-query map (JSONL)")
-    p.add_argument("--strategy", required=True, choices=("rrf", "weighted_rrf", "sum_sim", "max_sim", "mean_sim"))
+    p.add_argument("--strategy", required=True, choices=STRATEGY_KINDS)
     p.add_argument("--k", type=int, default=60, help="rrf smoothing constant (default 60)")
     p.add_argument("--depth", type=int, default=1000, help="fused output depth (default 1000)")
     p.add_argument("--tag", default=None, help="run tag (default: strategy label)")
@@ -123,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", dest="map_path", required=True, type=Path)
     p.add_argument("--runs", required=True, type=Path)
     p.add_argument("--qrels", required=True, type=Path)
-    p.add_argument("--strategy", required=True, choices=("rrf", "weighted_rrf", "sum_sim", "max_sim", "mean_sim"))
+    p.add_argument("--strategy", required=True, choices=STRATEGY_KINDS)
     p.add_argument("--k", type=int, default=60)
     p.add_argument("--keep", default="1,5,10,all", help="keep counts, e.g. '1,5,10,all'")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
@@ -188,7 +196,7 @@ def _cmd_fuse(args) -> int:
     fused = fuse_runs(mapping, runs, strategy, args.depth)
     if args.tag is not None:
         fused = RunSet(lists=fused.lists, tag=args.tag)
-    args.out.write_bytes(write_run(fused, args.depth))
+    atomic_write(args.out, write_run(fused, args.depth))
     print(f"fused {len(fused.lists)} queries -> {args.out}")
     return 0
 
@@ -197,7 +205,7 @@ def _cmd_rerank_inject(args) -> int:
     fused = parse_run(args.fused.read_bytes())
     scores = parse_run(args.scores.read_bytes())
     reranked = inject_rerank(fused, scores, args.depth)
-    args.out.write_bytes(write_run(reranked, args.out_depth))
+    atomic_write(args.out, write_run(reranked, args.out_depth))
     print(f"reranked {len(reranked.lists)} queries -> {args.out}")
     return 0
 
@@ -214,10 +222,10 @@ def _cmd_eval(args) -> int:
     )
     print(render_report(report, per_query=args.per_query))
     if args.json is not None:
-        args.json.write_bytes(report_to_json(report))
+        atomic_write(args.json, report_to_json(report))
     if args.records is not None:
         lines = [json.dumps(r) + "\n" for r in report_records(report)]
-        args.records.write_text("".join(lines), encoding="utf-8")
+        atomic_write(args.records, "".join(lines).encode("utf-8"))
     return 0
 
 
@@ -232,7 +240,7 @@ def _cmd_delta(args) -> int:
             "candidate": candidate.tag,
             "deltas": report.deltas,
         }
-        args.json.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        atomic_write(args.json, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
     return 0
 
 
@@ -262,15 +270,14 @@ def _cmd_ablate(args) -> int:
             str(keep): {name: {"mean": m, "std": s} for name, (m, s) in row.items()}
             for keep, row in report.rows.items()
         }
-        args.json.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        atomic_write(args.json, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
     return 0
 
 
 def _cmd_claims_validate(args) -> int:
     records = load_evidence(args.in_path.read_bytes())
     if args.out is not None:
-        lines = [json.dumps(record_to_dict(r), ensure_ascii=False) + "\n" for r in records]
-        args.out.write_text("".join(lines), encoding="utf-8")
+        atomic_write(args.out, b"".join(serialize(r) + b"\n" for r in records))
     notes = sum(1 for r in records if hasattr(r, "note_id"))
     print(f"ok: {len(records)} records ({notes} notes, {len(records) - notes} claims)")
     return 0
@@ -280,8 +287,7 @@ def _cmd_claims_attach(args) -> int:
     artifacts = load_evidence(args.artifacts.read_bytes())
     predictions = load_predictions(args.predictions.read_bytes())
     calibrated, report = attach(artifacts, predictions)
-    lines = [serialize_calibrated(c).decode("utf-8") + "\n" for c in calibrated]
-    args.out.write_text("".join(lines), encoding="utf-8")
+    atomic_write(args.out, b"".join(serialize_calibrated(c) + b"\n" for c in calibrated))
     if args.unmatched is not None:
         payload = {
             "unmatched_artifacts": [record_to_dict(a) for a in report.unmatched_artifacts],
@@ -296,7 +302,7 @@ def _cmd_claims_attach(args) -> int:
                 for p in report.orphan_predictions
             ],
         }
-        args.unmatched.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        atomic_write(args.unmatched, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
     print(
         f"attached {len(calibrated)} of {len(artifacts)} artifacts "
         f"({len(report.unmatched_artifacts)} unmatched, {len(report.orphan_predictions)} orphan predictions)"
@@ -307,9 +313,7 @@ def _cmd_claims_attach(args) -> int:
 def _cmd_claims_filter(args) -> int:
     calibrated = load_calibrated(args.in_path.read_bytes(), backend=args.backend)
     kept, dropped = filter_by_threshold(calibrated, args.threshold)
-    args.kept.write_text(
-        "".join(serialize_calibrated(c).decode("utf-8") + "\n" for c in kept), encoding="utf-8"
-    )
+    atomic_write(args.kept, b"".join(serialize_calibrated(c) + b"\n" for c in kept))
     if args.dropped is not None:
         lines = [
             json.dumps(
@@ -319,7 +323,7 @@ def _cmd_claims_filter(args) -> int:
             + "\n"
             for c in dropped
         ]
-        args.dropped.write_text("".join(lines), encoding="utf-8")
+        atomic_write(args.dropped, "".join(lines).encode("utf-8"))
     print(f"kept {len(kept)} / dropped {len(dropped)} at threshold {args.threshold}")
     return 0
 
@@ -358,7 +362,7 @@ def _cmd_memory(args) -> int:
                 break
         except (FusekitError, ValueError, KeyError, IndexError) as e:
             print(f"error: {e}")
-    args.bank.write_bytes(bank.dump())
+    atomic_write(args.bank, bank.dump())
     print(f"saved {args.bank}")
     return 0
 
@@ -424,7 +428,7 @@ def _memory_command(bank: MemoryBank, line: str, bank_path: Path) -> str | None:
         bank.mark_processed(rest[0], rest[1])
         print(f"{rest[0]} processed via {rest[1]}")
     elif command == "save":
-        bank_path.write_bytes(bank.dump())
+        atomic_write(bank_path, bank.dump())
         print(f"saved {bank_path}")
     else:
         print(f"unknown command {command!r} (type 'help')")
@@ -470,7 +474,7 @@ def _endpoints_with_env(endpoints: dict) -> dict:
     import os
 
     merged = dict(endpoints)
-    for name in ("decomposer", "retriever"):
+    for name in ENDPOINT_NAMES:
         value = os.environ.get(f"FUSEKIT_{name.upper()}_URL")
         if value:
             merged[name] = value
@@ -478,11 +482,7 @@ def _endpoints_with_env(endpoints: dict) -> dict:
 
 
 def _cmd_decompose(args) -> int:
-    records = [
-        json.loads(line)
-        for line in args.queries.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    records = read_query_records(args.queries.read_bytes())
     if args.replay is not None:
         from .clients import ReplayDecomposer
 
@@ -492,7 +492,7 @@ def _cmd_decompose(args) -> int:
 
         decomposer = HttpDecomposer(args.endpoint)
     mapping, results = decompose_all(records, decomposer)
-    args.out.write_bytes(write_subquery_map(mapping))
+    atomic_write(args.out, write_subquery_map(mapping))
     fallbacks = sum(1 for r in results if r.fallback_used)
     print(f"decomposed {len(results)} queries ({fallbacks} fallbacks) -> {args.out}")
     if args.stats:

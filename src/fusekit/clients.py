@@ -16,18 +16,27 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 
 import requests
 
-from .core import RunSet
-from .errors import TransportError, ValidationError
+from .core import RunSet, iter_jsonl
+from .errors import ParseError, TransportError, ValidationError
 
 logger = logging.getLogger(__name__)
 
 
+def _retryable(error: requests.RequestException) -> bool:
+    """Connect errors, timeouts, 5xx and 429 may pass on a later attempt; others will not."""
+    if isinstance(error, requests.HTTPError):
+        status = error.response.status_code
+        return status >= 500 or status == 429
+    return isinstance(error, (requests.ConnectionError, requests.Timeout))
+
+
 class HttpTextClient:
-    """POST a JSON payload, return the response body; bounded retry with backoff."""
+    """POST a JSON payload, return the body; only ``_retryable`` failures are retried."""
 
     def __init__(self, endpoint: str, retries: int = 3, backoff: float = 0.25, timeout: float = 30.0):
         if retries < 1:
@@ -38,24 +47,24 @@ class HttpTextClient:
         self.timeout = timeout
 
     def request(self, payload: dict) -> str:
-        last_error: Exception | None = None
         for attempt in range(self.retries):
             try:
                 response = requests.post(self.endpoint, json=payload, timeout=self.timeout)
                 response.raise_for_status()
                 return response.text
             except requests.RequestException as e:
-                last_error = e
-                if attempt + 1 < self.retries:
-                    delay = self.backoff * (2**attempt)
-                    logger.warning(
-                        "request to %s failed (attempt %d/%d): %s; retrying in %.2fs",
-                        self.endpoint, attempt + 1, self.retries, e, delay,
-                    )
-                    time.sleep(delay)
-        raise TransportError(
-            f"{self.endpoint} unreachable after {self.retries} attempts: {last_error}"
-        )
+                if not _retryable(e):
+                    raise TransportError(f"{self.endpoint} request failed: {e}") from e
+                if attempt + 1 == self.retries:
+                    raise TransportError(
+                        f"{self.endpoint} unreachable after {self.retries} attempts: {e}"
+                    ) from e
+                delay = self.backoff * (2**attempt)
+                logger.warning(
+                    "request to %s failed (attempt %d/%d): %s; retrying in %.2fs",
+                    self.endpoint, attempt + 1, self.retries, e, delay,
+                )
+                time.sleep(delay)
 
 
 class HttpDecomposer:
@@ -74,14 +83,13 @@ class ReplayDecomposer:
 
     @classmethod
     def from_jsonl(cls, data: bytes | str) -> "ReplayDecomposer":
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
+        """Load ``{"query_id", "response"}`` records, one per JSON line."""
         responses = {}
-        for line in data.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
+        for line_no, record in iter_jsonl(data):
+            if not isinstance(record, dict) or "query_id" not in record or "response" not in record:
+                raise ParseError(
+                    "replay record must be an object with 'query_id' and 'response'", line=line_no
+                )
             responses[record["query_id"]] = record["response"]
         return cls(responses)
 
@@ -108,7 +116,13 @@ class HttpRetriever:
         for hit in hits[:depth]:
             if not isinstance(hit, dict) or "doc_id" not in hit or "score" not in hit:
                 raise TransportError("retriever hits need 'doc_id' and 'score'")
-            pairs.append((str(hit["doc_id"]), float(hit["score"])))
+            try:
+                score = float(hit["score"])
+            except (TypeError, ValueError):
+                score = math.nan
+            if not math.isfinite(score):
+                raise TransportError(f"retriever hit score must be a finite number, got {hit['score']!r}")
+            pairs.append((str(hit["doc_id"]), score))
         return pairs
 
 

@@ -16,7 +16,11 @@ Formats:
 from __future__ import annotations
 
 import json
+import math
+import os
+import secrets
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationError
@@ -40,6 +44,40 @@ def _decode(data: bytes | str) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"input is not valid UTF-8: {e}") from e
+
+
+def iter_jsonl(data: bytes | str) -> Iterator[tuple[int, object]]:
+    """Yield ``(line_no, value)`` per non-blank JSON line; bad JSON raises ParseError(line=...)."""
+    for line_no, raw in enumerate(_decode(data).splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e.msg}", line=line_no) from None
+        yield line_no, value
+
+
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data``: readers see the old file or the new one.
+
+    The bytes go to a uniquely named temp file beside the target, created
+    exclusively and with the mode a plain write gives, are fsynced, and are
+    renamed over the target; the temp file is removed if any step fails.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -139,6 +177,8 @@ def parse_run(data: bytes | str) -> RunSet:
             score = float(score_str)
         except ValueError:
             raise ParseError(f"non-numeric score {score_str!r}", line=line_no) from None
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_str!r}", line=line_no)
         if (qid, docid) in seen:
             raise ValidationError(f"duplicate entry for query {qid!r}, doc {docid!r}")
         seen.add((qid, docid))
@@ -269,16 +309,8 @@ class SubQueryMap:
 
 def parse_subquery_map(data: bytes | str) -> SubQueryMap:
     """Parse the JSON-lines sub-query map, preserving sub-query order."""
-    text = _decode(data)
     groups: dict[str, tuple[tuple[str, str], ...]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", line=line_no) from None
+    for line_no, record in iter_jsonl(data):
         if not isinstance(record, dict) or "query_id" not in record or "sub_queries" not in record:
             raise ParseError(
                 "record must be an object with 'query_id' and 'sub_queries'",

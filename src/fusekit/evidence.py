@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .core import DocId, QueryId, _check_token
+from .core import DocId, QueryId, _check_token, _decode, iter_jsonl
 from .errors import AnswerTagError, ParseError, ValidationError
 
 MODALITIES = ("visual", "ocr", "audio")
@@ -147,15 +147,22 @@ _NOTE_REQUIRED = ("note_id", "video_id", "topic", "text", "modality")
 _CLAIM_REQUIRED = ("claim_id", "query_id", "video_id", "topic", "claim")
 
 
+def _loads(data):
+    """Decode JSON bytes/text; any other value is returned as it is."""
+    if not isinstance(data, (bytes, str)):
+        return data
+    try:
+        return json.loads(_decode(data))
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}") from None
+
+
 def validate(record: bytes | str | dict) -> EvidenceRecord:
     """Type and check one evidence record; accepts JSON bytes/text or a dict."""
-    if isinstance(record, (bytes, str)):
-        if isinstance(record, bytes):
-            record = record.decode("utf-8")
-        try:
-            record = json.loads(record)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}") from None
+    return _evidence_record(_loads(record))
+
+
+def _evidence_record(record) -> EvidenceRecord:
     if not isinstance(record, dict):
         raise ValidationError(f"evidence record must be a JSON object, got {type(record).__name__}")
     if "note_id" in record:
@@ -223,18 +230,18 @@ def serialize(record: EvidenceRecord) -> bytes:
 
 def load_evidence(data: bytes | str) -> list[EvidenceRecord]:
     """Parse a JSON-lines evidence file."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    records = []
-    for line_no, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    return _load_jsonl(data, _evidence_record)
+
+
+def _load_jsonl(data: bytes | str, build) -> list:
+    """``build(value)`` per JSON line; its ValidationError becomes a ParseError with the line."""
+    items = []
+    for line_no, value in iter_jsonl(data):
         try:
-            records.append(validate(line))
-        except (ParseError, ValidationError) as e:
+            items.append(build(value))
+        except ValidationError as e:
             raise ParseError(str(e), line=line_no) from None
-    return records
+    return items
 
 
 def parse_answer_tag(text: str) -> float:
@@ -306,33 +313,20 @@ class Prediction:
 
 def load_predictions(data: bytes | str) -> list[Prediction]:
     """Parse a JSON-lines prediction file (fields prob, backend, artifact_id, video_id, text, raw_output)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    predictions = []
-    for line_no, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", line=line_no) from None
-        if not isinstance(record, dict) or "prob" not in record:
-            raise ParseError("prediction must be an object with a 'prob' field", line=line_no)
-        try:
-            predictions.append(
-                Prediction(
-                    prob=record["prob"],
-                    backend=record.get("backend", DEFAULT_BACKEND),
-                    artifact_id=record.get("artifact_id"),
-                    video_id=record.get("video_id"),
-                    text=record.get("text"),
-                    raw_output=record.get("raw_output"),
-                )
-            )
-        except ValidationError as e:
-            raise ParseError(str(e), line=line_no) from None
-    return predictions
+    return _load_jsonl(data, _prediction)
+
+
+def _prediction(record) -> Prediction:
+    if not isinstance(record, dict) or "prob" not in record:
+        raise ValidationError("prediction must be an object with a 'prob' field")
+    return Prediction(
+        prob=record["prob"],
+        backend=record.get("backend", DEFAULT_BACKEND),
+        artifact_id=record.get("artifact_id"),
+        video_id=record.get("video_id"),
+        text=record.get("text"),
+        raw_output=record.get("raw_output"),
+    )
 
 
 @dataclass(frozen=True)
@@ -425,13 +419,10 @@ def serialize_calibrated(item: CalibratedArtifact) -> bytes:
 
 def parse_calibrated(data: bytes | str | dict, backend: str = DEFAULT_BACKEND) -> CalibratedArtifact:
     """Inverse of serialize_calibrated, reading the configured backend's payload."""
-    if isinstance(data, (bytes, str)):
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}") from None
+    return _calibrated_artifact(_loads(data), backend)
+
+
+def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
     if not isinstance(data, dict) or "calibration" not in data:
         raise ValidationError("calibrated record must be an object with a 'calibration' key")
     calibration = data["calibration"]
@@ -448,7 +439,7 @@ def parse_calibrated(data: bytes | str | dict, backend: str = DEFAULT_BACKEND) -
         raw_output = raw.get("raw_output")
     artifact_fields = {k: v for k, v in data.items() if k != "calibration"}
     return CalibratedArtifact(
-        artifact=validate(artifact_fields),
+        artifact=_evidence_record(artifact_fields),
         calibration=CalibrationPayload(
             prob=payload["prob"], backend=backend, raw_output=raw_output
         ),
@@ -456,15 +447,4 @@ def parse_calibrated(data: bytes | str | dict, backend: str = DEFAULT_BACKEND) -
 
 
 def load_calibrated(data: bytes | str, backend: str = DEFAULT_BACKEND) -> list[CalibratedArtifact]:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    items = []
-    for line_no, raw in enumerate(data.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            items.append(parse_calibrated(line, backend=backend))
-        except (ParseError, ValidationError) as e:
-            raise ParseError(str(e), line=line_no) from None
-    return items
+    return _load_jsonl(data, lambda record: _calibrated_artifact(record, backend))

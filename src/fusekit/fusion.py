@@ -70,40 +70,45 @@ def _check_k(k: int) -> None:
         raise ValueError(f"rrf smoothing constant must be > 0, got {k}")
 
 
-def _summed(contributions: dict[str, list[float]]) -> ScoredList:
+def _summed(inp: FusionInput, terms, divisor: int = 1) -> ScoredList:
+    """Sum each doc's terms over the lists containing it, divided by ``divisor``.
+
+    ``terms(entries)`` gives a list's terms in rank order; extra terms are ignored.
+    """
+    contributions: dict[str, list[float]] = {}
+    for sub in inp.sub_lists:
+        for (doc, _), term in zip(sub.entries, terms(sub.entries)):
+            contributions.setdefault(doc, []).append(term)
     # fsum is exactly rounded, so fused scores do not depend on list order
     return ScoredList.from_pairs(
-        (doc, math.fsum(terms)) for doc, terms in contributions.items()
+        (doc, math.fsum(doc_terms) / divisor) for doc, doc_terms in contributions.items()
     )
+
+
+def _scores(entries: tuple[tuple[str, float], ...]) -> list[float]:
+    return [sim for _, sim in entries]
 
 
 def rrf(inp: FusionInput, k: int) -> ScoredList:
     """Reciprocal rank fusion: score(v) = sum_i 1 / (k + rank(v, list_i))."""
     _check_k(k)
-    contributions: dict[str, list[float]] = {}
-    for sub in inp.sub_lists:
-        for rank, (doc, _) in enumerate(sub.entries, start=1):
-            contributions.setdefault(doc, []).append(1.0 / (k + rank))
-    return _summed(contributions)
+    # the terms depend on rank only, so every list shares one table
+    depth = max(len(sub) for sub in inp.sub_lists)
+    table = [1.0 / (k + rank) for rank in range(1, depth + 1)]
+    return _summed(inp, lambda entries: table)
 
 
 def weighted_rrf(inp: FusionInput, k: int) -> ScoredList:
     """Reciprocal rank fusion with each term weighted by the list score."""
     _check_k(k)
-    contributions: dict[str, list[float]] = {}
-    for sub in inp.sub_lists:
-        for rank, (doc, sim) in enumerate(sub.entries, start=1):
-            contributions.setdefault(doc, []).append(sim / (k + rank))
-    return _summed(contributions)
+    return _summed(
+        inp, lambda entries: [sim / (k + rank) for rank, (_, sim) in enumerate(entries, start=1)]
+    )
 
 
 def sum_sim(inp: FusionInput) -> ScoredList:
     """Total score across the lists containing each doc."""
-    contributions: dict[str, list[float]] = {}
-    for sub in inp.sub_lists:
-        for doc, sim in sub.entries:
-            contributions.setdefault(doc, []).append(sim)
-    return _summed(contributions)
+    return _summed(inp, _scores)
 
 
 def max_sim(inp: FusionInput) -> ScoredList:
@@ -118,23 +123,18 @@ def max_sim(inp: FusionInput) -> ScoredList:
 
 def mean_sim(inp: FusionInput) -> ScoredList:
     """Sum of scores divided by the total list count N (absences count as 0)."""
-    n = len(inp.sub_lists)
-    summed = sum_sim(inp)
-    return ScoredList.from_pairs((doc, score / n) for doc, score in summed.entries)
+    return _summed(inp, _scores, len(inp.sub_lists))
+
+
+_STRATEGIES = {fn.__name__: fn for fn in (rrf, weighted_rrf, sum_sim, max_sim, mean_sim)}
 
 
 def fuse(inp: FusionInput, strategy: FusionStrategy, output_depth: int | None = None) -> ScoredList:
     """Apply a strategy, then truncate to ``output_depth`` if given."""
-    if strategy.kind == "rrf":
-        fused = rrf(inp, strategy.k_constant)
-    elif strategy.kind == "weighted_rrf":
-        fused = weighted_rrf(inp, strategy.k_constant)
-    elif strategy.kind == "sum_sim":
-        fused = sum_sim(inp)
-    elif strategy.kind == "max_sim":
-        fused = max_sim(inp)
+    if strategy.kind in ("rrf", "weighted_rrf"):
+        fused = _STRATEGIES[strategy.kind](inp, strategy.k_constant)
     else:
-        fused = mean_sim(inp)
+        fused = _STRATEGIES[strategy.kind](inp)
     if output_depth is not None:
         fused = truncate(fused, output_depth)
     return fused

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import _check_token
+from .core import _check_token, _decode
 from .errors import ValidationError
 
 SLOTS = ("findings", "keywords", "fact_table", "selected_facts", "videos")
@@ -272,10 +272,8 @@ class MemoryBank:
 
     @classmethod
     def load(cls, data: bytes | str) -> "MemoryBank":
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
         try:
-            payload = json.loads(data)
+            payload = json.loads(_decode(data))
         except json.JSONDecodeError as e:
             raise ValidationError(f"memory bank is not valid JSON: {e.msg}") from None
         if not isinstance(payload, dict):

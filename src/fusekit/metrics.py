@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import Qrels, QueryId, RunSet, ScoredList
+from .core import Qrels, QueryId, RunSet, ScoredList, _decode
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -68,11 +67,7 @@ def ndcg_at_k(ranking: ScoredList, qrels: Qrels, query: QueryId, k: int) -> floa
 
 
 def _dcg(grades: list[int]) -> float:
-    if not grades:
-        return 0.0
-    g = np.asarray(grades, dtype=np.float64)
-    discounts = np.log2(np.arange(2, g.size + 2, dtype=np.float64))
-    return float(np.sum((np.power(2.0, g) - 1.0) / discounts))
+    return math.fsum((2**g - 1) / math.log2(i + 2) for i, g in enumerate(grades))
 
 
 def recall_at_k(ranking: ScoredList, qrels: Qrels, query: QueryId, k: int) -> float:
@@ -246,9 +241,7 @@ def report_to_json(report: EvalReport) -> bytes:
 
 
 def report_from_json(data: bytes | str) -> EvalReport:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    payload = json.loads(data)
+    payload = json.loads(_decode(data))
     if not isinstance(payload, dict) or "aggregate" not in payload:
         raise ValidationError("report JSON must be an object with an 'aggregate' key")
     return EvalReport(

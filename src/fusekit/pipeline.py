@@ -8,10 +8,10 @@ decomposer/retriever clients, and always emits three stage run files
   fused.run       one fused list per original query
   reranked.run    fused lists with external scores injected in the head
 
-plus ``manifest.json`` recording the toolkit version, the configuration,
-the seed list, and a sha256 digest of every input file, which makes a run
-reproducible: identical inputs and config yield byte-identical outputs.
-Stage files are written atomically (temp file, then rename).
+plus ``manifest.json`` recording the toolkit version, the configuration
+(seed list included), and a sha256 digest of every input file, which makes
+a run reproducible: identical inputs and config yield byte-identical
+outputs. Every output goes through ``core.atomic_write``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,22 +27,27 @@ from .core import (
     RunSet,
     ScoredList,
     SubQueryMap,
+    atomic_write,
+    iter_jsonl,
     parse_run,
     parse_subquery_map,
+    truncate,
     write_run,
 )
 from .ablation import fuse_runs
-from .errors import PipelineStageError, TransportError, ValidationError
+from .errors import ParseError, PipelineStageError, ValidationError
 from .fusion import FusionStrategy
-from .metrics import Cutoffs, DEFAULT_CUTOFFS
 
 logger = logging.getLogger(__name__)
 
 MAX_SUB_QUERIES = 25
 
-# service endpoints honoured in a config file; reranking never runs live,
-# its scores always arrive as a run file
-ENDPOINT_NAMES = ("decomposer", "retriever", "reranker")
+# service endpoints honoured in a config file; there is no live reranker,
+# rerank scores always arrive as a run file
+ENDPOINT_NAMES = ("decomposer", "retriever")
+
+# a config file may hold only these keys; "inputs" holds paths the CLI reads
+CONFIG_KEYS = ("strategy", "first_stage_depth", "rerank_depth", "seeds", "endpoints", "inputs")
 
 STAGE_FILES = ("subqueries.run", "fused.run", "reranked.run")
 
@@ -53,8 +57,6 @@ class PipelineConfig:
     strategy: FusionStrategy
     first_stage_depth: int = 1000
     rerank_depth: int = 100
-    cutoffs: Cutoffs = DEFAULT_CUTOFFS
-    filter_threshold: float = 0.5
     seeds: tuple[int, ...] = ()
     endpoints: dict[str, str] = field(default_factory=dict)
 
@@ -67,8 +69,6 @@ class PipelineConfig:
             raise ValidationError(
                 f"rerank_depth {self.rerank_depth} exceeds first_stage_depth {self.first_stage_depth}"
             )
-        if not 0.0 <= self.filter_threshold <= 1.0:
-            raise ValidationError("filter_threshold must be in [0, 1]")
         for name in self.endpoints:
             if name not in ENDPOINT_NAMES:
                 raise ValidationError(
@@ -80,26 +80,33 @@ class PipelineConfig:
             "strategy": {"kind": self.strategy.kind, "k": self.strategy.k_constant},
             "first_stage_depth": self.first_stage_depth,
             "rerank_depth": self.rerank_depth,
-            "cutoffs": list(self.cutoffs.values),
-            "filter_threshold": self.filter_threshold,
             "seeds": list(self.seeds),
             "endpoints": dict(self.endpoints),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        strategy = data.get("strategy", {})
+        """Build a config; unknown top-level or strategy keys raise ValidationError."""
+        _check_keys(data, CONFIG_KEYS, "config")
+        strategy = _check_keys(data.get("strategy", {}), ("kind", "k"), "strategy")
         return cls(
             strategy=FusionStrategy(
                 kind=strategy.get("kind", "rrf"), k_constant=int(strategy.get("k", 60))
             ),
             first_stage_depth=int(data.get("first_stage_depth", 1000)),
             rerank_depth=int(data.get("rerank_depth", 100)),
-            cutoffs=Cutoffs(tuple(data.get("cutoffs", (10, 20, 100)))),
-            filter_threshold=float(data.get("filter_threshold", 0.5)),
             seeds=tuple(int(s) for s in data.get("seeds", ())),
             endpoints=dict(data.get("endpoints", {})),
         )
+
+
+def _check_keys(data, known: tuple[str, ...], what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValidationError(f"unknown {what} keys {unknown}; expected some of {known}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -124,22 +131,18 @@ def decompose(record: dict, decomposer) -> DecompositionResult:
     for name in ("query_id", "query"):
         if not record.get(name):
             raise ValidationError(f"query record is missing {name!r}")
-    raw = decomposer.decompose_raw(record)
-    sub_queries = _parse_sub_queries(raw)
-    if sub_queries is None:
+    sub_queries = _parse_sub_queries(decomposer.decompose_raw(record))
+    fallback_used = sub_queries is None
+    if fallback_used:
         logger.warning(
             "query %s: malformed decomposition output, falling back to the query text",
             record["query_id"],
         )
-        return DecompositionResult(
-            query_id=record["query_id"],
-            sub_queries=(record["query"],),
-            fallback_used=True,
-        )
+        sub_queries = [record["query"]]
     return DecompositionResult(
         query_id=record["query_id"],
         sub_queries=tuple(sub_queries[:MAX_SUB_QUERIES]),
-        fallback_used=False,
+        fallback_used=fallback_used,
     )
 
 
@@ -162,15 +165,26 @@ def sub_query_id(query_id: str, position: int) -> str:
     return f"{query_id}-s{position:03d}"
 
 
+def read_query_records(data: bytes | str) -> list[dict]:
+    """Query records from JSON lines, one object per line."""
+    records = []
+    for line_no, record in iter_jsonl(data):
+        if not isinstance(record, dict):
+            raise ParseError("query record must be a JSON object", line=line_no)
+        records.append(record)
+    return records
+
+
 def decompose_all(records: list[dict], decomposer) -> tuple[SubQueryMap, list[DecompositionResult]]:
     """Decompose every query record and assemble the sub-query map.
 
-    Sub-query ids are ``<query_id>-s<NNN>`` in sub-query order.
+    Sub-query ids are ``<query_id>-s<NNN>`` in sub-query order. A failure
+    raises PipelineStageError naming the "decompose" stage and the query.
     """
     groups = {}
     results = []
     for record in records:
-        result = decompose(record, decomposer)
+        result = _stage("decompose", record.get("query_id"), decompose, record, decomposer)
         results.append(result)
         groups[result.query_id] = tuple(
             (sub_query_id(result.query_id, i), text)
@@ -264,15 +278,8 @@ def run_pipeline(
     if "subquery_map" in inputs:
         mapping = _stage("decompose", None, parse_subquery_map, inputs["subquery_map"].read_bytes())
     elif "queries" in inputs and decomposer is not None:
-        records = _read_query_records(inputs["queries"])
-        groups = {}
-        for record in records:
-            result = _stage("decompose", record.get("query_id"), decompose, record, decomposer)
-            groups[result.query_id] = tuple(
-                (sub_query_id(result.query_id, i), text)
-                for i, text in enumerate(result.sub_queries)
-            )
-        mapping = SubQueryMap(groups)
+        records = _stage("decompose", None, read_query_records, inputs["queries"].read_bytes())
+        mapping, _ = decompose_all(records, decomposer)
     else:
         raise ValidationError("pipeline needs a sub-query map file or queries plus a decomposer")
 
@@ -298,26 +305,20 @@ def run_pipeline(
     )
     reranked = _stage("rerank", None, inject_rerank, fused, rerank_scores, config.rerank_depth)
 
-    stage_paths = {
-        "subqueries.run": out_dir / "subqueries.run",
-        "fused.run": out_dir / "fused.run",
-        "reranked.run": out_dir / "reranked.run",
-    }
-    _atomic_write(stage_paths["subqueries.run"], write_run(sub_runs, config.first_stage_depth))
-    _atomic_write(stage_paths["fused.run"], write_run(fused, config.first_stage_depth))
-    _atomic_write(stage_paths["reranked.run"], write_run(reranked, config.first_stage_depth))
+    stage_paths = {name: out_dir / name for name in STAGE_FILES}
+    for name, run in zip(STAGE_FILES, (sub_runs, fused, reranked)):
+        atomic_write(stage_paths[name], write_run(run, config.first_stage_depth))
 
     manifest = {
         "toolkit_version": __version__,
         "config": config.to_dict(),
-        "seeds": list(config.seeds),
         "inputs": {
             name: {"path": str(path), "sha256": _sha256(path)}
             for name, path in sorted(inputs.items())
         },
     }
     manifest_path = out_dir / "manifest.json"
-    _atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return PipelineResult(
         final=reranked, stage_paths=stage_paths, manifest_path=manifest_path, manifest=manifest
     )
@@ -332,15 +333,6 @@ def _stage(stage: str, query_id, fn, *args):
         raise PipelineStageError(stage, query_id, e) from e
 
 
-def _read_query_records(path: Path) -> list[dict]:
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
-
-
 def _collect_sub_lists(mapping: SubQueryMap, raw: RunSet, depth: int) -> RunSet:
     lists = {}
     for qid, subs in mapping.groups.items():
@@ -349,7 +341,7 @@ def _collect_sub_lists(mapping: SubQueryMap, raw: RunSet, depth: int) -> RunSet:
                 raise PipelineStageError(
                     "retrieve", qid, ValidationError(f"no ranked list for sub-query {sub_id!r}")
                 )
-            lists[sub_id] = ScoredList(raw.lists[sub_id].entries[:depth])
+            lists[sub_id] = truncate(raw.lists[sub_id], depth)
     return RunSet(lists=lists, tag="subqueries")
 
 
@@ -357,18 +349,9 @@ def _retrieve_all(mapping: SubQueryMap, retriever, depth: int) -> RunSet:
     lists = {}
     for qid, subs in mapping.groups.items():
         for sub_id, text in subs:
-            try:
-                pairs = retriever.retrieve(sub_id, text, depth)
-            except (TransportError, ValidationError) as e:
-                raise PipelineStageError("retrieve", qid, e) from e
+            pairs = _stage("retrieve", qid, retriever.retrieve, sub_id, text, depth)
             lists[sub_id] = ScoredList.from_pairs(pairs)
     return RunSet(lists=lists, tag="subqueries")
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
 
 
 def _sha256(path: Path) -> str:

@@ -277,6 +277,44 @@ def test_exit_code_validation_error(tmp_path, capsys):
     assert err["error"] == "ValidationError"
 
 
+def test_fuse_cli_rejects_non_finite_score_with_line(tmp_path, capsys):
+    runs = tmp_path / "subq.run"
+    runs.write_text("1-s000 Q0 vA 1 0.5 t\n1-s000 Q0 vB 2 nan t\n")
+    code = run_cli(
+        "fuse", "--runs", runs, "--map", PIPE / "subquery_map.jsonl",
+        "--strategy", "sum_sim", "--out", tmp_path / "fused.run",
+    )
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["line"] == 2
+    assert not (tmp_path / "fused.run").exists()
+
+
+def test_pipeline_cli_rejects_misspelled_config_key(tmp_path, capsys):
+    config = json.loads((PIPE / "config.json").read_text())
+    config["rerank_dpeth"] = config.pop("rerank_depth")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run_cli("pipeline", "--config", path, "--out-dir", tmp_path / "out")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "rerank_dpeth" in err["message"]
+
+
+def test_decompose_cli_transport_error_names_query(tmp_path, capsys):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(json.dumps({"query_id": "1", "response": "[\"a\"]"}) + "\n")
+    code = run_cli(
+        "decompose", "--queries", PIPE / "queries.jsonl", "--replay", replay,
+        "--out", tmp_path / "map.jsonl",
+    )
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert "query '2'" in err["message"]
+    assert "decompose" in err["message"]
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     code = run_cli("eval", "--run", tmp_path / "missing.run", "--qrels", tmp_path / "q.txt")
     assert code == 2

@@ -5,8 +5,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
-from fusekit import ScoredList, RunSet, TransportError
+from fusekit import ParseError, ScoredList, RunSet, TransportError
 from fusekit.clients import (
     HttpDecomposer,
     HttpRetriever,
@@ -89,6 +90,21 @@ def test_http_client_gives_up_after_retries(stub_server):
     _StubHandler.failures_left = 0
 
 
+def test_http_client_does_not_retry_client_errors(stub_server, monkeypatch):
+    calls = []
+    real_post = requests.post
+
+    def counting_post(*args, **kwargs):
+        calls.append(args)
+        return real_post(*args, **kwargs)
+
+    monkeypatch.setattr(requests, "post", counting_post)
+    client = HttpTextClient(f"{stub_server}/missing", retries=3, backoff=0.01)
+    with pytest.raises(TransportError, match="404"):
+        client.request({"query": "x"})
+    assert len(calls) == 1
+
+
 def test_http_client_unreachable_endpoint():
     client = HttpTextClient("http://127.0.0.1:9/none", retries=2, backoff=0.01, timeout=0.5)
     with pytest.raises(TransportError):
@@ -98,6 +114,17 @@ def test_http_client_unreachable_endpoint():
 def test_http_retriever_rejects_garbage(stub_server):
     client = HttpRetriever(f"{stub_server}/garbage")
     with pytest.raises(TransportError):
+        client.retrieve("s1", "anything", 3)
+
+
+@pytest.mark.parametrize(
+    "body", ['[{"doc_id": "v0", "score": NaN}]', '[{"doc_id": "v0", "score": -Infinity}]',
+             '[{"doc_id": "v0", "score": "high"}]', '[{"doc_id": "v0", "score": null}]']
+)
+def test_http_retriever_rejects_non_finite_or_non_numeric_score(body):
+    client = HttpRetriever("http://127.0.0.1:9/unused")
+    client._client.request = lambda payload: body
+    with pytest.raises(TransportError, match="finite number"):
         client.retrieve("s1", "anything", 3)
 
 
@@ -113,3 +140,13 @@ def test_replay_retriever_reads_run():
     runs = RunSet(lists={"s1": ScoredList((("vA", 0.9), ("vB", 0.5)))}, tag="t")
     replay = ReplayRetriever(runs)
     assert replay.retrieve("s1", "ignored", 1) == [("vA", 0.9)]
+
+
+@pytest.mark.parametrize(
+    "line", ['{"query_id": "1", "response": "[]"', '{"query_id": "1"}', '["1", "[]"]']
+)
+def test_replay_decomposer_bad_record_reports_line(line):
+    data = json.dumps({"query_id": "0", "response": "[]"}) + "\n\n" + line + "\n"
+    with pytest.raises(ParseError) as excinfo:
+        ReplayDecomposer.from_jsonl(data)
+    assert excinfo.value.line == 3

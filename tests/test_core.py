@@ -20,6 +20,9 @@ from fusekit import (
     write_subquery_map,
 )
 
+from fusekit import core
+from fusekit.core import atomic_write, iter_jsonl
+
 from conftest import make_list
 
 
@@ -113,6 +116,14 @@ def test_parse_run_non_numeric_score_reports_line():
     with pytest.raises(ParseError) as excinfo:
         parse_run(b"q1 Q0 dA 1 high t\n")
     assert excinfo.value.line == 1
+
+
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_parse_run_rejects_non_finite_score(score):
+    data = f"q1 Q0 a 1 0.5 t\nq1 Q0 b 2 {score} t\nq1 Q0 c 3 0.7 t\n"
+    with pytest.raises(ParseError) as excinfo:
+        parse_run(data)
+    assert excinfo.value.line == 2
 
 
 def test_parse_run_skips_blank_lines():
@@ -316,3 +327,46 @@ def test_expansion_stats_mean_consistency(sizes):
     stats = expansion_stats(_sized_map(sizes))
     displayed = float(f"{stats.mean_size:.2f}")
     assert abs(displayed * len(sizes) - stats.count) <= 0.005 * len(sizes) + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# iter_jsonl / atomic_write
+# ---------------------------------------------------------------------------
+
+
+def test_iter_jsonl_numbers_lines_and_skips_blanks():
+    data = b'{"a": 1}\n\n  \n[2, 3]\n"x"\n'
+    assert list(iter_jsonl(data)) == [(1, {"a": 1}), (4, [2, 3]), (5, "x")]
+
+
+def test_iter_jsonl_bad_json_reports_line():
+    with pytest.raises(ParseError) as excinfo:
+        list(iter_jsonl('{"a": 1}\n\n{oops\n'))
+    assert excinfo.value.line == 3
+
+
+def test_iter_jsonl_rejects_invalid_utf8():
+    with pytest.raises(ParseError):
+        list(iter_jsonl(b"\xff\n"))
+
+
+def test_atomic_write_replaces_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.run"
+    target.write_bytes(b"old")
+    atomic_write(target, b"new")
+    assert target.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.run"]
+
+
+def test_atomic_write_failed_rename_keeps_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.run"
+    target.write_bytes(b"old")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(core.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        atomic_write(target, b"new")
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.run"]

@@ -7,6 +7,7 @@ import pytest
 
 from fusekit import (
     FusionStrategy,
+    ParseError,
     PipelineStageError,
     RunSet,
     TransportError,
@@ -20,6 +21,7 @@ from fusekit.pipeline import (
     decompose,
     decompose_all,
     inject_rerank,
+    read_query_records,
     run_pipeline,
 )
 
@@ -108,6 +110,24 @@ def test_decompose_all_assigns_stable_ids():
     assert mapping.sub_query_ids("1") == ["1-s000", "1-s001"]
     assert mapping.groups["2"] == (("2-s000", "second query"),)
     assert [r.fallback_used for r in results] == [False, True]
+
+
+def test_decompose_all_names_the_failing_query():
+    replay = ReplayDecomposer({"1": json.dumps(["a"])})
+    records = [{"query_id": "1", "query": "first"}, {"query_id": "2", "query": "second"}]
+    with pytest.raises(PipelineStageError) as excinfo:
+        decompose_all(records, replay)
+    assert excinfo.value.stage == "decompose"
+    assert excinfo.value.query_id == "2"
+    assert isinstance(excinfo.value.cause, TransportError)
+
+
+def test_read_query_records_reports_line():
+    assert read_query_records(b'{"query_id": "1"}\n\n') == [{"query_id": "1"}]
+    for bad in ('{"query_id": "1"}\n["not", "an", "object"]\n', '{"query_id": "1"}\n{oops\n'):
+        with pytest.raises(ParseError) as excinfo:
+            read_query_records(bad)
+        assert excinfo.value.line == 2
 
 
 def test_decomposition_result_rejects_empty():
@@ -200,6 +220,31 @@ def test_config_rejects_unknown_endpoint():
         PipelineConfig(strategy=FusionStrategy("rrf", 10), endpoints={"oracle": "http://x"})
 
 
+def test_config_rejects_reranker_endpoint():
+    with pytest.raises(ValidationError):
+        PipelineConfig(strategy=FusionStrategy("rrf", 10), endpoints={"reranker": "http://x"})
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"rerank_dpeth": 5}, "rerank_dpeth"),
+        ({"cutoffs": [10, 20]}, "cutoffs"),
+        ({"strategy": {"kind": "rrf", "K": 10}}, "K"),
+    ],
+)
+def test_config_rejects_unknown_keys(data, key):
+    with pytest.raises(ValidationError, match=key):
+        PipelineConfig.from_dict(data)
+
+
+def test_config_rejects_non_object():
+    with pytest.raises(ValidationError):
+        PipelineConfig.from_dict([])
+    with pytest.raises(ValidationError):
+        PipelineConfig.from_dict({"strategy": "rrf"})
+
+
 # ---------------------------------------------------------------------------
 # run_pipeline on the shipped fixtures
 # ---------------------------------------------------------------------------
@@ -226,6 +271,17 @@ def test_pipeline_emits_stage_files_and_manifest(tmp_path):
     for entry in manifest["inputs"].values():
         assert len(entry["sha256"]) == 64
     assert set(result.final.lists) == {"1", "2", "3"}
+
+
+def test_pipeline_manifest_lists_seeds_once(tmp_path):
+    manifest = run_pipeline(
+        fixture_config(),
+        tmp_path,
+        subquery_map_path=FIXTURES / "subquery_map.jsonl",
+        subquery_runs_path=FIXTURES / "subqueries.run",
+    ).manifest
+    assert "seeds" not in manifest
+    assert manifest["config"]["seeds"] == [0, 1, 2, 3, 4]
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path):
@@ -322,3 +378,30 @@ def test_pipeline_without_rerank_file_still_emits_three_stages(tmp_path):
     fused = parse_run((tmp_path / "fused.run").read_bytes())
     reranked = parse_run((tmp_path / "reranked.run").read_bytes())
     assert fused.lists == reranked.lists
+
+
+def test_pipeline_writes_past_a_stale_temp_directory(tmp_path):
+    # the old writer always used "<name>.tmp" and failed when that name was taken
+    (tmp_path / "fused.run.tmp").mkdir()
+    run_pipeline(
+        fixture_config(),
+        tmp_path,
+        subquery_map_path=FIXTURES / "subquery_map.jsonl",
+        subquery_runs_path=FIXTURES / "subqueries.run",
+    )
+    assert (tmp_path / "fused.run").stat().st_size > 0
+
+
+def test_pipeline_bad_query_records_name_stage_and_line(tmp_path):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text('{"query_id": "1", "query": "q"}\n{oops\n')
+    with pytest.raises(PipelineStageError) as excinfo:
+        run_pipeline(
+            fixture_config(),
+            tmp_path / "out",
+            queries_path=queries,
+            decomposer=ReplayDecomposer({}),
+            retriever=None,
+        )
+    assert excinfo.value.stage == "decompose"
+    assert excinfo.value.cause.line == 2

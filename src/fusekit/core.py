@@ -68,7 +68,7 @@ def atomic_write(path: str | Path, data: bytes) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "xb")
+    fh = open(tmp, "xb")  # outside the try: a failed open must not unlink a file it did not create
     try:
         with fh:
             fh.write(data)

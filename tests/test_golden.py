@@ -1,9 +1,9 @@
 """Frozen sha256 digests of the CLI's outputs on the shipped fixtures.
 
 Rerun checks (criterion 9) only compare two runs of the same code; these
-digests catch a refactor that changes output bytes. The manifest and the
-eval/ablate JSON are left out: they echo the config and carry float sums
-that may move by an ulp when the arithmetic is restructured.
+digests catch a refactor that changes output bytes. The eval and ablate
+JSON reports are frozen too, so a rework of the metric arithmetic must keep
+every value bit-identical. The manifest is left out: it echoes the config.
 """
 
 from __future__ import annotations
@@ -40,6 +40,17 @@ CLAIMS_DIGESTS = {
     "unmatched": "6560380d8ea99ddca2635c4a19f00a74facb921ad32c75f6b520960ee33ca44e",
     "kept": "30ebc462c396a53f8d7e2b6f829684b95c7f9d447fc990d08b392b98651b11e6",
     "dropped": "68f01ff41c20aa942ea7eaf7cea7b8e247a206ec76f327b6ddb1f3d7d0b47939",
+}
+
+
+EVAL_DIGESTS = {
+    "fused.run": "c31b77c1eb5db802e36d5502fc1987842f53c81c255e6c0b2d50112d159f0758",
+    "reranked.run": "bf995f27343a6f38c373f45cb161e5b5489e6cbf1db5c746abd67aaa0a505b5a",
+}
+
+ABLATE_DIGESTS = {
+    "rrf": "bf19628fe37c92f11e13ad356b28f82c111b99f1bb56a04961e901abee346af2",
+    "max_sim": "2d561b8b26a9cf5218533111dd2af53eab451da98e875e62e29c6948c6c06748",
 }
 
 
@@ -98,3 +109,34 @@ def test_claims_attach_and_filter(tmp_path, capsys):
         "--dropped", paths["dropped"],
     )
     assert {name: digest(path) for name, path in paths.items()} == CLAIMS_DIGESTS
+
+
+@pytest.mark.parametrize("stage_file", sorted(EVAL_DIGESTS))
+def test_eval_json(tmp_path, capsys, stage_file):
+    run_cli("pipeline", "--config", PIPE / "config.json", "--out-dir", tmp_path)
+    out = tmp_path / "report.json"
+    run_cli(
+        "eval",
+        "--run", tmp_path / stage_file,
+        "--qrels", PIPE / "qrels.txt",
+        "--cutoffs", "1,3,5,10,20",
+        "--json", out,
+    )
+    assert digest(out) == EVAL_DIGESTS[stage_file]
+
+
+@pytest.mark.parametrize("strategy", sorted(ABLATE_DIGESTS))
+def test_ablate_json(tmp_path, capsys, strategy):
+    out = tmp_path / "ablation.json"
+    run_cli(
+        "ablate",
+        "--map", PIPE / "subquery_map.jsonl",
+        "--runs", PIPE / "subqueries.run",
+        "--qrels", PIPE / "qrels.txt",
+        "--strategy", strategy,
+        "--k", "10",
+        "--keep", "1,2,all",
+        "--cutoffs", "1,5,10",
+        "--json", out,
+    )
+    assert digest(out) == ABLATE_DIGESTS[strategy]

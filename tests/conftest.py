@@ -1,10 +1,25 @@
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from fusekit import Qrels, RunSet, ScoredList
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_processes_import_this_checkout():
+    """Let ``python -m fusekit.cli`` children import the package the tests import."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(
+            "PYTHONPATH", os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        )
+        yield
 
 
 def make_list(*pairs) -> ScoredList:

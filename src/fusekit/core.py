@@ -20,6 +20,7 @@ import math
 import os
 import secrets
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -86,6 +87,12 @@ class ScoredList:
 
     Entries are ordered by non-increasing score; the rank of entry ``i``
     is ``i + 1``. Doc ids are unique within a list.
+
+    ``ScoredList(entries)`` and ``from_pairs`` validate every entry; use
+    them for data from outside the library. ``_trusted`` and
+    ``_trusted_sorted`` are internal and check nothing: they build the
+    lists the library derives from data it has already validated (parsed
+    runs, truncations, fused and reranked lists).
     """
 
     entries: tuple[tuple[DocId, float], ...] = ()
@@ -112,6 +119,21 @@ class ScoredList:
         ordered = sorted(pairs, key=lambda p: (-float(p[1]), p[0]))
         return cls(tuple(ordered))
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[DocId, float], ...]) -> "ScoredList":
+        """Wrap a tuple of ``(doc id, float)`` tuples that already meets every invariant."""
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "entries", entries)
+        return ranking
+
+    @classmethod
+    def _trusted_sorted(cls, pairs: Iterable[tuple[DocId, float]]) -> "ScoredList":
+        """The canonical order of ``(doc id, float)`` pairs with unique, valid doc ids."""
+        ordered = sorted(pairs, key=itemgetter(0))
+        # the sort is stable, so docs with equal scores stay in ascending id order
+        ordered.sort(key=itemgetter(1), reverse=True)
+        return cls._trusted(tuple(ordered))
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -133,7 +155,7 @@ def truncate(ranking: ScoredList, depth: int) -> ScoredList:
     """First ``min(depth, len)`` entries, order preserved. Idempotent."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return ScoredList(ranking.entries[:depth])
+    return ScoredList._trusted(ranking.entries[:depth])
 
 
 @dataclass(frozen=True)
@@ -159,14 +181,14 @@ def parse_run(data: bytes | str) -> RunSet:
     rejected.
     """
     text = _decode(data)
-    per_query: dict[str, list[tuple[str, float]]] = {}
-    seen: set[tuple[str, str]] = set()
+    # str.split() separates on exactly the characters str.isspace() accepts, so every
+    # field is a valid token; with finite scores and unique docs the lists need no re-check
+    per_query: dict[str, dict[str, float]] = {}
     tag = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 6:
             raise ParseError(
                 f"expected 6 fields 'qid Q0 docid rank score tag', got {len(parts)}",
@@ -179,13 +201,15 @@ def parse_run(data: bytes | str) -> RunSet:
             raise ParseError(f"non-numeric score {score_str!r}", line=line_no) from None
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {score_str!r}", line=line_no)
-        if (qid, docid) in seen:
+        scores = per_query.get(qid)
+        if scores is None:
+            scores = per_query[qid] = {}
+        elif docid in scores:
             raise ValidationError(f"duplicate entry for query {qid!r}, doc {docid!r}")
-        seen.add((qid, docid))
-        per_query.setdefault(qid, []).append((docid, score))
+        scores[docid] = score
         if tag is None:
             tag = line_tag
-    lists = {qid: ScoredList.from_pairs(pairs) for qid, pairs in per_query.items()}
+    lists = {qid: ScoredList._trusted_sorted(scores.items()) for qid, scores in per_query.items()}
     return RunSet(lists=lists, tag=tag if tag is not None else "run")
 
 
@@ -207,7 +231,12 @@ def write_run(run: RunSet, depth: int) -> bytes:
 
 @dataclass(frozen=True)
 class Qrels:
-    """Graded relevance judgments keyed by (query id, doc id)."""
+    """Graded relevance judgments keyed by (query id, doc id).
+
+    ``Qrels(judgments)`` validates every key and grade; use it for data
+    from outside the library. ``_trusted`` is internal and checks nothing:
+    ``parse_qrels`` uses it after checking each line itself.
+    """
 
     judgments: dict[tuple[QueryId, DocId], int] = field(default_factory=dict)
 
@@ -222,6 +251,18 @@ class Qrels:
                 )
             by_query.setdefault(qid, {})[docid] = grade
         object.__setattr__(self, "_by_query", by_query)
+
+    @classmethod
+    def _trusted(
+        cls,
+        judgments: dict[tuple[QueryId, DocId], int],
+        by_query: dict[QueryId, dict[DocId, int]],
+    ) -> "Qrels":
+        """Wrap valid judgments and the same judgments grouped by query."""
+        qrels = object.__new__(cls)
+        object.__setattr__(qrels, "judgments", judgments)
+        object.__setattr__(qrels, "_by_query", by_query)
+        return qrels
 
     def queries(self) -> set[QueryId]:
         return set(self._by_query)
@@ -241,11 +282,11 @@ def parse_qrels(data: bytes | str) -> Qrels:
     """Parse ``qid 0 docid grade`` lines; grade-0 lines are retained."""
     text = _decode(data)
     judgments: dict[tuple[str, str], int] = {}
+    by_query: dict[str, dict[str, int]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 4:
             raise ParseError(
                 f"expected 4 fields 'qid 0 docid grade', got {len(parts)}",
@@ -261,7 +302,9 @@ def parse_qrels(data: bytes | str) -> Qrels:
         if (qid, docid) in judgments:
             raise ValidationError(f"duplicate judgment for query {qid!r}, doc {docid!r}")
         judgments[(qid, docid)] = grade
-    return Qrels(judgments)
+        by_query.setdefault(qid, {})[docid] = grade
+    # tokens come from str.split() and grades are checked above, as Qrels() would
+    return Qrels._trusted(judgments, by_query)
 
 
 def write_qrels(qrels: Qrels) -> bytes:

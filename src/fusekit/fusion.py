@@ -79,10 +79,15 @@ def _summed(inp: FusionInput, terms, divisor: int = 1) -> ScoredList:
     for sub in inp.sub_lists:
         for (doc, _), term in zip(sub.entries, terms(sub.entries)):
             contributions.setdefault(doc, []).append(term)
-    # fsum is exactly rounded, so fused scores do not depend on list order
-    return ScoredList.from_pairs(
-        (doc, math.fsum(doc_terms) / divisor) for doc, doc_terms in contributions.items()
-    )
+    try:
+        # fsum is exactly rounded, so fused scores do not depend on list order
+        return ScoredList._trusted_sorted(
+            (doc, math.fsum(doc_terms) / divisor) for doc, doc_terms in contributions.items()
+        )
+    except OverflowError:
+        raise ValidationError(
+            f"query {inp.query!r}: a fused score exceeds the float range"
+        ) from None
 
 
 def _scores(entries: tuple[tuple[str, float], ...]) -> list[float]:
@@ -118,7 +123,7 @@ def max_sim(inp: FusionInput) -> ScoredList:
         for doc, sim in sub.entries:
             if doc not in scores or sim > scores[doc]:
                 scores[doc] = sim
-    return ScoredList.from_pairs(scores.items())
+    return ScoredList._trusted_sorted(scores.items())
 
 
 def mean_sim(inp: FusionInput) -> ScoredList:

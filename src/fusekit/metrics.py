@@ -55,30 +55,48 @@ DEFAULT_CUTOFFS = Cutoffs((10, 20, 100))
 
 def ndcg_at_k(ranking: ScoredList, qrels: Qrels, query: QueryId, k: int) -> float:
     """Normalized DCG at cutoff k; 0.0 when the query has no relevant docs."""
-    if k < 1:
-        raise ValueError(f"cutoff must be >= 1, got {k}")
-    judged = qrels.for_query(query)
-    ideal = sorted(judged.values(), reverse=True)[:k]
-    idcg = _dcg(ideal)
-    if idcg == 0.0:
-        return 0.0
-    gains = [judged.get(doc, 0) for doc, _ in ranking.entries[:k]]
-    return _dcg(gains) / idcg
-
-
-def _dcg(grades: list[int]) -> float:
-    return math.fsum((2**g - 1) / math.log2(i + 2) for i, g in enumerate(grades))
+    _check_cutoff(k)
+    return _query_metrics(ranking, qrels.for_query(query), (k,))[0][0]
 
 
 def recall_at_k(ranking: ScoredList, qrels: Qrels, query: QueryId, k: int) -> float:
     """Fraction of the query's relevant docs found in the top k."""
+    _check_cutoff(k)
+    return _query_metrics(ranking, qrels.for_query(query), (k,))[1][0]
+
+
+def _check_cutoff(k: int) -> None:
     if k < 1:
         raise ValueError(f"cutoff must be >= 1, got {k}")
-    relevant = qrels.relevant_docs(query)
-    if not relevant:
-        return 0.0
-    top = {doc for doc, _ in ranking.entries[:k]}
-    return len(top & relevant) / len(relevant)
+
+
+def _query_metrics(
+    ranking: ScoredList, judged: dict[str, int], cutoffs: tuple[int, ...]
+) -> tuple[list[float], list[float]]:
+    """nDCG and recall at each cutoff from one pass over the judgments and top ranks.
+
+    The DCG terms are built once up to the largest cutoff; each cutoff sums
+    its prefix with ``math.fsum``, the same terms a per-cutoff sum would use.
+    """
+    depth = max(cutoffs)
+    ideal = _dcg_terms(sorted(judged.values(), reverse=True)[:depth])
+    top = ranking.entries[:depth]
+    gains = _dcg_terms([judged.get(doc, 0) for doc, _ in top])
+    relevant = {doc for doc, grade in judged.items() if grade > 0}
+    # hits[k] = relevant docs among the top k
+    hits = [0]
+    for doc, _ in top:
+        hits.append(hits[-1] + (doc in relevant))
+    ndcg, recall = [], []
+    for k in cutoffs:
+        idcg = math.fsum(ideal[:k])
+        ndcg.append(0.0 if idcg == 0.0 else math.fsum(gains[:k]) / idcg)
+        recall.append(hits[min(k, len(top))] / len(relevant) if relevant else 0.0)
+    return ndcg, recall
+
+
+def _dcg_terms(grades: list[int]) -> list[float]:
+    return [(2**g - 1) / math.log2(i + 2) for i, g in enumerate(grades)]
 
 
 @dataclass(frozen=True)
@@ -126,27 +144,24 @@ def evaluate(
         raise ValueError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
     if not run.lists:
         raise ValidationError("cannot evaluate an empty run")
+    judged_queries = qrels.queries()
+    names = cutoffs.metric_names()
     per_query: dict[str, dict[str, float]] = {}
     for qid in run.queries():
-        if qid not in qrels.queries():
+        if qid not in judged_queries:
             if on_missing == "error":
                 raise ValidationError(f"run query {qid!r} has no relevance judgments")
             logger.warning("skipping query %r: no relevance judgments", qid)
             continue
-        if exclude_no_relevant and not qrels.relevant_docs(qid):
+        judged = qrels.for_query(qid)
+        if exclude_no_relevant and not any(grade > 0 for grade in judged.values()):
             continue
-        ranking = run.lists[qid]
-        row: dict[str, float] = {}
-        for k in cutoffs.values:
-            row[f"nDCG@{k}"] = ndcg_at_k(ranking, qrels, qid, k)
-        for k in cutoffs.values:
-            row[f"R@{k}"] = recall_at_k(ranking, qrels, qid, k)
-        per_query[qid] = row
+        ndcg, recall = _query_metrics(run.lists[qid], judged, cutoffs.values)
+        per_query[qid] = dict(zip(names, ndcg + recall))
     if not per_query:
         raise ValidationError("no evaluable queries (all skipped or excluded)")
     aggregate = {
-        name: sum(row[name] for row in per_query.values()) / len(per_query)
-        for name in cutoffs.metric_names()
+        name: sum(row[name] for row in per_query.values()) / len(per_query) for name in names
     }
     return EvalReport(per_query=per_query, aggregate=aggregate, tag=run.tag)
 

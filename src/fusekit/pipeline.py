@@ -235,7 +235,10 @@ def inject_rerank(fused: RunSet, rerank: RunSet, rerank_depth: int) -> RunSet:
 
 
 def _positional(entries: tuple[tuple[str, float], ...]) -> ScoredList:
-    return ScoredList(tuple((doc, 1.0 / rank) for rank, (doc, _) in enumerate(entries, start=1)))
+    # a reordering of one valid list, with strictly decreasing scores
+    return ScoredList._trusted(
+        tuple((doc, 1.0 / rank) for rank, (doc, _) in enumerate(entries, start=1))
+    )
 
 
 @dataclass(frozen=True)

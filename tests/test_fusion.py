@@ -334,3 +334,10 @@ def test_oracle_equivalence_small_instances(data):
         assert fused.docs() == tuple(oracle_order(expected))
         for doc, score in fused.entries:
             assert abs(score - expected[doc]) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["sum_sim", "mean_sim"])
+def test_fused_score_overflow_is_a_validation_error(kind):
+    inp = FusionInput("q1", (ScoredList((("dA", 1e308),)), ScoredList((("dA", 1e308),))))
+    with pytest.raises(ValidationError, match="float range"):
+        fuse(inp, FusionStrategy(kind))

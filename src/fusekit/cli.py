@@ -80,8 +80,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _emit_error(e: Exception) -> None:
     record = {"error": type(e).__name__, "message": str(e)}
-    if isinstance(e, ParseError) and e.line is not None:
-        record["line"] = e.line
+    cause = e.cause if isinstance(e, PipelineStageError) else e
+    if isinstance(cause, ParseError) and cause.line is not None:
+        record["line"] = cause.line
     print(json.dumps(record), file=sys.stderr)
 
 

@@ -426,6 +426,8 @@ def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
     if not isinstance(data, dict) or "calibration" not in data:
         raise ValidationError("calibrated record must be an object with a 'calibration' key")
     calibration = data["calibration"]
+    if not isinstance(calibration, dict):
+        raise ValidationError(f"'calibration' must be an object, got {calibration!r}")
     if backend not in calibration:
         raise ValidationError(
             f"no calibration payload for backend {backend!r}; present: {sorted(calibration)}"

@@ -33,6 +33,20 @@ SUMMARY_CAP = 4000
 _TRUNCATION_MARK = " …[truncated]"
 
 
+def _expect(value, kind: type, what: str, item: type | None = None):
+    """``value`` if it is a ``kind`` (with ``item`` elements); else ValidationError."""
+    names = {list: "an array", dict: "an object", str: "a string"}
+    if not isinstance(value, kind):
+        raise ValidationError(f"memory bank {what} must be {names[kind]}, got {value!r}")
+    if item is not None:
+        for element in value:
+            if not isinstance(element, item):
+                raise ValidationError(
+                    f"memory bank {what} must hold only {names[item]}s, got {element!r}"
+                )
+    return value
+
+
 @dataclass(frozen=True)
 class FactEntry:
     fact: str
@@ -102,7 +116,7 @@ class VideoStatus:
     def from_dict(cls, data: dict) -> "VideoStatus":
         return cls(
             status=data.get("status", "pending"),
-            tools_used=set(data.get("tools_used", [])),
+            tools_used=set(_expect(data.get("tools_used", []), list, "tools_used", item=str)),
             path=data.get("path"),
             caption=data.get("caption"),
         )
@@ -282,16 +296,24 @@ class MemoryBank:
         if missing:
             raise ValidationError(f"memory bank is missing slots: {', '.join(missing)}")
         bank = cls(
-            findings=[str(f) for f in payload["findings"]],
-            keywords={vid: set(kws) for vid, kws in payload["keywords"].items()},
-            fact_table={
-                vid: [FactEntry.from_dict(e) for e in facts]
-                for vid, facts in payload["fact_table"].items()
+            findings=[str(f) for f in _expect(payload["findings"], list, "findings")],
+            keywords={
+                vid: set(_expect(kws, list, f"keywords of {vid!r}", item=str))
+                for vid, kws in _expect(payload["keywords"], dict, "keywords").items()
             },
-            selected_facts=[str(f) for f in payload["selected_facts"]],
+            fact_table={
+                vid: [
+                    FactEntry.from_dict(e)
+                    for e in _expect(facts, list, f"facts of {vid!r}", item=dict)
+                ]
+                for vid, facts in _expect(payload["fact_table"], dict, "fact_table").items()
+            },
+            selected_facts=[
+                str(f) for f in _expect(payload["selected_facts"], list, "selected_facts")
+            ],
             videos={
-                vid: VideoStatus.from_dict(status)
-                for vid, status in payload["videos"].items()
+                vid: VideoStatus.from_dict(_expect(status, dict, f"status of {vid!r}"))
+                for vid, status in _expect(payload["videos"], dict, "videos").items()
             },
         )
         for vid in list(bank.keywords) + list(bank.fact_table):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import re
 import subprocess
@@ -11,6 +12,7 @@ from fusekit.ablation import fuse_runs
 from fusekit.cli import main
 from fusekit.core import parse_subquery_map
 from fusekit.fusion import FusionStrategy
+from fusekit.memory import MemoryBank
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PIPE = FIXTURES / "pipeline"
@@ -343,3 +345,44 @@ def test_endpoint_env_overrides(monkeypatch):
     monkeypatch.setenv("FUSEKIT_RETRIEVER_URL", "http://env-host/retrieve")
     merged = _endpoints_with_env({"retriever": "http://cfg-host/retrieve"})
     assert merged["retriever"] == "http://env-host/retrieve"
+
+
+def test_pipeline_cli_error_record_carries_the_cause_line(tmp_path, capsys):
+    map_path = tmp_path / "map.jsonl"
+    good = (PIPE / "subquery_map.jsonl").read_text().splitlines()[0]
+    map_path.write_text(good + "\n{not json\n")
+    config = json.loads((PIPE / "config.json").read_text())
+    config["inputs"] = {
+        "subquery_map": str(map_path),
+        "subquery_runs": str(PIPE / "subqueries.run"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code = run_cli("pipeline", "--config", path, "--out-dir", tmp_path / "out")
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "PipelineStageError"
+    assert record["line"] == 2
+
+
+def test_claims_filter_rejects_non_object_calibration(tmp_path, capsys):
+    path = tmp_path / "calibrated.jsonl"
+    record = json.loads((EVID / "artifacts.jsonl").read_text().splitlines()[0])
+    record["calibration"] = 5
+    path.write_text(json.dumps(record) + "\n")
+    code = run_cli("claims", "filter", "--in", path, "--kept", tmp_path / "kept.jsonl")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseError"
+    assert err["line"] == 1
+
+
+def test_memory_cli_rejects_bank_slot_of_the_wrong_type(tmp_path, capsys, monkeypatch):
+    bank = json.loads(MemoryBank().dump())
+    bank["keywords"] = []
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(bank))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("summary\n"))
+    code = run_cli("memory", "--bank", path)
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"

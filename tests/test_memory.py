@@ -384,3 +384,26 @@ def test_random_sequences_keep_invariants():
             for vid in list(bank.keywords) + list(bank.fact_table):
                 assert vid in bank.videos
             assert len(bank.memory_summary()) <= SUMMARY_CAP
+
+
+@pytest.mark.parametrize(
+    "slot, value",
+    [
+        ("findings", "not a list"),
+        ("keywords", []),
+        ("keywords", {"vidA": "rescue"}),
+        ("keywords", {"vidA": [["rescue"]]}),
+        ("fact_table", []),
+        ("fact_table", {"vidA": {"fact": "x"}}),
+        ("fact_table", {"vidA": [5]}),
+        ("selected_facts", {}),
+        ("videos", []),
+        ("videos", {"vidA": "processed"}),
+        ("videos", {"vidA": {"status": "processed", "tools_used": 5}}),
+    ],
+)
+def test_load_rejects_slots_of_the_wrong_type(slot, value):
+    payload = json.loads(seeded_bank().dump())
+    payload[slot] = value
+    with pytest.raises(ValidationError):
+        MemoryBank.load(json.dumps(payload))

@@ -35,14 +35,14 @@ _TRUNCATION_MARK = " …[truncated]"
 
 def _expect(value, kind: type, what: str, item: type | None = None):
     """``value`` if it is a ``kind`` (with ``item`` elements); else ValidationError."""
-    names = {list: "an array", dict: "an object", str: "a string"}
+    names = {list: "array", dict: "object", str: "string"}
     if not isinstance(value, kind):
-        raise ValidationError(f"memory bank {what} must be {names[kind]}, got {value!r}")
+        raise ValidationError(f"memory bank {what} must be a JSON {names[kind]}, got {value!r}")
     if item is not None:
         for element in value:
             if not isinstance(element, item):
                 raise ValidationError(
-                    f"memory bank {what} must hold only {names[item]}s, got {element!r}"
+                    f"memory bank {what} must hold only JSON {names[item]}s, got {element!r}"
                 )
     return value
 

@@ -3,12 +3,16 @@
 Rerun checks (criterion 9) only compare two runs of the same code; these
 digests catch a refactor that changes output bytes. The eval and ablate
 JSON reports are frozen too, so a rework of the metric arithmetic must keep
-every value bit-identical. The manifest is left out: it echoes the config.
+every value bit-identical. A fixed ``memory --init`` session freezes the
+bank file and the REPL's stdout. The manifest is left out: it echoes the
+config.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,23 @@ CLAIMS_DIGESTS = {
     "dropped": "68f01ff41c20aa942ea7eaf7cea7b8e247a206ec76f327b6ddb1f3d7d0b47939",
 }
 
+VALIDATE_DIGEST = "0fe88e16a359799312f7e18ad8696f9f00713f5c00732fe9ba8a62005981c087"
+
+MEMORY_SESSION = """\
+add-fact vidA crowd gathers outside parliament --tool caption --span 220-230s --confidence 0.9
+add-fact vidB helicopter rescue shown
+add-keyword vidA parliament
+mark-processed vidA caption
+select vidA:0 vidB:0
+set-findings turnout rose | rescue ongoing
+save
+quit
+"""
+
+MEMORY_DIGESTS = {
+    "bank.json": "712ba6cbb5ebf2b369455cd40665dc3a9dec071f9cccf3adfc6742220d63119b",
+    "stdout": "c02b1ff00fb309196e8013af2188583e1c8cfbbd54f71b3c35aa15ef966a356e",
+}
 
 EVAL_DIGESTS = {
     "fused.run": "c31b77c1eb5db802e36d5502fc1987842f53c81c255e6c0b2d50112d159f0758",
@@ -109,6 +130,24 @@ def test_claims_attach_and_filter(tmp_path, capsys):
         "--dropped", paths["dropped"],
     )
     assert {name: digest(path) for name, path in paths.items()} == CLAIMS_DIGESTS
+
+
+def test_claims_validate(tmp_path, capsys):
+    out = tmp_path / "validated.jsonl"
+    run_cli("claims", "validate", "--in", EVID / "artifacts.jsonl", "--out", out)
+    assert digest(out) == VALIDATE_DIGEST
+
+
+def test_memory_session(tmp_path, capsys, monkeypatch):
+    # a relative bank path keeps the "saved ..." lines free of the temp directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(MEMORY_SESSION))
+    run_cli("memory", "--bank", "bank.json", "--init")
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert {
+        "bank.json": digest(tmp_path / "bank.json"),
+        "stdout": hashlib.sha256(stdout).hexdigest(),
+    } == MEMORY_DIGESTS
 
 
 @pytest.mark.parametrize("stage_file", sorted(EVAL_DIGESTS))

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -33,7 +33,8 @@ DocId = str
 def _check_token(value: str, what: str) -> str:
     if not isinstance(value, str) or not value:
         raise ValidationError(f"{what} must be a non-empty string, got {value!r}")
-    if any(ch.isspace() for ch in value):
+    # str.split() separates on exactly the characters str.isspace() accepts
+    if value.split() != [value]:
         raise ValidationError(f"{what} must not contain whitespace: {value!r}")
     return value
 
@@ -58,6 +59,43 @@ def iter_jsonl(data: bytes | str) -> Iterator[tuple[int, object]]:
         except json.JSONDecodeError as e:
             raise ParseError(f"invalid JSON: {e.msg}", line=line_no) from None
         yield line_no, value
+
+
+def json_record(cls):
+    """Class decorator: the dataclass's fields, in order, are the keys of its JSON object.
+
+    A field with no ``default`` is required. The shape is worked out once, here,
+    so that the two helpers below cost one call per record.
+    """
+    cls._json_fields = tuple((f.name, f.default is MISSING) for f in fields(cls))
+    cls._json_names = frozenset(name for name, _ in cls._json_fields)
+    cls._json_required = frozenset(name for name, required in cls._json_fields if required)
+    return cls
+
+
+def from_json_object(cls, obj):
+    """A ``json_record`` class built from a JSON object; unknown keys are ignored.
+
+    A non-object or a missing required field is a ValidationError.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"record must be a JSON object, got {type(obj).__name__}")
+    if not obj.keys() >= cls._json_required:
+        missing = [name for name, required in cls._json_fields if required and name not in obj]
+        raise ValidationError(f"record is missing required fields: {', '.join(missing)}")
+    if obj.keys() <= cls._json_names:
+        return cls(**obj)
+    return cls(**{key: value for key, value in obj.items() if key in cls._json_names})
+
+
+def to_json_object(record) -> dict:
+    """A ``json_record``'s fields in order: required ones always, optional ones when not None."""
+    out = {}
+    for name, required in record._json_fields:
+        value = getattr(record, name)
+        if required or value is not None:
+            out[name] = value
+    return out
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:
@@ -342,9 +380,6 @@ class SubQueryMap:
 
     def group_sizes(self) -> list[int]:
         return [len(subs) for subs in self.groups.values()]
-
-    def total_sub_queries(self) -> int:
-        return sum(self.group_sizes())
 
     def sub_query_ids(self, qid: QueryId) -> list[QueryId]:
         return [sub_id for sub_id, _ in self.groups[qid]]

@@ -1,13 +1,11 @@
 """Extracted-evidence records: schemas, calibration attachment, filtering.
 
-Two record shapes exist. A note is query-agnostic:
-
-  {"note_id", "video_id", "topic", "text", "modality", "timestamp"?}
-
-and a claim is query-conditioned:
-
-  {"claim_id", "query_id", "video_id", "topic", "claim",
-   "confidence"?, "evidence"?, "source"?, "timestamp"?}
+A note (``NoteRecord``) is query-agnostic, a claim (``ClaimRecord``) is
+query-conditioned and a ``Prediction`` is one calibration output. Each is
+a JSON object whose keys are its dataclass's fields: required fields are
+always written, optional fields only when set, in declaration order.
+Unknown keys are ignored on read; a missing required field is a
+ValidationError, or a ParseError with its line when it comes from a file.
 
 Timestamps may arrive as a two-element [start, end] array of seconds or
 as a span string like "10s-15s"; both normalize to (start, end) floats.
@@ -26,9 +24,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Union
 
-from .core import DocId, QueryId, _check_token, _decode, iter_jsonl
+from .core import (
+    DocId, QueryId, _check_token, _decode, from_json_object, iter_jsonl, json_record, to_json_object
+)
 from .errors import AnswerTagError, ParseError, ValidationError
 
 MODALITIES = ("visual", "ocr", "audio")
@@ -67,6 +68,7 @@ def _check_confidence(value, what: str) -> float:
     return conf
 
 
+@json_record
 @dataclass(frozen=True)
 class NoteRecord:
     note_id: str
@@ -100,6 +102,7 @@ class NoteRecord:
         return self.text
 
 
+@json_record
 @dataclass(frozen=True)
 class ClaimRecord:
     claim_id: str
@@ -143,9 +146,6 @@ class ClaimRecord:
 
 EvidenceRecord = Union[NoteRecord, ClaimRecord]
 
-_NOTE_REQUIRED = ("note_id", "video_id", "topic", "text", "modality")
-_CLAIM_REQUIRED = ("claim_id", "query_id", "video_id", "topic", "claim")
-
 
 def _loads(data):
     """Decode JSON bytes/text; any other value is returned as it is."""
@@ -166,59 +166,14 @@ def _evidence_record(record) -> EvidenceRecord:
     if not isinstance(record, dict):
         raise ValidationError(f"evidence record must be a JSON object, got {type(record).__name__}")
     if "note_id" in record:
-        required = _NOTE_REQUIRED
-    elif "claim_id" in record:
-        required = _CLAIM_REQUIRED
-    else:
-        raise ValidationError("record has neither 'note_id' nor 'claim_id'")
-    missing = [name for name in required if name not in record]
-    if missing:
-        raise ValidationError(f"record is missing required fields: {', '.join(missing)}")
-    if required is _NOTE_REQUIRED:
-        return NoteRecord(
-            note_id=record["note_id"],
-            video_id=record["video_id"],
-            topic=record["topic"],
-            text=record["text"],
-            modality=record["modality"],
-            timestamp=record.get("timestamp"),
-        )
-    return ClaimRecord(
-        claim_id=record["claim_id"],
-        query_id=record["query_id"],
-        video_id=record["video_id"],
-        topic=record["topic"],
-        claim=record["claim"],
-        confidence=record.get("confidence"),
-        evidence=record.get("evidence"),
-        source=record.get("source"),
-        timestamp=record.get("timestamp"),
-    )
+        return from_json_object(NoteRecord, record)
+    if "claim_id" in record:
+        return from_json_object(ClaimRecord, record)
+    raise ValidationError("record has neither 'note_id' nor 'claim_id'")
 
 
 def record_to_dict(record: EvidenceRecord) -> dict:
-    if isinstance(record, NoteRecord):
-        out = {
-            "note_id": record.note_id,
-            "video_id": record.video_id,
-            "topic": record.topic,
-            "text": record.text,
-            "modality": record.modality,
-        }
-    else:
-        out = {
-            "claim_id": record.claim_id,
-            "query_id": record.query_id,
-            "video_id": record.video_id,
-            "topic": record.topic,
-            "claim": record.claim,
-        }
-        if record.confidence is not None:
-            out["confidence"] = record.confidence
-        if record.evidence is not None:
-            out["evidence"] = record.evidence
-        if record.source is not None:
-            out["source"] = record.source
+    out = to_json_object(record)
     if record.timestamp is not None:
         out["timestamp"] = list(record.timestamp)
     return out
@@ -289,6 +244,7 @@ class CalibratedArtifact:
         return self.calibration.prob
 
 
+@json_record
 @dataclass(frozen=True)
 class Prediction:
     """One calibration output to be joined onto an artifact.
@@ -312,21 +268,8 @@ class Prediction:
 
 
 def load_predictions(data: bytes | str) -> list[Prediction]:
-    """Parse a JSON-lines prediction file (fields prob, backend, artifact_id, video_id, text, raw_output)."""
-    return _load_jsonl(data, _prediction)
-
-
-def _prediction(record) -> Prediction:
-    if not isinstance(record, dict) or "prob" not in record:
-        raise ValidationError("prediction must be an object with a 'prob' field")
-    return Prediction(
-        prob=record["prob"],
-        backend=record.get("backend", DEFAULT_BACKEND),
-        artifact_id=record.get("artifact_id"),
-        video_id=record.get("video_id"),
-        text=record.get("text"),
-        raw_output=record.get("raw_output"),
-    )
+    """Parse a JSON-lines prediction file, one ``Prediction`` object per line."""
+    return _load_jsonl(data, partial(from_json_object, Prediction))
 
 
 @dataclass(frozen=True)
@@ -439,9 +382,8 @@ def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
     raw = payload.get("raw")
     if isinstance(raw, dict):
         raw_output = raw.get("raw_output")
-    artifact_fields = {k: v for k, v in data.items() if k != "calibration"}
     return CalibratedArtifact(
-        artifact=_evidence_record(artifact_fields),
+        artifact=_evidence_record(data),
         calibration=CalibrationPayload(
             prob=payload["prob"], backend=backend, raw_output=raw_output
         ),

@@ -25,9 +25,6 @@ from .errors import ValidationError
 
 STRATEGY_KINDS = ("rrf", "weighted_rrf", "sum_sim", "max_sim", "mean_sim")
 
-# smoothing constants exercised in the reference experiments
-STANDARD_K_VALUES = (10, 60, 100)
-
 
 @dataclass(frozen=True)
 class FusionStrategy:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import _check_token, _decode
+from .core import _check_token, _decode, from_json_object, json_record, to_json_object
 from .errors import ValidationError
 
 SLOTS = ("findings", "keywords", "fact_table", "selected_facts", "videos")
@@ -47,11 +47,12 @@ def _expect(value, kind: type, what: str, item: type | None = None):
     return value
 
 
+@json_record
 @dataclass(frozen=True)
 class FactEntry:
     fact: str
-    source_tool: str = ""
     timestamp: str | None = None
+    source_tool: str = ""
     confidence: float | None = None
 
     def __post_init__(self):
@@ -66,26 +67,6 @@ class FactEntry:
             if not 0.0 <= conf <= 1.0:
                 raise ValidationError(f"fact confidence {conf} outside [0, 1]")
             object.__setattr__(self, "confidence", conf)
-
-    def to_dict(self) -> dict:
-        out: dict = {"fact": self.fact}
-        if self.timestamp is not None:
-            out["timestamp"] = self.timestamp
-        out["source_tool"] = self.source_tool
-        if self.confidence is not None:
-            out["confidence"] = self.confidence
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FactEntry":
-        if "fact" not in data:
-            raise ValidationError("fact entry is missing the 'fact' field")
-        return cls(
-            fact=data["fact"],
-            source_tool=data.get("source_tool", ""),
-            timestamp=data.get("timestamp"),
-            confidence=data.get("confidence"),
-        )
 
 
 @dataclass
@@ -268,7 +249,7 @@ class MemoryBank:
             "findings": list(self.findings),
             "keywords": {vid: sorted(kws) for vid, kws in sorted(self.keywords.items())},
             "fact_table": {
-                vid: [entry.to_dict() for entry in facts]
+                vid: [to_json_object(entry) for entry in facts]
                 for vid, facts in sorted(self.fact_table.items())
             },
             "selected_facts": list(self.selected_facts),
@@ -303,7 +284,7 @@ class MemoryBank:
             },
             fact_table={
                 vid: [
-                    FactEntry.from_dict(e)
+                    from_json_object(FactEntry, e)
                     for e in _expect(facts, list, f"facts of {vid!r}", item=dict)
                 ]
                 for vid, facts in _expect(payload["fact_table"], dict, "fact_table").items()

@@ -56,13 +56,13 @@ DEFAULT_CUTOFFS = Cutoffs((10, 20, 100))
 def ndcg_at_k(ranking: ScoredList, qrels: Qrels, query: QueryId, k: int) -> float:
     """Normalized DCG at cutoff k; 0.0 when the query has no relevant docs."""
     _check_cutoff(k)
-    return _query_metrics(ranking, qrels.for_query(query), (k,))[0][0]
+    return _query_metrics(query, ranking, qrels.for_query(query), (k,))[0][0]
 
 
 def recall_at_k(ranking: ScoredList, qrels: Qrels, query: QueryId, k: int) -> float:
     """Fraction of the query's relevant docs found in the top k."""
     _check_cutoff(k)
-    return _query_metrics(ranking, qrels.for_query(query), (k,))[1][0]
+    return _query_metrics(query, ranking, qrels.for_query(query), (k,))[1][0]
 
 
 def _check_cutoff(k: int) -> None:
@@ -71,28 +71,32 @@ def _check_cutoff(k: int) -> None:
 
 
 def _query_metrics(
-    ranking: ScoredList, judged: dict[str, int], cutoffs: tuple[int, ...]
+    query: QueryId, ranking: ScoredList, judged: dict[str, int], cutoffs: tuple[int, ...]
 ) -> tuple[list[float], list[float]]:
     """nDCG and recall at each cutoff from one pass over the judgments and top ranks.
 
     The DCG terms are built once up to the largest cutoff; each cutoff sums
     its prefix with ``math.fsum``, the same terms a per-cutoff sum would use.
+    Grades whose gains exceed the float range are a ValidationError naming the query.
     """
     depth = max(cutoffs)
-    ideal = _dcg_terms(sorted(judged.values(), reverse=True)[:depth])
-    top = ranking.entries[:depth]
-    gains = _dcg_terms([judged.get(doc, 0) for doc, _ in top])
-    relevant = {doc for doc, grade in judged.items() if grade > 0}
-    # hits[k] = relevant docs among the top k
-    hits = [0]
-    for doc, _ in top:
-        hits.append(hits[-1] + (doc in relevant))
-    ndcg, recall = [], []
-    for k in cutoffs:
-        idcg = math.fsum(ideal[:k])
-        ndcg.append(0.0 if idcg == 0.0 else math.fsum(gains[:k]) / idcg)
-        recall.append(hits[min(k, len(top))] / len(relevant) if relevant else 0.0)
-    return ndcg, recall
+    try:
+        ideal = _dcg_terms(sorted(judged.values(), reverse=True)[:depth])
+        top = ranking.entries[:depth]
+        gains = _dcg_terms([judged.get(doc, 0) for doc, _ in top])
+        relevant = {doc for doc, grade in judged.items() if grade > 0}
+        # hits[k] = relevant docs among the top k
+        hits = [0]
+        for doc, _ in top:
+            hits.append(hits[-1] + (doc in relevant))
+        ndcg, recall = [], []
+        for k in cutoffs:
+            idcg = math.fsum(ideal[:k])
+            ndcg.append(0.0 if idcg == 0.0 else math.fsum(gains[:k]) / idcg)
+            recall.append(hits[min(k, len(top))] / len(relevant) if relevant else 0.0)
+        return ndcg, recall
+    except OverflowError:
+        raise ValidationError(f"query {query!r}: its DCG exceeds the float range") from None
 
 
 def _dcg_terms(grades: list[int]) -> list[float]:
@@ -156,7 +160,7 @@ def evaluate(
         judged = qrels.for_query(qid)
         if exclude_no_relevant and not any(grade > 0 for grade in judged.values()):
             continue
-        ndcg, recall = _query_metrics(run.lists[qid], judged, cutoffs.values)
+        ndcg, recall = _query_metrics(qid, run.lists[qid], judged, cutoffs.values)
         per_query[qid] = dict(zip(names, ndcg + recall))
     if not per_query:
         raise ValidationError("no evaluable queries (all skipped or excluded)")

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from fusekit import parse_run, write_run
 from fusekit.ablation import fuse_runs
 from fusekit.cli import main
@@ -386,3 +388,20 @@ def test_memory_cli_rejects_bank_slot_of_the_wrong_type(tmp_path, capsys, monkey
     code = run_cli("memory", "--bank", path)
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "qrels_text",
+    ["q1 0 d1 2000\n", "q1 0 d1 1023\nq1 0 d2 1023\nq1 0 d3 1023\n"],
+    ids=["one-grade", "fsum"],
+)
+def test_eval_cli_rejects_gains_beyond_the_float_range(tmp_path, capsys, qrels_text):
+    run = tmp_path / "run.txt"
+    run.write_text("q1 Q0 d1 1 1.0 t\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(qrels_text)
+    assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert "'q1'" in record["message"]

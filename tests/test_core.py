@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,25 @@ def test_scored_list_rejects_duplicate_docs():
 def test_scored_list_rejects_whitespace_doc_ids():
     with pytest.raises(ValidationError):
         ScoredList((("d A", 0.9),))
+
+
+@pytest.mark.parametrize("value", [" ", "d A", "dA\t", "\u3000dA", "d\x1cA", "dA\u2028"])
+def test_check_token_rejects_whitespace(value):
+    with pytest.raises(ValidationError, match="must not contain whitespace"):
+        core._check_token(value, "doc id")
+
+
+@pytest.mark.parametrize("value", ["", None, 5])
+def test_check_token_rejects_empty_and_non_strings(value):
+    with pytest.raises(ValidationError, match="must be a non-empty string"):
+        core._check_token(value, "doc id")
+
+
+def test_split_drops_exactly_the_characters_isspace_accepts():
+    # _check_token tests a token with str.split() instead of scanning it with str.isspace()
+    for code in range(sys.maxunicode + 1):
+        ch = chr(code)
+        assert ch.isspace() == (not ch.split()), hex(code)
 
 
 def test_from_pairs_breaks_ties_by_doc_id():

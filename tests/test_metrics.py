@@ -308,3 +308,14 @@ def test_report_records_cover_queries_and_aggregate():
 def test_render_report_formats_three_decimals(perfect_run, simple_qrels):
     text = render_report(evaluate(perfect_run, simple_qrels, Cutoffs((10,))))
     assert "nDCG@10" in text and "1.000" in text
+
+
+@pytest.mark.parametrize("grades", [[2000], [1023, 1023, 1023]], ids=["one-grade", "fsum"])
+def test_gains_beyond_the_float_range_name_the_query(grades):
+    docs = [f"d{i}" for i in range(len(grades))]
+    qrels = Qrels({("q1", doc): grade for doc, grade in zip(docs, grades)})
+    ranking = make_list(*((doc, 1.0 - i / 10) for i, doc in enumerate(docs)))
+    with pytest.raises(ValidationError, match="query 'q1'"):
+        evaluate(RunSet(lists={"q1": ranking}), qrels, Cutoffs((10,)))
+    with pytest.raises(ValidationError, match="query 'q1'"):
+        ndcg_at_k(ranking, qrels, "q1", 10)

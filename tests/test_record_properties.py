@@ -2,15 +2,18 @@
 
 For evidence notes and claims, calibration predictions and memory-bank
 fact entries: required fields are always written, optional fields only
-when set, in the order of ``WIRE_ORDER``; reading what was written gives
-an equal record; an unknown key is ignored on read; and a missing
-required field is rejected with an error that names it.
+when set, in the order of ``WIRE_ORDER``, which is each dataclass's
+declaration order; reading what was written gives an equal record; an
+unknown key is ignored on read; and a missing required field is rejected
+with an error that names it. Each property is checked through the public
+API and through the two ``core`` helpers every record goes through.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,7 @@ from fusekit import (
     ValidationError,
     validate,
 )
+from fusekit.core import from_json_object, to_json_object
 from fusekit.evidence import CLAIM_SOURCES, MODALITIES, load_predictions, record_to_dict
 
 WIRE_ORDER = {
@@ -117,11 +121,16 @@ def _write_fact(entry: FactEntry) -> dict:
 CODECS = {
     NoteRecord: (record_to_dict, validate, ValidationError),
     ClaimRecord: (record_to_dict, validate, ValidationError),
-    Prediction: (None, lambda obj: load_predictions(json.dumps(obj))[0], ParseError),
+    Prediction: (to_json_object, lambda obj: load_predictions(json.dumps(obj))[0], ParseError),
     FactEntry: (_write_fact, lambda obj: MemoryBank.load(_bank_with(obj)).fact_table["v1"][0], ValidationError),
 }
 
 CLASSES = pytest.mark.parametrize("cls", list(WIRE_ORDER), ids=lambda cls: cls.__name__)
+
+
+@CLASSES
+def test_wire_order_is_the_declaration_order(cls):
+    assert tuple(f.name for f in fields(cls)) == WIRE_ORDER[cls]
 
 
 @CLASSES
@@ -132,11 +141,11 @@ def test_written_record_reads_back_equal_in_wire_order(cls, data):
     record = cls(**fields)
     write, build, _ = CODECS[cls]
     expected = _json_form(cls, fields)
-    if write is not None:
-        written = write(record)
-        assert list(written) == list(expected)
-        assert written == expected
+    written = write(record)
+    assert list(written) == list(expected)
+    assert written == expected
     assert build(expected) == record
+    assert from_json_object(cls, to_json_object(record)) == record
 
 
 @CLASSES
@@ -147,7 +156,9 @@ def test_unknown_key_is_ignored(cls, data):
     key = data.draw(non_empty.filter(lambda k: k not in KNOWN_KEYS))
     value = data.draw(st.none() | st.integers() | texts)
     _, build, _ = CODECS[cls]
-    assert build({**_json_form(cls, fields), key: value}) == cls(**fields)
+    obj = {**_json_form(cls, fields), key: value}
+    assert build(obj) == cls(**fields)
+    assert from_json_object(cls, obj) == cls(**fields)
 
 
 @CLASSES
@@ -161,3 +172,12 @@ def test_missing_required_key_is_named(cls, data):
     with pytest.raises(error) as excinfo:
         build(obj)
     assert re.search(rf"\b{key}\b", str(excinfo.value))
+    with pytest.raises(ValidationError, match=rf"missing required fields: .*\b{key}\b"):
+        from_json_object(cls, obj)
+
+
+@CLASSES
+@pytest.mark.parametrize("obj", [[], "x", 1, None])
+def test_non_object_is_rejected(cls, obj):
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        from_json_object(cls, obj)

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 from .core import _check_token, _decode, from_json_object, json_record, to_json_object
 from .errors import ValidationError
+from .evidence import _check_confidence
 
 SLOTS = ("findings", "keywords", "fact_table", "selected_facts", "videos")
 VIDEO_STATUSES = ("pending", "processed")
@@ -63,10 +64,7 @@ class FactEntry:
                 f"fact timestamp must be a span string, got {self.timestamp!r}"
             )
         if self.confidence is not None:
-            conf = float(self.confidence)
-            if not 0.0 <= conf <= 1.0:
-                raise ValidationError(f"fact confidence {conf} outside [0, 1]")
-            object.__setattr__(self, "confidence", conf)
+            object.__setattr__(self, "confidence", _check_confidence(self.confidence, "fact"))
 
 
 @dataclass

@@ -405,3 +405,14 @@ def test_eval_cli_rejects_gains_beyond_the_float_range(tmp_path, capsys, qrels_t
     record = json.loads(line)
     assert record["error"] == "ValidationError"
     assert "'q1'" in record["message"]
+
+
+def test_memory_cli_rejects_a_fact_confidence_of_the_wrong_type(tmp_path, capsys, monkeypatch):
+    bank = json.loads(MemoryBank().dump())
+    bank["fact_table"] = {"v1": [{"fact": "x", "confidence": [1]}]}
+    bank["videos"] = {"v1": {"status": "pending", "tools_used": []}}
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(bank))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("summary\n"))
+    assert run_cli("memory", "--bank", path) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"

@@ -407,3 +407,12 @@ def test_load_rejects_slots_of_the_wrong_type(slot, value):
     payload[slot] = value
     with pytest.raises(ValidationError):
         MemoryBank.load(json.dumps(payload))
+
+
+@pytest.mark.parametrize("confidence", [[1], {}, "high", 1.5])
+def test_load_rejects_a_fact_confidence_that_is_not_a_probability(confidence):
+    payload = json.loads(MemoryBank().dump())
+    payload["fact_table"] = {"v1": [{"fact": "x", "confidence": confidence}]}
+    payload["videos"] = {"v1": {"status": "pending", "tools_used": []}}
+    with pytest.raises(ValidationError, match="confidence"):
+        MemoryBank.load(json.dumps(payload))

@@ -104,11 +104,11 @@ def _json_form(cls, fields: dict) -> dict:
     return out
 
 
-def _bank_with(fact: dict) -> bytes:
+def _read_fact(fact: dict) -> FactEntry:
     payload = json.loads(MemoryBank().dump())
     payload["fact_table"] = {"v1": [fact]}
     payload["videos"] = {"v1": {"status": "pending", "tools_used": []}}
-    return json.dumps(payload).encode("utf-8")
+    return MemoryBank.load(json.dumps(payload)).fact_table["v1"][0]
 
 
 def _write_fact(entry: FactEntry) -> dict:
@@ -117,12 +117,13 @@ def _write_fact(entry: FactEntry) -> dict:
     return json.loads(bank.dump())["fact_table"]["v1"][0]
 
 
-# (writer, builder, error a builder raises): each goes through the public API
+# (writer, builder, error the builder raises), through what the library's callers use;
+# predictions have no writer of their own, so the core helper writes them
 CODECS = {
     NoteRecord: (record_to_dict, validate, ValidationError),
     ClaimRecord: (record_to_dict, validate, ValidationError),
     Prediction: (to_json_object, lambda obj: load_predictions(json.dumps(obj))[0], ParseError),
-    FactEntry: (_write_fact, lambda obj: MemoryBank.load(_bank_with(obj)).fact_table["v1"][0], ValidationError),
+    FactEntry: (_write_fact, _read_fact, ValidationError),
 }
 
 CLASSES = pytest.mark.parametrize("cls", list(WIRE_ORDER), ids=lambda cls: cls.__name__)

@@ -20,6 +20,7 @@ from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_
 from .core import (
     RunSet,
     atomic_write,
+    join_lines,
     parse_qrels,
     parse_run,
     parse_subquery_map,
@@ -278,7 +279,7 @@ def _cmd_ablate(args) -> int:
 def _cmd_claims_validate(args) -> int:
     records = load_evidence(args.in_path.read_bytes())
     if args.out is not None:
-        atomic_write(args.out, b"".join(serialize(r) + b"\n" for r in records))
+        atomic_write(args.out, join_lines(serialize(r) for r in records))
     notes = sum(1 for r in records if hasattr(r, "note_id"))
     print(f"ok: {len(records)} records ({notes} notes, {len(records) - notes} claims)")
     return 0
@@ -288,7 +289,7 @@ def _cmd_claims_attach(args) -> int:
     artifacts = load_evidence(args.artifacts.read_bytes())
     predictions = load_predictions(args.predictions.read_bytes())
     calibrated, report = attach(artifacts, predictions)
-    atomic_write(args.out, b"".join(serialize_calibrated(c) + b"\n" for c in calibrated))
+    atomic_write(args.out, join_lines(serialize_calibrated(c) for c in calibrated))
     if args.unmatched is not None:
         payload = {
             "unmatched_artifacts": [record_to_dict(a) for a in report.unmatched_artifacts],
@@ -314,17 +315,15 @@ def _cmd_claims_attach(args) -> int:
 def _cmd_claims_filter(args) -> int:
     calibrated = load_calibrated(args.in_path.read_bytes(), backend=args.backend)
     kept, dropped = filter_by_threshold(calibrated, args.threshold)
-    atomic_write(args.kept, b"".join(serialize_calibrated(c) + b"\n" for c in kept))
+    atomic_write(args.kept, join_lines(serialize_calibrated(c) for c in kept))
     if args.dropped is not None:
-        lines = [
-            json.dumps(
-                {"prob": c.prob, "threshold": args.threshold, "record": calibrated_to_dict(c)},
-                ensure_ascii=False,
-            )
-            + "\n"
+        audit = (
+            {"prob": c.prob, "threshold": args.threshold, "record": calibrated_to_dict(c)}
             for c in dropped
-        ]
-        atomic_write(args.dropped, "".join(lines).encode("utf-8"))
+        )
+        atomic_write(
+            args.dropped, join_lines(json.dumps(a, ensure_ascii=False).encode("utf-8") for a in audit)
+        )
     print(f"kept {len(kept)} / dropped {len(dropped)} at threshold {args.threshold}")
     return 0
 

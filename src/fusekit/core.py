@@ -15,6 +15,7 @@ Formats:
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -48,9 +49,35 @@ def _decode(data: bytes | str) -> str:
         raise ParseError(f"input is not valid UTF-8: {e}") from e
 
 
+_CHUNK = 1 << 20  # bytes or characters of input decoded and split at a time
+
+
+def _iter_lines(data: bytes | str) -> Iterator[str]:
+    """The lines of ``_decode(data).splitlines()``, one chunk of ~``_CHUNK`` at a time.
+
+    Each chunk ends just after a newline (or at the end), so no ``\r\n`` pair
+    is split, and in UTF-8 no multibyte sequence holds the byte ``0x0A``. An
+    invalid byte is reported at its offset in the whole input.
+    """
+    newline = "\n" if isinstance(data, str) else b"\n"
+    start, size = 0, len(data)
+    while start < size:
+        cut = data.find(newline, start + _CHUNK - 1)
+        end = size if cut < 0 else cut + 1
+        chunk = data[start:end]
+        if not isinstance(chunk, str):
+            try:
+                chunk = chunk.decode("utf-8")
+            except UnicodeDecodeError as e:
+                e = UnicodeDecodeError(e.encoding, data, start + e.start, start + e.end, e.reason)
+                raise ParseError(f"input is not valid UTF-8: {e}") from e
+        yield from chunk.splitlines()
+        start = end
+
+
 def iter_jsonl(data: bytes | str) -> Iterator[tuple[int, object]]:
     """Yield ``(line_no, value)`` per non-blank JSON line; bad JSON raises ParseError(line=...)."""
-    for line_no, raw in enumerate(_decode(data).splitlines(), start=1):
+    for line_no, raw in enumerate(_iter_lines(data), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -96,6 +123,18 @@ def to_json_object(record) -> dict:
         if required or value is not None:
             out[name] = value
     return out
+
+
+def join_lines(lines: Iterable[bytes]) -> bytes:
+    """Each of ``lines`` followed by a newline, written one at a time into one buffer.
+
+    Unlike ``b"".join``, no list of every line is held next to the result.
+    """
+    out = io.BytesIO()
+    for line in lines:
+        out.write(line)
+        out.write(b"\n")
+    return out.getvalue()
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:
@@ -218,12 +257,11 @@ def parse_run(data: bytes | str) -> RunSet:
     score with doc-id ascending tie-break. Duplicate (qid, docid) pairs are
     rejected.
     """
-    text = _decode(data)
     # str.split() separates on exactly the characters str.isspace() accepts, so every
     # field is a valid token; with finite scores and unique docs the lists need no re-check
     per_query: dict[str, dict[str, float]] = {}
     tag = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_iter_lines(data), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -247,7 +285,8 @@ def parse_run(data: bytes | str) -> RunSet:
         scores[docid] = score
         if tag is None:
             tag = line_tag
-    lists = {qid: ScoredList._trusted_sorted(scores.items()) for qid, scores in per_query.items()}
+    # each query's score dict is dropped as its list is built, so the two never all coexist
+    lists = {qid: ScoredList._trusted_sorted(per_query.pop(qid).items()) for qid in list(per_query)}
     return RunSet(lists=lists, tag=tag if tag is not None else "run")
 
 
@@ -260,11 +299,15 @@ def write_run(run: RunSet, depth: int) -> bytes:
     if depth < 1:
         raise ValueError(f"depth must be a positive integer, got {depth}")
     _check_token(run.tag, "run tag")
-    lines = []
+    # one query's lines at a time, so the only whole-file copy is the output itself
+    out = io.BytesIO()
+    suffix = f" {run.tag}\n"
     for qid in run.queries():
-        for rank, (doc, score) in enumerate(run.lists[qid].entries[:depth], start=1):
-            lines.append(f"{qid} Q0 {doc} {rank} {score!r} {run.tag}\n")
-    return "".join(lines).encode("utf-8")
+        prefix = f"{qid} Q0 "
+        entries = run.lists[qid].entries[:depth]
+        lines = [f"{prefix}{doc} {rank} {score!r}{suffix}" for rank, (doc, score) in enumerate(entries, 1)]
+        out.write("".join(lines).encode("utf-8"))
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -318,10 +361,11 @@ class Qrels:
 
 def parse_qrels(data: bytes | str) -> Qrels:
     """Parse ``qid 0 docid grade`` lines; grade-0 lines are retained."""
-    text = _decode(data)
     judgments: dict[tuple[str, str], int] = {}
-    by_query: dict[str, dict[str, int]] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # qid -> (the first string read for it, its grades): the judgment keys share one qid per query
+    groups: dict[str, tuple[str, dict[str, int]]] = {}
+    key_qid = grades = None
+    for line_no, raw in enumerate(_iter_lines(data), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -337,10 +381,16 @@ def parse_qrels(data: bytes | str) -> Qrels:
             raise ParseError(f"non-integer grade {grade_str!r}", line=line_no) from None
         if grade < 0:
             raise ParseError(f"negative grade {grade}", line=line_no)
-        if (qid, docid) in judgments:
+        if qid != key_qid:
+            group = groups.get(qid)
+            if group is None:
+                group = groups[qid] = (qid, {})
+            key_qid, grades = group
+        if docid in grades:
             raise ValidationError(f"duplicate judgment for query {qid!r}, doc {docid!r}")
-        judgments[(qid, docid)] = grade
-        by_query.setdefault(qid, {})[docid] = grade
+        judgments[(key_qid, docid)] = grade
+        grades[docid] = grade
+    by_query = {qid: grades for qid, grades in groups.values()}
     # tokens come from str.split() and grades are checked above, as Qrels() would
     return Qrels._trusted(judgments, by_query)
 

@@ -358,4 +358,8 @@ def _retrieve_all(mapping: SubQueryMap, retriever, depth: int) -> RunSet:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while block := fh.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from fusekit import (
 )
 
 from fusekit import core
-from fusekit.core import atomic_write, iter_jsonl
+from fusekit.core import _decode, _iter_lines, atomic_write, iter_jsonl
 
 from conftest import make_list
 
@@ -369,6 +370,56 @@ def test_iter_jsonl_bad_json_reports_line():
 def test_iter_jsonl_rejects_invalid_utf8():
     with pytest.raises(ParseError):
         list(iter_jsonl(b"\xff\n"))
+
+
+# ---------------------------------------------------------------------------
+# _iter_lines: inputs read one chunk at a time
+# ---------------------------------------------------------------------------
+
+# every str.splitlines() boundary, plus text pieces with multibyte UTF-8
+LINE_PIECES = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "a", "q1 Q0 d1 1 0.5 t", " ", "\t", "é", "€", "\U0001f600", "\u3000",
+]
+
+line_texts = st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join)
+
+
+@settings(max_examples=300)
+@given(text=line_texts, chunk=st.integers(min_value=1, max_value=16), as_bytes=st.booleans())
+def test_iter_lines_matches_splitlines_across_chunk_boundaries(text, chunk, as_bytes):
+    data = text.encode("utf-8") if as_bytes else text
+    with mock.patch.object(core, "_CHUNK", chunk):
+        assert list(_iter_lines(data)) == _decode(data).splitlines()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_parse_errors_past_a_chunk_boundary_report_the_whole_input_line(chunk):
+    run = b"".join(b"q1 Q0 d%d 1 0.5 t\n" % i for i in range(9)) + b"q1 Q0 dX 1 high t\n"
+    qrels = b"".join(b"q1 0 d%d 1\n" % i for i in range(9)) + b"q1 0 dX x\n"
+    jsonl = b'{"a": 1}\n\n' * 5 + b"{oops\n"
+    with mock.patch.object(core, "_CHUNK", chunk):
+        with pytest.raises(ParseError) as run_error:
+            parse_run(run)
+        with pytest.raises(ParseError) as qrels_error:
+            parse_qrels(qrels)
+        with pytest.raises(ParseError) as jsonl_error:
+            list(iter_jsonl(jsonl))
+    assert (run_error.value.line, qrels_error.value.line, jsonl_error.value.line) == (10, 10, 11)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xe2\x82"], ids=["start-byte", "continuation", "truncated"])
+def test_invalid_utf8_reports_the_offset_in_the_whole_input(chunk, bad):
+    # lines of multibyte whitespace, which every parser skips, then the bad bytes
+    data = "\u3000 \u2003\n".encode("utf-8") * 9 + b"  " + bad + b"\n"
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    with mock.patch.object(core, "_CHUNK", chunk):
+        for parse in (parse_run, parse_qrels, lambda d: list(iter_jsonl(d))):
+            with pytest.raises(ParseError, match="not valid UTF-8") as excinfo:
+                parse(data)
+            assert str(excinfo.value) == f"input is not valid UTF-8: {whole.value}"
 
 
 def test_atomic_write_replaces_and_leaves_no_temp_file(tmp_path):

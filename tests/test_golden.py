@@ -5,7 +5,8 @@ digests catch a refactor that changes output bytes. The eval and ablate
 JSON reports are frozen too, so a rework of the metric arithmetic must keep
 every value bit-identical. A fixed ``memory --init`` session freezes the
 bank file and the REPL's stdout. The manifest is left out: it echoes the
-config.
+config. The outputs read from run, qrels and JSON-lines inputs are checked
+again with those inputs read a few bytes at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from fusekit import core
 from fusekit.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -179,3 +181,22 @@ def test_ablate_json(tmp_path, capsys, strategy):
         "--json", out,
     )
     assert digest(out) == ABLATE_DIGESTS[strategy]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_digests_hold_across_chunk_boundaries(tmp_path, capsys, monkeypatch, chunk):
+    # the memory session is left out: it reads its bank as one JSON document
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    checks = [
+        (test_pipeline_stage_files, ()),
+        (test_decompose_replay, ()),
+        (test_claims_attach_and_filter, ()),
+        (test_claims_validate, ()),
+        *((test_fuse, (strategy,)) for strategy in sorted(FUSE_DIGESTS)),
+        *((test_eval_json, (stage_file,)) for stage_file in sorted(EVAL_DIGESTS)),
+        *((test_ablate_json, (strategy,)) for strategy in sorted(ABLATE_DIGESTS)),
+    ]
+    for i, (check, args) in enumerate(checks):
+        out_dir = tmp_path / str(i)
+        out_dir.mkdir()
+        check(out_dir, capsys, *args)

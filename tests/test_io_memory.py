@@ -1,0 +1,61 @@
+"""Memory bounds of reading and writing a run file.
+
+``tracemalloc`` counts the Python allocations of this process exactly, so
+these bounds do not depend on the machine or on other processes. The run is
+seeded: 100 queries x 1000 docs, 100k lines, ~3.6 MB.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+
+import pytest
+
+from fusekit import parse_run, write_run
+
+QUERIES, DEPTH = 100, 1000
+
+
+def seeded_run() -> bytes:
+    rng = random.Random(20261018)
+    lines = []
+    for q in range(QUERIES):
+        for rank, doc in enumerate(rng.sample(range(10**6), DEPTH), start=1):
+            lines.append(f"q{q:03d} Q0 d{doc:06d} {rank} {round(rng.random(), 6)!r} seeded\n")
+    return "".join(lines).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def run_bytes() -> bytes:
+    return seeded_run()
+
+
+def traced_call(fn, *args):
+    """``fn(*args)``, the traced memory it left allocated, and its traced peak above the start."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current - before, peak - before
+
+
+def test_parse_run_holds_no_copy_of_the_input_text(run_bytes):
+    run, retained, peak = traced_call(parse_run, run_bytes)
+    assert sum(len(ranking) for ranking in run.lists.values()) == QUERIES * DEPTH
+    assert retained > len(run_bytes)  # the parsed lists themselves
+    # a whole-input copy (the decoded text, a list of every line) alone would exceed this;
+    # measured: 9.0 MB with both, 0.05 MB reading one chunk at a time
+    assert peak - retained < 1_500_000
+
+
+def test_write_run_peak_is_about_its_output(run_bytes):
+    run = parse_run(run_bytes)
+    out, _, peak = traced_call(write_run, run, DEPTH)
+    assert len(out) > 3_000_000
+    # the output plus one query's lines; measured: 4.6x the output with a list of every
+    # line and a whole-file str, 1.1x writing one query at a time
+    assert peak < 1.5 * len(out)

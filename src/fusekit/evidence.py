@@ -22,6 +22,7 @@ label so several backends can coexist:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -53,9 +54,17 @@ def _normalize_timestamp(value, what: str) -> tuple[float, float]:
             raise ValidationError(f"{what}: timestamp entries must be numbers: {value!r}") from None
     else:
         raise ValidationError(f"{what}: timestamp must be [start, end] or a span string, got {value!r}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValidationError(f"{what}: timestamp bounds must be finite, got ({start}, {end})")
     if start < 0 or start > end:
         raise ValidationError(f"{what}: timestamp must satisfy 0 <= start <= end, got ({start}, {end})")
     return (start, end)
+
+
+def _check_str(value, what: str, non_empty: bool = False) -> None:
+    if not isinstance(value, str) or (non_empty and not value):
+        kind = "a non-empty string" if non_empty else "a string"
+        raise ValidationError(f"{what} must be {kind}, got {value!r}")
 
 
 def _check_confidence(value, what: str) -> float:
@@ -79,11 +88,10 @@ class NoteRecord:
     timestamp: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.note_id:
-            raise ValidationError("note_id must be non-empty")
+        _check_str(self.note_id, "note_id", non_empty=True)
         _check_token(self.video_id, "video_id")
-        if not isinstance(self.text, str) or not self.text:
-            raise ValidationError(f"note {self.note_id}: text must be non-empty")
+        _check_str(self.topic, f"note {self.note_id}: topic")
+        _check_str(self.text, f"note {self.note_id}: text", non_empty=True)
         if self.modality not in MODALITIES:
             raise ValidationError(
                 f"note {self.note_id}: unknown modality {self.modality!r}; expected one of {MODALITIES}"
@@ -116,16 +124,17 @@ class ClaimRecord:
     timestamp: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not self.claim_id:
-            raise ValidationError("claim_id must be non-empty")
+        _check_str(self.claim_id, "claim_id", non_empty=True)
         _check_token(self.query_id, "query_id")
         _check_token(self.video_id, "video_id")
-        if not isinstance(self.claim, str) or not self.claim:
-            raise ValidationError(f"claim {self.claim_id}: claim text must be non-empty")
+        _check_str(self.topic, f"claim {self.claim_id}: topic")
+        _check_str(self.claim, f"claim {self.claim_id}: claim text", non_empty=True)
         if self.confidence is not None:
             object.__setattr__(
                 self, "confidence", _check_confidence(self.confidence, f"claim {self.claim_id}")
             )
+        if self.evidence is not None:
+            _check_str(self.evidence, f"claim {self.claim_id}: evidence")
         if self.source is not None and self.source not in CLAIM_SOURCES:
             raise ValidationError(
                 f"claim {self.claim_id}: unknown source {self.source!r}; expected one of {CLAIM_SOURCES}"

@@ -275,7 +275,7 @@ class MemoryBank:
         if missing:
             raise ValidationError(f"memory bank is missing slots: {', '.join(missing)}")
         bank = cls(
-            findings=[str(f) for f in _expect(payload["findings"], list, "findings")],
+            findings=_expect(payload["findings"], list, "findings", item=str),
             keywords={
                 vid: set(_expect(kws, list, f"keywords of {vid!r}", item=str))
                 for vid, kws in _expect(payload["keywords"], dict, "keywords").items()
@@ -287,9 +287,7 @@ class MemoryBank:
                 ]
                 for vid, facts in _expect(payload["fact_table"], dict, "fact_table").items()
             },
-            selected_facts=[
-                str(f) for f in _expect(payload["selected_facts"], list, "selected_facts")
-            ],
+            selected_facts=_expect(payload["selected_facts"], list, "selected_facts", item=str),
             videos={
                 vid: VideoStatus.from_dict(_expect(status, dict, f"status of {vid!r}"))
                 for vid, status in _expect(payload["videos"], dict, "videos").items()

@@ -390,6 +390,63 @@ def test_memory_cli_rejects_bank_slot_of_the_wrong_type(tmp_path, capsys, monkey
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("slot", ["findings", "selected_facts"])
+def test_memory_cli_rejects_non_string_findings_and_selected_facts(tmp_path, capsys, monkeypatch, slot):
+    bank = json.loads(MemoryBank().dump())
+    bank[slot] = [{"a": 1}, None]
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(bank))
+    before = path.read_bytes()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"dump {slot}\nsave\nquit\n"))
+    assert run_cli("memory", "--bank", path) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert slot in record["message"]
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "timestamp",
+    ["[NaN, NaN]", "[0, Infinity]", "[-Infinity, 1]"],
+    ids=["nan", "inf-end", "-inf-start"],
+)
+def test_claims_validate_rejects_non_finite_timestamp(tmp_path, capsys, timestamp):
+    good = (EVID / "artifacts.jsonl").read_text().splitlines()[0]
+    bad = json.loads(good)
+    bad["timestamp"] = [0.0, 1.0]
+    path = tmp_path / "notes.jsonl"
+    path.write_text(good + "\n" + json.dumps(bad).replace("[0.0, 1.0]", timestamp) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert run_cli("claims", "validate", "--in", path, "--out", out) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ParseError"
+    assert record["line"] == 2
+    assert "finite" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("topic", 5), ("note_id", 7), ("claim_id", 7), ("evidence", 3)],
+)
+def test_claims_validate_rejects_non_string_text_fields(tmp_path, capsys, key, value):
+    records = [json.loads(line) for line in (EVID / "artifacts.jsonl").read_text().splitlines()]
+    target = next(i for i, r in enumerate(records) if key in r)
+    records[target][key] = value
+    path = tmp_path / "artifacts.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "out.jsonl"
+    assert run_cli("claims", "validate", "--in", path, "--out", out) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ParseError"
+    assert record["line"] == target + 1
+    assert key in record["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "qrels_text",
     ["q1 0 d1 2000\n", "q1 0 d1 1023\nq1 0 d2 1023\nq1 0 d3 1023\n"],

@@ -108,6 +108,53 @@ def test_negative_timestamp_rejected():
         validate({**NOTE_FIXTURE, "timestamp": [-1.0, 2.0]})
 
 
+@pytest.mark.parametrize(
+    "timestamp",
+    [[float("nan"), float("nan")], [0.0, float("inf")], [float("-inf"), 1.0], "0s-" + "9" * 400 + "s"],
+    ids=["nan", "inf-end", "-inf-start", "span-beyond-float-range"],
+)
+@pytest.mark.parametrize("fixture", [NOTE_FIXTURE, CLAIM_FIXTURE], ids=["note", "claim"])
+def test_non_finite_timestamp_rejected(fixture, timestamp):
+    with pytest.raises(ValidationError, match="finite"):
+        validate({**fixture, "timestamp": timestamp})
+
+
+def test_non_finite_timestamp_rejected_in_json_text():
+    # json.loads accepts the bare NaN/Infinity tokens, which json.dumps would write back
+    line = json.dumps({**NOTE_FIXTURE, "timestamp": [0.0, float("inf")]})
+    assert "Infinity" in line
+    with pytest.raises(ValidationError, match="finite"):
+        validate(line)
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("note", "topic", 5),
+        ("note", "topic", None),
+        ("note", "note_id", 7),
+        ("note", "note_id", ""),
+        ("note", "note_id", ["n1"]),
+        ("claim", "topic", 5),
+        ("claim", "topic", {"t": 1}),
+        ("claim", "claim_id", 7),
+        ("claim", "claim_id", ""),
+        ("claim", "evidence", 3),
+        ("claim", "evidence", ["overlay"]),
+    ],
+)
+def test_text_fields_must_be_strings(kind, key, value):
+    fixture = {"note": NOTE_FIXTURE, "claim": CLAIM_FIXTURE}[kind]
+    with pytest.raises(ValidationError, match=key):
+        validate({**fixture, key: value})
+
+
+def test_empty_topic_and_unset_evidence_are_valid():
+    assert validate({**NOTE_FIXTURE, "topic": ""}).topic == ""
+    claim = {k: v for k, v in CLAIM_FIXTURE.items() if k != "evidence"}
+    assert validate(claim).evidence is None
+
+
 def test_missing_required_field_rejected():
     data = {k: v for k, v in CLAIM_FIXTURE.items() if k != "query_id"}
     with pytest.raises(ValidationError) as excinfo:

@@ -400,6 +400,10 @@ def test_random_sequences_keep_invariants():
         ("videos", []),
         ("videos", {"vidA": "processed"}),
         ("videos", {"vidA": {"status": "processed", "tools_used": 5}}),
+        ("findings", ["text", {"a": 1}]),
+        ("findings", [None]),
+        ("selected_facts", [3]),
+        ("selected_facts", [["text"]]),
     ],
 )
 def test_load_rejects_slots_of_the_wrong_type(slot, value):

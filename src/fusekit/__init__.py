@@ -15,7 +15,6 @@ from .core import (
     parse_run,
     parse_subquery_map,
     truncate,
-    write_qrels,
     write_run,
     write_subquery_map,
 )

@@ -19,6 +19,7 @@ from . import __version__
 from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_ablation
 from .core import (
     RunSet,
+    _loads,
     atomic_write,
     join_lines,
     parse_qrels,
@@ -436,7 +437,7 @@ def _memory_command(bank: MemoryBank, line: str, bank_path: Path) -> str | None:
 
 
 def _cmd_pipeline(args) -> int:
-    raw = json.loads(args.config.read_text(encoding="utf-8"))
+    raw = _loads(args.config.read_bytes())
     config = PipelineConfig.from_dict(raw)
     base = args.config.parent
     inputs = raw.get("inputs", {})

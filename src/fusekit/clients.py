@@ -118,7 +118,7 @@ class HttpRetriever:
                 raise TransportError("retriever hits need 'doc_id' and 'score'")
             try:
                 score = float(hit["score"])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 score = math.nan
             if not math.isfinite(score):
                 raise TransportError(f"retriever hit score must be a finite number, got {hit['score']!r}")

@@ -23,7 +23,7 @@ import secrets
 from dataclasses import MISSING, dataclass, field, fields
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
 from .errors import ParseError, ValidationError
 
@@ -79,24 +79,77 @@ def iter_jsonl(data: bytes | str) -> Iterator[tuple[int, object]]:
     """Yield ``(line_no, value)`` per non-blank JSON line; bad JSON raises ParseError(line=...)."""
     for line_no, raw in enumerate(_iter_lines(data), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        try:
-            value = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", line=line_no) from None
-        yield line_no, value
+        if line:
+            yield line_no, _json_value(line, line_no)
+
+
+def _loads(data):
+    """Decode one JSON document from bytes/text; any other value is returned as it is."""
+    return _json_value(_decode(data)) if isinstance(data, (bytes, str)) else data
+
+
+def _json_value(text: str, line: int | None = None):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"invalid JSON: {e.msg}", line=line) from None
+    except (RecursionError, ValueError) as e:  # nested too deeply, or an integer literal too long
+        raise ParseError(f"invalid JSON: {e}", line=line) from None
+
+
+_JSON_KINDS = {list: "array", dict: "object", str: "string", int: "integer"}
+
+
+def _expect(value, kind: type, what: str, item: type | None = None):
+    """``value`` if it is a JSON ``kind`` whose elements (or object values) are ``item``s.
+
+    Anything else is a ValidationError naming ``what``.
+    """
+    if not _is_json(value, kind):
+        raise ValidationError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {value!r}")
+    if item is not None:
+        for element in value.values() if isinstance(value, dict) else value:
+            if not _is_json(element, item):
+                raise ValidationError(f"{what} must hold only JSON {_JSON_KINDS[item]}s, got {element!r}")
+    return value
+
+
+def _is_json(value, kind: type) -> bool:
+    # bool is a subclass of int, but JSON true and false are not integers
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+_TEXT_HINTS = {str: False, str | None: True}  # text annotation -> whether None is allowed
 
 
 def json_record(cls):
     """Class decorator: the dataclass's fields, in order, are the keys of its JSON object.
 
-    A field with no ``default`` is required. The shape is worked out once, here,
-    so that the two helpers below cost one call per record.
+    A field with no default is required. A field annotated ``str`` must hold a
+    string, one annotated ``str | None`` a string or None: the class's
+    ``__post_init__`` (which the dataclass must define, so that its ``__init__``
+    calls it) is wrapped to check this on every construction, before the
+    record's own checks, which cover every other annotation. The shape is
+    worked out once, here, so that the two helpers below cost one call per record.
     """
-    cls._json_fields = tuple((f.name, f.default is MISSING) for f in fields(cls))
+    cls._json_fields = tuple(
+        (f.name, f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
+    )
     cls._json_names = frozenset(name for name, _ in cls._json_fields)
     cls._json_required = frozenset(name for name, required in cls._json_fields if required)
+    texts = tuple(
+        (name, _TEXT_HINTS[hint]) for name, hint in get_type_hints(cls).items() if hint in _TEXT_HINTS
+    )
+    post_init = cls.__post_init__
+
+    def __post_init__(self):
+        for name, optional in texts:
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (optional and value is None):
+                raise ValidationError(f"{name} must be a string, got {value!r}")
+        post_init(self)
+
+    cls.__post_init__ = __post_init__
     return cls
 
 
@@ -355,9 +408,6 @@ class Qrels:
         """Judged grade, or 0 for unjudged documents."""
         return self._by_query.get(qid, {}).get(docid, 0)
 
-    def relevant_docs(self, qid: QueryId) -> set[DocId]:
-        return {d for d, g in self._by_query.get(qid, {}).items() if g > 0}
-
 
 def parse_qrels(data: bytes | str) -> Qrels:
     """Parse ``qid 0 docid grade`` lines; grade-0 lines are retained."""
@@ -393,14 +443,6 @@ def parse_qrels(data: bytes | str) -> Qrels:
     by_query = {qid: grades for qid, grades in groups.values()}
     # tokens come from str.split() and grades are checked above, as Qrels() would
     return Qrels._trusted(judgments, by_query)
-
-
-def write_qrels(qrels: Qrels) -> bytes:
-    lines = [
-        f"{qid} 0 {docid} {grade}\n"
-        for (qid, docid), grade in sorted(qrels.judgments.items())
-    ]
-    return "".join(lines).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -446,6 +488,8 @@ def parse_subquery_map(data: bytes | str) -> SubQueryMap:
             )
         qid = record["query_id"]
         subs = record["sub_queries"]
+        if not isinstance(qid, str):
+            raise ParseError(f"'query_id' must be a string, got {qid!r}", line=line_no)
         if not isinstance(subs, list):
             raise ParseError("'sub_queries' must be an array", line=line_no)
         if qid in groups:

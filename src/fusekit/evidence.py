@@ -29,7 +29,7 @@ from functools import partial
 from typing import Iterable, Union
 
 from .core import (
-    DocId, QueryId, _check_token, _decode, from_json_object, iter_jsonl, json_record, to_json_object
+    DocId, QueryId, _check_token, _expect, _loads, from_json_object, iter_jsonl, json_record, to_json_object
 )
 from .errors import AnswerTagError, ParseError, ValidationError
 
@@ -50,7 +50,7 @@ def _normalize_timestamp(value, what: str) -> tuple[float, float]:
     elif isinstance(value, (list, tuple)) and len(value) == 2:
         try:
             start, end = float(value[0]), float(value[1])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{what}: timestamp entries must be numbers: {value!r}") from None
     else:
         raise ValidationError(f"{what}: timestamp must be [start, end] or a span string, got {value!r}")
@@ -61,16 +61,10 @@ def _normalize_timestamp(value, what: str) -> tuple[float, float]:
     return (start, end)
 
 
-def _check_str(value, what: str, non_empty: bool = False) -> None:
-    if not isinstance(value, str) or (non_empty and not value):
-        kind = "a non-empty string" if non_empty else "a string"
-        raise ValidationError(f"{what} must be {kind}, got {value!r}")
-
-
 def _check_confidence(value, what: str) -> float:
     try:
         conf = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{what}: confidence must be a number, got {value!r}") from None
     if not 0.0 <= conf <= 1.0:
         raise ValidationError(f"{what}: confidence {conf} outside [0, 1]")
@@ -88,10 +82,11 @@ class NoteRecord:
     timestamp: tuple[float, float] | None = None
 
     def __post_init__(self):
-        _check_str(self.note_id, "note_id", non_empty=True)
+        if not self.note_id:
+            raise ValidationError("note_id must be non-empty")
         _check_token(self.video_id, "video_id")
-        _check_str(self.topic, f"note {self.note_id}: topic")
-        _check_str(self.text, f"note {self.note_id}: text", non_empty=True)
+        if not self.text:
+            raise ValidationError(f"note {self.note_id}: text must be non-empty")
         if self.modality not in MODALITIES:
             raise ValidationError(
                 f"note {self.note_id}: unknown modality {self.modality!r}; expected one of {MODALITIES}"
@@ -124,17 +119,16 @@ class ClaimRecord:
     timestamp: tuple[float, float] | None = None
 
     def __post_init__(self):
-        _check_str(self.claim_id, "claim_id", non_empty=True)
+        if not self.claim_id:
+            raise ValidationError("claim_id must be non-empty")
         _check_token(self.query_id, "query_id")
         _check_token(self.video_id, "video_id")
-        _check_str(self.topic, f"claim {self.claim_id}: topic")
-        _check_str(self.claim, f"claim {self.claim_id}: claim text", non_empty=True)
+        if not self.claim:
+            raise ValidationError(f"claim {self.claim_id}: claim text must be non-empty")
         if self.confidence is not None:
             object.__setattr__(
                 self, "confidence", _check_confidence(self.confidence, f"claim {self.claim_id}")
             )
-        if self.evidence is not None:
-            _check_str(self.evidence, f"claim {self.claim_id}: evidence")
         if self.source is not None and self.source not in CLAIM_SOURCES:
             raise ValidationError(
                 f"claim {self.claim_id}: unknown source {self.source!r}; expected one of {CLAIM_SOURCES}"
@@ -154,16 +148,6 @@ class ClaimRecord:
 
 
 EvidenceRecord = Union[NoteRecord, ClaimRecord]
-
-
-def _loads(data):
-    """Decode JSON bytes/text; any other value is returned as it is."""
-    if not isinstance(data, (bytes, str)):
-        return data
-    try:
-        return json.loads(_decode(data))
-    except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON: {e.msg}") from None
 
 
 def validate(record: bytes | str | dict) -> EvidenceRecord:
@@ -229,6 +213,7 @@ def parse_answer_tag(text: str) -> float:
     return value
 
 
+@json_record
 @dataclass(frozen=True)
 class CalibrationPayload:
     prob: float
@@ -377,9 +362,7 @@ def parse_calibrated(data: bytes | str | dict, backend: str = DEFAULT_BACKEND) -
 def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
     if not isinstance(data, dict) or "calibration" not in data:
         raise ValidationError("calibrated record must be an object with a 'calibration' key")
-    calibration = data["calibration"]
-    if not isinstance(calibration, dict):
-        raise ValidationError(f"'calibration' must be an object, got {calibration!r}")
+    calibration = _expect(data["calibration"], dict, "'calibration'")
     if backend not in calibration:
         raise ValidationError(
             f"no calibration payload for backend {backend!r}; present: {sorted(calibration)}"
@@ -387,14 +370,11 @@ def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
     payload = calibration[backend]
     if not isinstance(payload, dict) or "prob" not in payload:
         raise ValidationError(f"backend {backend!r} payload must contain 'prob'")
-    raw_output = None
-    raw = payload.get("raw")
-    if isinstance(raw, dict):
-        raw_output = raw.get("raw_output")
+    raw = _expect(payload.get("raw", {}), dict, f"backend {backend!r} payload 'raw'")
     return CalibratedArtifact(
         artifact=_evidence_record(data),
         calibration=CalibrationPayload(
-            prob=payload["prob"], backend=backend, raw_output=raw_output
+            prob=payload["prob"], backend=backend, raw_output=raw.get("raw_output")
         ),
     )
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import _check_token, _decode, from_json_object, json_record, to_json_object
+from .core import _check_token, _expect, _loads, from_json_object, json_record, to_json_object
 from .errors import ValidationError
 from .evidence import _check_confidence
 
@@ -32,20 +32,6 @@ SLOTS = ("findings", "keywords", "fact_table", "selected_facts", "videos")
 VIDEO_STATUSES = ("pending", "processed")
 SUMMARY_CAP = 4000
 _TRUNCATION_MARK = " …[truncated]"
-
-
-def _expect(value, kind: type, what: str, item: type | None = None):
-    """``value`` if it is a ``kind`` (with ``item`` elements); else ValidationError."""
-    names = {list: "array", dict: "object", str: "string"}
-    if not isinstance(value, kind):
-        raise ValidationError(f"memory bank {what} must be a JSON {names[kind]}, got {value!r}")
-    if item is not None:
-        for element in value:
-            if not isinstance(element, item):
-                raise ValidationError(
-                    f"memory bank {what} must hold only JSON {names[item]}s, got {element!r}"
-                )
-    return value
 
 
 @json_record
@@ -57,16 +43,13 @@ class FactEntry:
     confidence: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.fact, str) or not self.fact:
+        if not self.fact:
             raise ValidationError("fact text must be non-empty")
-        if self.timestamp is not None and not isinstance(self.timestamp, str):
-            raise ValidationError(
-                f"fact timestamp must be a span string, got {self.timestamp!r}"
-            )
         if self.confidence is not None:
             object.__setattr__(self, "confidence", _check_confidence(self.confidence, "fact"))
 
 
+@json_record
 @dataclass
 class VideoStatus:
     status: str = "pending"
@@ -75,6 +58,10 @@ class VideoStatus:
     caption: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.tools_used, (list, set)) or not all(
+            isinstance(tool, str) for tool in self.tools_used
+        ):
+            raise ValidationError(f"tools_used must be an array of strings, got {self.tools_used!r}")
         self.tools_used = set(self.tools_used)
         if self.status not in VIDEO_STATUSES:
             raise ValidationError(
@@ -82,23 +69,6 @@ class VideoStatus:
             )
         if self.status == "processed" and not self.tools_used:
             raise ValidationError("a processed video must record at least one tool")
-
-    def to_dict(self) -> dict:
-        out: dict = {"status": self.status, "tools_used": sorted(self.tools_used)}
-        if self.path is not None:
-            out["path"] = self.path
-        if self.caption is not None:
-            out["caption"] = self.caption
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VideoStatus":
-        return cls(
-            status=data.get("status", "pending"),
-            tools_used=set(_expect(data.get("tools_used", []), list, "tools_used", item=str)),
-            path=data.get("path"),
-            caption=data.get("caption"),
-        )
 
 
 @dataclass(frozen=True)
@@ -251,7 +221,10 @@ class MemoryBank:
                 for vid, facts in sorted(self.fact_table.items())
             },
             "selected_facts": list(self.selected_facts),
-            "videos": {vid: status.to_dict() for vid, status in sorted(self.videos.items())},
+            "videos": {
+                vid: {**to_json_object(status), "tools_used": sorted(status.tools_used)}
+                for vid, status in sorted(self.videos.items())
+            },
         }
 
     def dump(self, slot: str | None = None) -> bytes:
@@ -265,10 +238,7 @@ class MemoryBank:
 
     @classmethod
     def load(cls, data: bytes | str) -> "MemoryBank":
-        try:
-            payload = json.loads(_decode(data))
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"memory bank is not valid JSON: {e.msg}") from None
+        payload = _loads(data)
         if not isinstance(payload, dict):
             raise ValidationError("memory bank must be a JSON object")
         missing = [slot for slot in SLOTS if slot not in payload]
@@ -289,7 +259,7 @@ class MemoryBank:
             },
             selected_facts=_expect(payload["selected_facts"], list, "selected_facts", item=str),
             videos={
-                vid: VideoStatus.from_dict(_expect(status, dict, f"status of {vid!r}"))
+                vid: from_json_object(VideoStatus, _expect(status, dict, f"status of {vid!r}"))
                 for vid, status in _expect(payload["videos"], dict, "videos").items()
             },
         )

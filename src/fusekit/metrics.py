@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .core import Qrels, QueryId, RunSet, ScoredList, _decode
+from .core import Qrels, QueryId, RunSet, ScoredList, _expect, _loads, from_json_object, json_record
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -103,6 +103,7 @@ def _dcg_terms(grades: list[int]) -> list[float]:
     return [(2**g - 1) / math.log2(i + 2) for i, g in enumerate(grades)]
 
 
+@json_record
 @dataclass(frozen=True)
 class EvalReport:
     """Per-query metric values plus their arithmetic means.
@@ -117,11 +118,16 @@ class EvalReport:
     tag: str = "run"
 
     def __post_init__(self):
-        for metrics in list(self.per_query.values()) + [self.aggregate]:
+        per_query = _expect(self.per_query, dict, "per_query", item=dict)
+        for metrics in list(per_query.values()) + [_expect(self.aggregate, dict, "aggregate")]:
             for name, value in metrics.items():
-                if not 0.0 <= value <= 1.0:
-                    raise ValidationError(f"metric {name} value {value} outside [0, 1]")
-        if self.per_query:
+                if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
+                    raise ValidationError(f"metric {name} value {value!r} is not a number in [0, 1]")
+            if per_query and metrics.keys() != self.aggregate.keys():
+                raise ValidationError(
+                    f"per-query metrics {sorted(metrics)} differ from the aggregate's {sorted(self.aggregate)}"
+                )
+        if per_query:
             for name, value in self.aggregate.items():
                 mean = sum(m[name] for m in self.per_query.values()) / len(self.per_query)
                 if value != mean:
@@ -260,11 +266,7 @@ def report_to_json(report: EvalReport) -> bytes:
 
 
 def report_from_json(data: bytes | str) -> EvalReport:
-    payload = json.loads(_decode(data))
+    payload = _loads(data)
     if not isinstance(payload, dict) or "aggregate" not in payload:
         raise ValidationError("report JSON must be an object with an 'aggregate' key")
-    return EvalReport(
-        per_query=payload.get("per_query", {}),
-        aggregate=payload["aggregate"],
-        tag=payload.get("tag", "run"),
-    )
+    return from_json_object(EvalReport, payload)

@@ -27,6 +27,7 @@ from .core import (
     RunSet,
     ScoredList,
     SubQueryMap,
+    _expect,
     atomic_write,
     iter_jsonl,
     parse_run,
@@ -89,21 +90,20 @@ class PipelineConfig:
         """Build a config; unknown top-level or strategy keys raise ValidationError."""
         _check_keys(data, CONFIG_KEYS, "config")
         strategy = _check_keys(data.get("strategy", {}), ("kind", "k"), "strategy")
+        _expect(data.get("inputs", {}), dict, "inputs", item=str)
         return cls(
             strategy=FusionStrategy(
-                kind=strategy.get("kind", "rrf"), k_constant=int(strategy.get("k", 60))
+                kind=strategy.get("kind", "rrf"), k_constant=_expect(strategy.get("k", 60), int, "k")
             ),
-            first_stage_depth=int(data.get("first_stage_depth", 1000)),
-            rerank_depth=int(data.get("rerank_depth", 100)),
-            seeds=tuple(int(s) for s in data.get("seeds", ())),
-            endpoints=dict(data.get("endpoints", {})),
+            first_stage_depth=_expect(data.get("first_stage_depth", 1000), int, "first_stage_depth"),
+            rerank_depth=_expect(data.get("rerank_depth", 100), int, "rerank_depth"),
+            seeds=tuple(_expect(data.get("seeds", []), list, "seeds", item=int)),
+            endpoints=dict(_expect(data.get("endpoints", {}), dict, "endpoints", item=str)),
         )
 
 
 def _check_keys(data, known: tuple[str, ...], what: str) -> dict:
-    if not isinstance(data, dict):
-        raise ValidationError(f"{what} must be a JSON object")
-    unknown = sorted(set(data) - set(known))
+    unknown = sorted(set(_expect(data, dict, what)) - set(known))
     if unknown:
         raise ValidationError(f"unknown {what} keys {unknown}; expected some of {known}")
     return data

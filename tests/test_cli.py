@@ -117,6 +117,27 @@ def test_delta_cli_prints_expected_value(tmp_path, capsys):
     assert "N/A" in out
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"aggregate": {"nDCG@10": 0.5}, "per_query": []}', "ValidationError"),
+        ('{"aggregate": {"nDCG@10": "a"}}', "ValidationError"),
+        ('{"aggregate": []}', "ValidationError"),
+        ('{"aggregate": ', "ParseError"),
+    ],
+    ids=["per_query-array", "metric-string", "aggregate-array", "truncated"],
+)
+def test_delta_cli_rejects_malformed_reports(tmp_path, capsys, text, error):
+    baseline = _report_file(tmp_path, "base.json", {"nDCG@10": 0.5})
+    candidate = tmp_path / "cand.json"
+    candidate.write_text(text)
+    out = tmp_path / "delta.json"
+    assert run_cli("delta", "--baseline", baseline, "--candidate", candidate, "--json", out) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == error
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
@@ -473,3 +494,60 @@ def test_memory_cli_rejects_a_fact_confidence_of_the_wrong_type(tmp_path, capsys
     monkeypatch.setattr(sys, "stdin", io.StringIO("summary\n"))
     assert run_cli("memory", "--bank", path) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("key, value", [("text", 5), ("video_id", ["v1"])])
+def test_claims_attach_rejects_non_string_prediction_fields(tmp_path, capsys, key, value):
+    path = tmp_path / "predictions.jsonl"
+    path.write_text(json.dumps({"video_id": "v1", "text": "t", "prob": 0.5, key: value}) + "\n")
+    out = tmp_path / "out.jsonl"
+    code = run_cli(
+        "claims", "attach", "--artifacts", EVID / "artifacts.jsonl", "--predictions", path, "--out", out
+    )
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ParseError"
+    assert record["line"] == 1
+    assert key in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("raw", [{"raw_output": 7}, "oops"])
+def test_claims_filter_rejects_a_malformed_raw_payload(tmp_path, capsys, raw):
+    record = json.loads((EVID / "artifacts.jsonl").read_text().splitlines()[0])
+    record["calibration"] = {"unli": {"prob": 0.9, "raw": raw}}
+    path = tmp_path / "calibrated.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    kept = tmp_path / "kept.jsonl"
+    assert run_cli("claims", "filter", "--in", path, "--kept", kept) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ParseError"
+    assert record["line"] == 1
+    assert "raw" in record["message"]
+    assert not kept.exists()
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"seeds": 5}, {"endpoints": 5}, {"inputs": {"rerank": 5}}, {"strategy": {"kind": "rrf", "k": 1.5}}],
+    ids=["seeds", "endpoints", "inputs", "k"],
+)
+def test_pipeline_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change):
+    config = {**json.loads((PIPE / "config.json").read_text()), **change}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert run_cli("pipeline", "--config", path, "--out-dir", out_dir) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ValidationError"
+    assert not out_dir.exists()
+
+
+def test_pipeline_cli_rejects_a_config_that_is_not_json(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"strategy": ')
+    assert run_cli("pipeline", "--config", path, "--out-dir", tmp_path / "out") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ParseError"

@@ -231,7 +231,7 @@ def test_parse_qrels_basic():
 def test_parse_qrels_retains_grade_zero():
     qrels = parse_qrels(b"q1 0 dA 0\n")
     assert qrels.judgments == {("q1", "dA"): 0}
-    assert qrels.relevant_docs("q1") == set()
+    assert qrels.for_query("q1") == {"dA": 0}
 
 
 def test_parse_qrels_duplicate_is_error():
@@ -365,6 +365,17 @@ def test_iter_jsonl_bad_json_reports_line():
     with pytest.raises(ParseError) as excinfo:
         list(iter_jsonl('{"a": 1}\n\n{oops\n'))
     assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("[" * 100_000 + "]" * 100_000, "recursion depth"), ("1" * 5000, "4300 digits")],
+    ids=["nested-too-deeply", "integer-too-long"],
+)
+def test_iter_jsonl_rejects_json_that_python_cannot_hold(line, message):
+    with pytest.raises(ParseError, match=message) as excinfo:
+        list(iter_jsonl('{"a": 1}\n' + line + "\n"))
+    assert excinfo.value.line == 2
 
 
 def test_iter_jsonl_rejects_invalid_utf8():

@@ -13,6 +13,7 @@ from fusekit import (
     CalibrationPayload,
     ClaimRecord,
     NoteRecord,
+    ParseError,
     Prediction,
     ValidationError,
     attach,
@@ -83,6 +84,23 @@ def test_confidence_out_of_range_rejected():
     with pytest.raises(ValidationError) as excinfo:
         validate({**CLAIM_FIXTURE, "confidence": 1.2})
     assert "confidence" in str(excinfo.value)
+
+
+def test_confidence_beyond_the_float_range_rejected():
+    # json.loads reads a long integer literal as an int, which float() cannot convert
+    with pytest.raises(ValidationError, match="confidence"):
+        validate(json.dumps({**CLAIM_FIXTURE, "confidence": 10**400}))
+
+
+@pytest.mark.parametrize("fixture", [NOTE_FIXTURE, CLAIM_FIXTURE], ids=["note", "claim"])
+def test_timestamp_beyond_the_float_range_rejected(fixture):
+    with pytest.raises(ValidationError, match="timestamp"):
+        validate(json.dumps({**fixture, "timestamp": [0, 10**400]}))
+
+
+def test_prediction_prob_beyond_the_float_range_rejected():
+    with pytest.raises(ParseError, match="confidence"):
+        load_predictions(json.dumps({"prob": 10**400, "artifact_id": "a"}))
 
 
 def test_unknown_modality_rejected():
@@ -188,8 +206,6 @@ def test_unparseable_span_rejected():
 
 def test_load_evidence_reports_line_numbers():
     lines = json.dumps(NOTE_FIXTURE) + "\n" + json.dumps({**NOTE_FIXTURE, "modality": "x"}) + "\n"
-    from fusekit import ParseError
-
     with pytest.raises(ParseError) as excinfo:
         load_evidence(lines)
     assert excinfo.value.line == 2
@@ -375,6 +391,16 @@ def test_load_predictions_requires_key():
     assert preds[0].backend == "unli"
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("text", 5), ("video_id", ["v1"]), ("artifact_id", 3), ("backend", 5), ("raw_output", 7)],
+)
+def test_load_predictions_rejects_non_string_text_fields(key, value):
+    prediction = {"prob": 0.5, "artifact_id": "a", "video_id": "v1", "text": "t", key: value}
+    with pytest.raises(ParseError, match=f"line 1: {key} must be a string"):
+        load_predictions(json.dumps(prediction))
+
+
 # ---------------------------------------------------------------------------
 # filter
 # ---------------------------------------------------------------------------
@@ -449,6 +475,19 @@ def test_parse_calibrated_unknown_backend_errors():
     item = CalibratedArtifact(artifact=artifact, calibration=CalibrationPayload(prob=0.4))
     with pytest.raises(ValidationError):
         parse_calibrated(serialize_calibrated(item), backend="other")
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [({"raw_output": 7}, "raw_output must be a string"), ("oops", "'raw' must be a JSON object"),
+     (None, "'raw' must be a JSON object")],
+    ids=["raw_output-number", "raw-string", "raw-null"],
+)
+def test_parse_calibrated_rejects_a_malformed_raw_payload(raw, message):
+    data = calibrated_to_dict(_calibrated(0.5))
+    data["calibration"]["unli"]["raw"] = raw
+    with pytest.raises(ValidationError, match=message):
+        parse_calibrated(data)
 
 
 def test_load_calibrated_round_trip():

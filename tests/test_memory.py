@@ -413,7 +413,20 @@ def test_load_rejects_slots_of_the_wrong_type(slot, value):
         MemoryBank.load(json.dumps(payload))
 
 
-@pytest.mark.parametrize("confidence", [[1], {}, "high", 1.5])
+@pytest.mark.parametrize(
+    "key, value", [("source_tool", 5), ("timestamp", 7), ("path", 7), ("caption", ["c"])]
+)
+def test_load_rejects_text_fields_of_the_wrong_type(key, value):
+    payload = json.loads(seeded_bank().dump())
+    record = payload["fact_table"]["vidA"][0] if key in ("source_tool", "timestamp") else payload["videos"]["vidA"]
+    record[key] = value
+    with pytest.raises(ValidationError, match=f"{key} must be a string"):
+        MemoryBank.load(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "confidence", [[1], {}, "high", 1.5, pytest.param(10**400, id="int-beyond-float-range")]
+)
 def test_load_rejects_a_fact_confidence_that_is_not_a_probability(confidence):
     payload = json.loads(MemoryBank().dump())
     payload["fact_table"] = {"v1": [{"fact": "x", "confidence": confidence}]}

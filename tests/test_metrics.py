@@ -7,6 +7,7 @@ import pytest
 from fusekit import (
     Cutoffs,
     EvalReport,
+    ParseError,
     Qrels,
     RunSet,
     ScoredList,
@@ -296,6 +297,30 @@ def test_report_json_round_trip():
     )
     loaded = report_from_json(report_to_json(report))
     assert loaded == report
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ('{"aggregate": {"nDCG@10": 0.5}, "per_query": []}', ValidationError, "per_query must be"),
+        ('{"aggregate": {"nDCG@10": 0.5}, "per_query": {"q1": 0.5}}', ValidationError, "per_query must"),
+        ('{"aggregate": {"nDCG@10": 0.5}, "per_query": {"q1": {"R@10": 0.5}}}', ValidationError, "differ"),
+        ('{"aggregate": {"nDCG@10": "a"}}', ValidationError, "not a number"),
+        ('{"aggregate": {"nDCG@10": true}}', ValidationError, "not a number"),
+        ('{"aggregate": []}', ValidationError, "aggregate must be"),
+        ('{"aggregate": {}, "tag": 5}', ValidationError, "tag must be a string"),
+        ('{"aggregate": ', ParseError, "invalid JSON"),
+        (b'\xff', ParseError, "UTF-8"),
+        ("[" * 100_000, ParseError, "recursion depth"),
+    ],
+    ids=[
+        "per_query-array", "per_query-row-number", "per_query-other-metrics", "metric-string",
+        "metric-bool", "aggregate-array", "tag-number", "truncated", "invalid-utf8", "nested-too-deeply",
+    ],
+)
+def test_report_from_json_rejects_malformed_reports(text, error, message):
+    with pytest.raises(error, match=message):
+        report_from_json(text)
 
 
 def test_report_records_cover_queries_and_aggregate():

@@ -238,6 +238,29 @@ def test_config_rejects_unknown_keys(data, key):
         PipelineConfig.from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"seeds": 5}, "seeds"),
+        ({"seeds": [1, "2"]}, "seeds"),
+        ({"seeds": [0.5]}, "seeds"),
+        ({"seeds": [True]}, "seeds"),
+        ({"endpoints": 5}, "endpoints"),
+        ({"endpoints": {"decomposer": 5}}, "endpoints"),
+        ({"inputs": {"rerank": 5}}, "inputs"),
+        ({"inputs": []}, "inputs"),
+        ({"strategy": {"kind": "rrf", "k": 1.5}}, "k"),
+        ({"strategy": {"kind": "rrf", "k": True}}, "k"),
+        ({"first_stage_depth": True, "rerank_depth": 1}, "first_stage_depth"),
+        ({"first_stage_depth": "500"}, "first_stage_depth"),
+        ({"rerank_depth": 5.0}, "rerank_depth"),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(data, key):
+    with pytest.raises(ValidationError, match=f"{key} must"):
+        PipelineConfig.from_dict(data)
+
+
 def test_config_rejects_non_object():
     with pytest.raises(ValidationError):
         PipelineConfig.from_dict([])

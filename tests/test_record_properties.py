@@ -4,8 +4,9 @@ For evidence notes and claims, calibration predictions and memory-bank
 fact entries: required fields are always written, optional fields only
 when set, in the order of ``WIRE_ORDER``, which is each dataclass's
 declaration order; reading what was written gives an equal record; an
-unknown key is ignored on read; and a missing required field is rejected
-with an error that names it. Each property is checked through the public
+unknown key is ignored on read; a missing required field, and a text
+field holding anything but a string, is rejected with an error that names
+it. Each property is checked through the public
 API and through the two ``core`` helpers every record goes through.
 """
 
@@ -47,6 +48,14 @@ REQUIRED = {
     ClaimRecord: ("claim_id", "query_id", "video_id", "topic", "claim"),
     Prediction: ("prob",),
     FactEntry: ("fact",),
+}
+
+# the fields annotated ``str`` or ``str | None``, written out here independently of the annotations
+TEXT_FIELDS = {
+    NoteRecord: ("note_id", "video_id", "topic", "text", "modality"),
+    ClaimRecord: ("claim_id", "query_id", "video_id", "topic", "claim", "evidence", "source"),
+    Prediction: ("backend", "artifact_id", "video_id", "text", "raw_output"),
+    FactEntry: ("fact", "timestamp", "source_tool"),
 }
 
 KNOWN_KEYS = {name for order in WIRE_ORDER.values() for name in order}
@@ -182,3 +191,18 @@ def test_missing_required_key_is_named(cls, data):
 def test_non_object_is_rejected(cls, obj):
     with pytest.raises(ValidationError, match="must be a JSON object"):
         from_json_object(cls, obj)
+
+
+@CLASSES
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_non_string_text_field_is_named(cls, data):
+    fields = data.draw(FIELDS[cls])
+    key = data.draw(st.sampled_from(TEXT_FIELDS[cls]))
+    value = data.draw(st.integers() | st.booleans() | st.lists(texts, max_size=2) | st.dictionaries(texts, texts))
+    obj = {**_json_form(cls, fields), key: value}
+    _, build, error = CODECS[cls]
+    with pytest.raises(error, match=rf"\b{key} must be a string, got "):
+        build(obj)
+    with pytest.raises(ValidationError, match=rf"^{key} must be a string, got "):
+        cls(**{**fields, key: value})

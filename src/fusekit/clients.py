@@ -21,7 +21,7 @@ import time
 
 import requests
 
-from .core import RunSet, iter_jsonl
+from .core import RunSet, iter_jsonl, truncate
 from .errors import ParseError, TransportError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -135,4 +135,4 @@ class ReplayRetriever:
     def retrieve(self, query_id: str, query_text: str, depth: int) -> list[tuple[str, float]]:
         if query_id not in self.runs.lists:
             raise ValidationError(f"no recorded ranked list for sub-query {query_id!r}")
-        return list(self.runs.lists[query_id].entries[:depth])
+        return list(truncate(self.runs.lists[query_id], depth))

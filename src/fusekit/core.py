@@ -20,8 +20,8 @@ import json
 import math
 import os
 import secrets
+from array import array
 from dataclasses import MISSING, dataclass, field, fields
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, get_type_hints
 
@@ -211,12 +211,15 @@ def atomic_write(path: str | Path, data: bytes) -> None:
         raise
 
 
-@dataclass(frozen=True)
 class ScoredList:
     """One query's ranked (doc id, score) sequence.
 
     Entries are ordered by non-increasing score; the rank of entry ``i``
     is ``i + 1``. Doc ids are unique within a list.
+
+    The list is stored as two columns, a tuple of doc ids and an
+    ``array('d')`` of scores, which the library's own modules read directly
+    as ``_docs`` and ``_scores``; ``entries`` builds the pairs on demand.
 
     ``ScoredList(entries)`` and ``from_pairs`` validate every entry; use
     them for data from outside the library. ``_trusted`` and
@@ -225,11 +228,10 @@ class ScoredList:
     runs, truncations, fused and reranked lists).
     """
 
-    entries: tuple[tuple[DocId, float], ...] = ()
+    __slots__ = ("_docs", "_scores")
 
-    def __post_init__(self):
-        entries = tuple((doc, float(score)) for doc, score in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, entries: Iterable[tuple[DocId, float]] = ()):
+        entries = tuple((doc, float(score)) for doc, score in entries)
         seen: set[str] = set()
         prev = None
         for doc, score in entries:
@@ -242,6 +244,8 @@ class ScoredList:
                     f"scores must be non-increasing: {score} follows {prev}"
                 )
             prev = score
+        self._docs = tuple(doc for doc, _ in entries)
+        self._scores = array("d", [score for _, score in entries])
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[DocId, float]]) -> "ScoredList":
@@ -250,42 +254,60 @@ class ScoredList:
         return cls(tuple(ordered))
 
     @classmethod
-    def _trusted(cls, entries: tuple[tuple[DocId, float], ...]) -> "ScoredList":
-        """Wrap a tuple of ``(doc id, float)`` tuples that already meets every invariant."""
+    def _trusted(cls, docs: tuple[DocId, ...], scores: array) -> "ScoredList":
+        """Wrap doc-id and score columns that already meet every invariant."""
         ranking = object.__new__(cls)
-        object.__setattr__(ranking, "entries", entries)
+        ranking._docs = docs
+        ranking._scores = scores
         return ranking
 
     @classmethod
-    def _trusted_sorted(cls, pairs: Iterable[tuple[DocId, float]]) -> "ScoredList":
-        """The canonical order of ``(doc id, float)`` pairs with unique, valid doc ids."""
-        ordered = sorted(pairs, key=itemgetter(0))
+    def _trusted_sorted(cls, scores: dict[DocId, float]) -> "ScoredList":
+        """The canonical order of a doc id -> float map whose doc ids are valid."""
+        docs = sorted(scores)
         # the sort is stable, so docs with equal scores stay in ascending id order
-        ordered.sort(key=itemgetter(1), reverse=True)
-        return cls._trusted(tuple(ordered))
+        docs.sort(key=scores.__getitem__, reverse=True)
+        return cls._trusted(tuple(docs), array("d", map(scores.__getitem__, docs)))
+
+    @property
+    def entries(self) -> tuple[tuple[DocId, float], ...]:
+        return tuple(zip(self._docs, self._scores))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScoredList):
+            return NotImplemented
+        return self._docs == other._docs and self._scores == other._scores
+
+    def __hash__(self) -> int:
+        return hash((self._docs, tuple(self._scores)))
+
+    def __repr__(self) -> str:
+        return f"ScoredList(entries={self.entries!r})"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._docs)
 
     def __iter__(self) -> Iterator[tuple[DocId, float]]:
-        return iter(self.entries)
+        return zip(self._docs, self._scores)
 
     def docs(self) -> tuple[DocId, ...]:
-        return tuple(doc for doc, _ in self.entries)
+        return self._docs
 
     def ranks(self) -> dict[DocId, int]:
         """Doc id -> 1-based rank."""
-        return {doc: i + 1 for i, (doc, _) in enumerate(self.entries)}
+        return {doc: rank for rank, doc in enumerate(self._docs, start=1)}
 
     def scores(self) -> dict[DocId, float]:
-        return {doc: score for doc, score in self.entries}
+        return dict(zip(self._docs, self._scores))
 
 
 def truncate(ranking: ScoredList, depth: int) -> ScoredList:
     """First ``min(depth, len)`` entries, order preserved. Idempotent."""
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return ScoredList._trusted(ranking.entries[:depth])
+    if depth >= len(ranking):
+        return ranking
+    return ScoredList._trusted(ranking._docs[:depth], ranking._scores[:depth])
 
 
 @dataclass(frozen=True)
@@ -312,7 +334,8 @@ def parse_run(data: bytes | str) -> RunSet:
     """
     # str.split() separates on exactly the characters str.isspace() accepts, so every
     # field is a valid token; with finite scores and unique docs the lists need no re-check
-    per_query: dict[str, dict[str, float]] = {}
+    lists: dict[str, ScoredList] = {}
+    current = scores = None  # the query being read and its doc id -> score map
     tag = None
     for line_no, raw in enumerate(_iter_lines(data), start=1):
         parts = raw.split()
@@ -330,16 +353,21 @@ def parse_run(data: bytes | str) -> RunSet:
             raise ParseError(f"non-numeric score {score_str!r}", line=line_no) from None
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {score_str!r}", line=line_no)
-        scores = per_query.get(qid)
-        if scores is None:
-            scores = per_query[qid] = {}
-        elif docid in scores:
+        if qid != current:
+            # each query's map becomes columns when its lines end, so only one map is held
+            if current is not None:
+                lists[current] = ScoredList._trusted_sorted(scores)
+            current = qid
+            done = lists.get(qid)
+            # a query whose lines come back later is re-opened, so a repeated doc is still caught
+            scores = {} if done is None else dict(zip(done._docs, done._scores))
+        if docid in scores:
             raise ValidationError(f"duplicate entry for query {qid!r}, doc {docid!r}")
         scores[docid] = score
         if tag is None:
             tag = line_tag
-    # each query's score dict is dropped as its list is built, so the two never all coexist
-    lists = {qid: ScoredList._trusted_sorted(per_query.pop(qid).items()) for qid in list(per_query)}
+    if current is not None:
+        lists[current] = ScoredList._trusted_sorted(scores)
     return RunSet(lists=lists, tag=tag if tag is not None else "run")
 
 
@@ -355,28 +383,35 @@ def write_run(run: RunSet, depth: int) -> bytes:
     # one query's lines at a time, so the only whole-file copy is the output itself
     out = io.BytesIO()
     suffix = f" {run.tag}\n"
+    ranks = range(1, depth + 1)
     for qid in run.queries():
         prefix = f"{qid} Q0 "
-        entries = run.lists[qid].entries[:depth]
-        lines = [f"{prefix}{doc} {rank} {score!r}{suffix}" for rank, (doc, score) in enumerate(entries, 1)]
+        ranking = run.lists[qid]
+        # zip stops at the shorter of the ranks and the list, so at most ``depth`` lines
+        lines = [
+            f"{prefix}{doc} {rank} {score!r}{suffix}"
+            for rank, doc, score in zip(ranks, ranking._docs, ranking._scores)
+        ]
         out.write("".join(lines).encode("utf-8"))
     return out.getvalue()
 
 
-@dataclass(frozen=True)
 class Qrels:
     """Graded relevance judgments keyed by (query id, doc id).
+
+    The judgments are held grouped by query, one doc id -> grade map per
+    query; ``judgments`` builds the (query id, doc id) -> grade map on demand.
 
     ``Qrels(judgments)`` validates every key and grade; use it for data
     from outside the library. ``_trusted`` is internal and checks nothing:
     ``parse_qrels`` uses it after checking each line itself.
     """
 
-    judgments: dict[tuple[QueryId, DocId], int] = field(default_factory=dict)
+    __slots__ = ("_by_query",)
 
-    def __post_init__(self):
+    def __init__(self, judgments: dict[tuple[QueryId, DocId], int] | None = None):
         by_query: dict[str, dict[str, int]] = {}
-        for (qid, docid), grade in self.judgments.items():
+        for (qid, docid), grade in (judgments or {}).items():
             _check_token(qid, "query id")
             _check_token(docid, "doc id")
             if not isinstance(grade, int) or grade < 0:
@@ -384,19 +419,30 @@ class Qrels:
                     f"relevance grade must be a non-negative integer, got {grade!r}"
                 )
             by_query.setdefault(qid, {})[docid] = grade
-        object.__setattr__(self, "_by_query", by_query)
+        self._by_query = by_query
 
     @classmethod
-    def _trusted(
-        cls,
-        judgments: dict[tuple[QueryId, DocId], int],
-        by_query: dict[QueryId, dict[DocId, int]],
-    ) -> "Qrels":
-        """Wrap valid judgments and the same judgments grouped by query."""
+    def _trusted(cls, by_query: dict[QueryId, dict[DocId, int]]) -> "Qrels":
+        """Wrap valid judgments grouped by query."""
         qrels = object.__new__(cls)
-        object.__setattr__(qrels, "judgments", judgments)
-        object.__setattr__(qrels, "_by_query", by_query)
+        qrels._by_query = by_query
         return qrels
+
+    @property
+    def judgments(self) -> dict[tuple[QueryId, DocId], int]:
+        return {
+            (qid, docid): grade
+            for qid, grades in self._by_query.items()
+            for docid, grade in grades.items()
+        }
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Qrels):
+            return NotImplemented
+        return self._by_query == other._by_query
+
+    def __repr__(self) -> str:
+        return f"Qrels(judgments={self.judgments!r})"
 
     def queries(self) -> set[QueryId]:
         return set(self._by_query)
@@ -411,10 +457,8 @@ class Qrels:
 
 def parse_qrels(data: bytes | str) -> Qrels:
     """Parse ``qid 0 docid grade`` lines; grade-0 lines are retained."""
-    judgments: dict[tuple[str, str], int] = {}
-    # qid -> (the first string read for it, its grades): the judgment keys share one qid per query
-    groups: dict[str, tuple[str, dict[str, int]]] = {}
-    key_qid = grades = None
+    by_query: dict[str, dict[str, int]] = {}
+    current = grades = None  # the query being read and its doc id -> grade map
     for line_no, raw in enumerate(_iter_lines(data), start=1):
         parts = raw.split()
         if not parts:
@@ -431,18 +475,14 @@ def parse_qrels(data: bytes | str) -> Qrels:
             raise ParseError(f"non-integer grade {grade_str!r}", line=line_no) from None
         if grade < 0:
             raise ParseError(f"negative grade {grade}", line=line_no)
-        if qid != key_qid:
-            group = groups.get(qid)
-            if group is None:
-                group = groups[qid] = (qid, {})
-            key_qid, grades = group
+        if qid != current:
+            current = qid
+            grades = by_query.setdefault(qid, {})
         if docid in grades:
             raise ValidationError(f"duplicate judgment for query {qid!r}, doc {docid!r}")
-        judgments[(key_qid, docid)] = grade
         grades[docid] = grade
-    by_query = {qid: grades for qid, grades in groups.values()}
     # tokens come from str.split() and grades are checked above, as Qrels() would
-    return Qrels._trusted(judgments, by_query)
+    return Qrels._trusted(by_query)
 
 
 @dataclass(frozen=True)

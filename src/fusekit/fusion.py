@@ -18,6 +18,7 @@ score with doc-id ascending tie-break.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from .core import QueryId, ScoredList, truncate
@@ -70,16 +71,16 @@ def _check_k(k: int) -> None:
 def _summed(inp: FusionInput, terms, divisor: int = 1) -> ScoredList:
     """Sum each doc's terms over the lists containing it, divided by ``divisor``.
 
-    ``terms(entries)`` gives a list's terms in rank order; extra terms are ignored.
+    ``terms(sub)`` gives a list's terms in rank order; extra terms are ignored.
     """
     contributions: dict[str, list[float]] = {}
     for sub in inp.sub_lists:
-        for (doc, _), term in zip(sub.entries, terms(sub.entries)):
+        for doc, term in zip(sub._docs, terms(sub)):
             contributions.setdefault(doc, []).append(term)
     try:
         # fsum is exactly rounded, so fused scores do not depend on list order
         return ScoredList._trusted_sorted(
-            (doc, math.fsum(doc_terms) / divisor) for doc, doc_terms in contributions.items()
+            {doc: math.fsum(doc_terms) / divisor for doc, doc_terms in contributions.items()}
         )
     except OverflowError:
         raise ValidationError(
@@ -87,8 +88,8 @@ def _summed(inp: FusionInput, terms, divisor: int = 1) -> ScoredList:
         ) from None
 
 
-def _scores(entries: tuple[tuple[str, float], ...]) -> list[float]:
-    return [sim for _, sim in entries]
+def _scores(sub: ScoredList) -> array:
+    return sub._scores
 
 
 def rrf(inp: FusionInput, k: int) -> ScoredList:
@@ -97,14 +98,14 @@ def rrf(inp: FusionInput, k: int) -> ScoredList:
     # the terms depend on rank only, so every list shares one table
     depth = max(len(sub) for sub in inp.sub_lists)
     table = [1.0 / (k + rank) for rank in range(1, depth + 1)]
-    return _summed(inp, lambda entries: table)
+    return _summed(inp, lambda sub: table)
 
 
 def weighted_rrf(inp: FusionInput, k: int) -> ScoredList:
     """Reciprocal rank fusion with each term weighted by the list score."""
     _check_k(k)
     return _summed(
-        inp, lambda entries: [sim / (k + rank) for rank, (_, sim) in enumerate(entries, start=1)]
+        inp, lambda sub: [sim / (k + rank) for rank, sim in enumerate(sub._scores, start=1)]
     )
 
 
@@ -117,10 +118,10 @@ def max_sim(inp: FusionInput) -> ScoredList:
     """Best score across the lists containing each doc."""
     scores: dict[str, float] = {}
     for sub in inp.sub_lists:
-        for doc, sim in sub.entries:
+        for doc, sim in sub:
             if doc not in scores or sim > scores[doc]:
                 scores[doc] = sim
-    return ScoredList._trusted_sorted(scores.items())
+    return ScoredList._trusted_sorted(scores)
 
 
 def mean_sim(inp: FusionInput) -> ScoredList:

@@ -263,7 +263,8 @@ class MemoryBank:
                 for vid, status in _expect(payload["videos"], dict, "videos").items()
             },
         )
-        for vid in list(bank.keywords) + list(bank.fact_table):
+        for vid in [*bank.videos, *bank.keywords, *bank.fact_table]:
+            _check_token(vid, "video id")
             if vid not in bank.videos:
                 raise ValidationError(
                     f"video {vid!r} has keywords or facts but no videos entry"

@@ -82,12 +82,12 @@ def _query_metrics(
     depth = max(cutoffs)
     try:
         ideal = _dcg_terms(sorted(judged.values(), reverse=True)[:depth])
-        top = ranking.entries[:depth]
-        gains = _dcg_terms([judged.get(doc, 0) for doc, _ in top])
+        top = ranking._docs[:depth]
+        gains = _dcg_terms([judged.get(doc, 0) for doc in top])
         relevant = {doc for doc, grade in judged.items() if grade > 0}
         # hits[k] = relevant docs among the top k
         hits = [0]
-        for doc, _ in top:
+        for doc in top:
             hits.append(hits[-1] + (doc in relevant))
         ndcg, recall = [], []
         for k in cutoffs:
@@ -100,7 +100,9 @@ def _query_metrics(
 
 
 def _dcg_terms(grades: list[int]) -> list[float]:
-    return [(2**g - 1) / math.log2(i + 2) for i, g in enumerate(grades)]
+    # a float power overflows at once for g >= 1024, where the exact 2**g would be built first;
+    # below that the two give the same double
+    return [(2.0**g - 1) / math.log2(i + 2) for i, g in enumerate(grades)]
 
 
 @json_record

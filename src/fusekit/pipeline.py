@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +50,9 @@ ENDPOINT_NAMES = ("decomposer", "retriever")
 
 # a config file may hold only these keys; "inputs" holds paths the CLI reads
 CONFIG_KEYS = ("strategy", "first_stage_depth", "rerank_depth", "seeds", "endpoints", "inputs")
+
+# the names "inputs" may give a path for, in the order run_pipeline takes them
+INPUT_NAMES = ("queries", "subquery_map", "subquery_runs", "rerank")
 
 STAGE_FILES = ("subqueries.run", "fused.run", "reranked.run")
 
@@ -87,10 +91,10 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Build a config; unknown top-level or strategy keys raise ValidationError."""
+        """Build a config; unknown top-level, strategy or input keys raise ValidationError."""
         _check_keys(data, CONFIG_KEYS, "config")
         strategy = _check_keys(data.get("strategy", {}), ("kind", "k"), "strategy")
-        _expect(data.get("inputs", {}), dict, "inputs", item=str)
+        _expect(_check_keys(data.get("inputs", {}), INPUT_NAMES, "inputs"), dict, "inputs", item=str)
         return cls(
             strategy=FusionStrategy(
                 kind=strategy.get("kind", "rrf"), k_constant=_expect(strategy.get("k", 60), int, "k")
@@ -209,24 +213,20 @@ def inject_rerank(fused: RunSet, rerank: RunSet, rerank_depth: int) -> RunSet:
     lists = {}
     for qid, fused_list in fused.lists.items():
         external = rerank.lists.get(qid)
-        if external is None or not external.entries:
+        if external is None or not external:
             lists[qid] = fused_list
             continue
-        head = fused_list.entries[:rerank_depth]
-        tail = fused_list.entries[rerank_depth:]
-        head_docs = {doc for doc, _ in head}
+        head = fused_list._docs[:rerank_depth]
+        tail = fused_list._docs[rerank_depth:]
         scores = external.scores()
-        outside = sorted(set(scores) - head_docs)
+        outside = sorted(set(scores).difference(head))
         if outside:
             logger.warning(
                 "query %s: ignoring rerank scores for %d documents outside the fused top %d: %s",
                 qid, len(outside), rerank_depth, ", ".join(outside[:5]),
             )
-        scored = sorted(
-            (entry for entry in head if entry[0] in scores),
-            key=lambda entry: (-scores[entry[0]], entry[0]),
-        )
-        unscored = [entry for entry in head if entry[0] not in scores]
+        scored = sorted((doc for doc in head if doc in scores), key=lambda doc: (-scores[doc], doc))
+        unscored = [doc for doc in head if doc not in scores]
         lists[qid] = _positional(tuple(scored) + tuple(unscored) + tail)
     for qid in rerank.lists:
         if qid not in fused.lists:
@@ -234,11 +234,9 @@ def inject_rerank(fused: RunSet, rerank: RunSet, rerank_depth: int) -> RunSet:
     return RunSet(lists=lists, tag=f"{fused.tag}-reranked")
 
 
-def _positional(entries: tuple[tuple[str, float], ...]) -> ScoredList:
+def _positional(docs: tuple[str, ...]) -> ScoredList:
     # a reordering of one valid list, with strictly decreasing scores
-    return ScoredList._trusted(
-        tuple((doc, 1.0 / rank) for rank, (doc, _) in enumerate(entries, start=1))
-    )
+    return ScoredList._trusted(docs, array("d", [1.0 / rank for rank in range(1, len(docs) + 1)]))
 
 
 @dataclass(frozen=True)
@@ -268,12 +266,7 @@ def run_pipeline(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs: dict[str, Path] = {}
-    for name, path in (
-        ("queries", queries_path),
-        ("subquery_map", subquery_map_path),
-        ("subquery_runs", subquery_runs_path),
-        ("rerank", rerank_path),
-    ):
+    for name, path in zip(INPUT_NAMES, (queries_path, subquery_map_path, subquery_runs_path, rerank_path)):
         if path is not None:
             inputs[name] = Path(path)
 

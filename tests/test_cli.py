@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,20 @@ def test_pipeline_cli_rejects_misspelled_config_key(tmp_path, capsys):
     assert "rerank_dpeth" in err["message"]
 
 
+def test_pipeline_cli_rejects_a_misspelled_input_name(tmp_path, capsys):
+    config = json.loads((PIPE / "config.json").read_text())
+    config["inputs"]["rerank_run"] = config["inputs"].pop("rerank")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert run_cli("pipeline", "--config", path, "--out-dir", out_dir) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert "rerank_run" in record["message"]
+    assert not out_dir.exists()
+
+
 def test_decompose_cli_transport_error_names_query(tmp_path, capsys):
     replay = tmp_path / "replay.jsonl"
     replay.write_text(json.dumps({"query_id": "1", "response": "[\"a\"]"}) + "\n")
@@ -483,6 +498,21 @@ def test_eval_cli_rejects_gains_beyond_the_float_range(tmp_path, capsys, qrels_t
     record = json.loads(line)
     assert record["error"] == "ValidationError"
     assert "'q1'" in record["message"]
+
+
+def test_eval_cli_rejects_a_huge_grade_at_once(tmp_path, capsys):
+    run = tmp_path / "run.txt"
+    run.write_text("q1 Q0 d1 1 1.0 t\n")
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text(f"q1 0 d1 {10**8}\n")
+    start = time.perf_counter()
+    assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+    # the gain overflows as a float at once, not after building the exact 2**(10**8)
+    assert time.perf_counter() - start < 0.25
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert "DCG exceeds the float range" in record["message"]
 
 
 def test_memory_cli_rejects_a_fact_confidence_of_the_wrong_type(tmp_path, capsys, monkeypatch):

@@ -128,6 +128,20 @@ def test_parse_run_duplicate_doc_is_error():
     assert "q1" in str(excinfo.value) and "dA" in str(excinfo.value)
 
 
+def test_parse_run_query_that_comes_back_equals_the_contiguous_file():
+    split = parse_run(b"q1 Q0 d1 1 0.3 t\nq2 Q0 d9 1 0.7 t\nq1 Q0 d2 2 0.9 t\nq1 Q0 d0 3 0.3 t\n")
+    contiguous = parse_run(b"q1 Q0 d1 1 0.3 t\nq1 Q0 d2 2 0.9 t\nq1 Q0 d0 3 0.3 t\nq2 Q0 d9 1 0.7 t\n")
+    assert split == contiguous
+    assert list(split.lists) == ["q1", "q2"]
+    assert split.lists["q1"].entries == (("d2", 0.9), ("d0", 0.3), ("d1", 0.3))
+
+
+def test_parse_run_duplicate_doc_across_a_gap_is_error():
+    with pytest.raises(ValidationError) as excinfo:
+        parse_run(b"q1 Q0 dA 1 0.9 t\nq2 Q0 dA 1 0.5 t\nq1 Q0 dA 2 0.5 t\n")
+    assert "q1" in str(excinfo.value) and "dA" in str(excinfo.value)
+
+
 def test_parse_run_wrong_field_count_reports_line():
     with pytest.raises(ParseError) as excinfo:
         parse_run(b"q1 Q0 dA 1 0.9 t\nq1 Q0 dA 0.5 t\n")

@@ -283,6 +283,16 @@ def test_load_rejects_unregistered_videos():
         MemoryBank.load(json.dumps(payload))
 
 
+@pytest.mark.parametrize("vid", ["a b", "", "\t"])
+def test_load_rejects_video_ids_that_are_not_tokens(vid):
+    payload = json.loads(MemoryBank().dump())
+    payload["videos"] = {vid: {"status": "pending", "tools_used": []}}
+    payload["keywords"] = {vid: ["rescue"]}
+    payload["fact_table"] = {vid: [{"fact": "x"}]}
+    with pytest.raises(ValidationError, match="video id"):
+        MemoryBank.load(json.dumps(payload))
+
+
 def test_processed_video_requires_tools():
     with pytest.raises(ValidationError):
         VideoStatus(status="processed", tools_used=set())

@@ -231,6 +231,7 @@ def test_config_rejects_reranker_endpoint():
         ({"rerank_dpeth": 5}, "rerank_dpeth"),
         ({"cutoffs": [10, 20]}, "cutoffs"),
         ({"strategy": {"kind": "rrf", "K": 10}}, "K"),
+        ({"inputs": {"rerank_run": "rerank.run"}}, "rerank_run"),
     ],
 )
 def test_config_rejects_unknown_keys(data, key):

@@ -14,6 +14,7 @@ import json
 import shlex
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from . import __version__
 from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_ablation
@@ -21,12 +22,10 @@ from .core import (
     RunSet,
     _loads,
     atomic_write,
-    join_lines,
     parse_qrels,
     parse_run,
     parse_subquery_map,
     expansion_stats,
-    write_run,
     write_subquery_map,
 )
 from .errors import FusekitError, ParseError, PipelineStageError, TransportError, ValidationError
@@ -51,8 +50,9 @@ from .metrics import (
     render_delta,
     render_report,
     report_from_json,
+    report_json_chunks,
     report_records,
-    report_to_json,
+    report_to_json,  # unused here, but perfbench's traced mode rebinds fusekit.cli.report_to_json
 )
 from .pipeline import (
     ENDPOINT_NAMES,
@@ -61,6 +61,7 @@ from .pipeline import (
     inject_rerank,
     read_query_records,
     run_pipeline,
+    write_run_file,
 )
 
 
@@ -192,30 +193,41 @@ def _parse_cutoffs(text: str) -> Cutoffs:
     return Cutoffs(tuple(int(v) for v in text.split(",") if v.strip()))
 
 
+def _read(parse, path: Path, *args):
+    """``parse(file, *args)`` of the file at ``path``, opened for binary reading and closed after."""
+    with open(path, "rb") as fh:
+        return parse(fh, *args)
+
+
+def _lines(items) -> Iterator[bytes]:
+    """Each of ``items``, serialized bytes, followed by a newline: the chunks of a JSON-lines file."""
+    return (item + b"\n" for item in items)
+
+
 def _cmd_fuse(args) -> int:
-    runs = parse_run(args.runs.read_bytes())
-    mapping = parse_subquery_map(args.map_path.read_bytes())
+    runs = _read(parse_run, args.runs)
+    mapping = _read(parse_subquery_map, args.map_path)
     strategy = FusionStrategy(kind=args.strategy, k_constant=args.k)
     fused = fuse_runs(mapping, runs, strategy, args.depth)
     if args.tag is not None:
         fused = RunSet(lists=fused.lists, tag=args.tag)
-    atomic_write(args.out, write_run(fused, args.depth))
+    write_run_file(args.out, fused, args.depth)
     print(f"fused {len(fused.lists)} queries -> {args.out}")
     return 0
 
 
 def _cmd_rerank_inject(args) -> int:
-    fused = parse_run(args.fused.read_bytes())
-    scores = parse_run(args.scores.read_bytes())
+    fused = _read(parse_run, args.fused)
+    scores = _read(parse_run, args.scores)
     reranked = inject_rerank(fused, scores, args.depth)
-    atomic_write(args.out, write_run(reranked, args.out_depth))
+    write_run_file(args.out, reranked, args.out_depth)
     print(f"reranked {len(reranked.lists)} queries -> {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    run = parse_run(args.run.read_bytes())
-    qrels = parse_qrels(args.qrels.read_bytes())
+    run = _read(parse_run, args.run)
+    qrels = _read(parse_qrels, args.qrels)
     report = evaluate(
         run,
         qrels,
@@ -225,10 +237,9 @@ def _cmd_eval(args) -> int:
     )
     print(render_report(report, per_query=args.per_query))
     if args.json is not None:
-        atomic_write(args.json, report_to_json(report))
+        atomic_write(args.json, report_json_chunks(report))
     if args.records is not None:
-        lines = [json.dumps(r) + "\n" for r in report_records(report)]
-        atomic_write(args.records, "".join(lines).encode("utf-8"))
+        atomic_write(args.records, _lines(json.dumps(r).encode("utf-8") for r in report_records(report)))
     return 0
 
 
@@ -258,9 +269,9 @@ def _parse_keep(text: str) -> tuple:
 
 
 def _cmd_ablate(args) -> int:
-    mapping = parse_subquery_map(args.map_path.read_bytes())
-    runs = parse_run(args.runs.read_bytes())
-    qrels = parse_qrels(args.qrels.read_bytes())
+    mapping = _read(parse_subquery_map, args.map_path)
+    runs = _read(parse_run, args.runs)
+    qrels = _read(parse_qrels, args.qrels)
     config = AblationConfig(
         keep_counts=_parse_keep(args.keep),
         seeds=tuple(int(s) for s in args.seeds.split(",") if s.strip()),
@@ -278,19 +289,19 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_claims_validate(args) -> int:
-    records = load_evidence(args.in_path.read_bytes())
+    records = _read(load_evidence, args.in_path)
     if args.out is not None:
-        atomic_write(args.out, join_lines(serialize(r) for r in records))
+        atomic_write(args.out, _lines(serialize(r) for r in records))
     notes = sum(1 for r in records if hasattr(r, "note_id"))
     print(f"ok: {len(records)} records ({notes} notes, {len(records) - notes} claims)")
     return 0
 
 
 def _cmd_claims_attach(args) -> int:
-    artifacts = load_evidence(args.artifacts.read_bytes())
-    predictions = load_predictions(args.predictions.read_bytes())
+    artifacts = _read(load_evidence, args.artifacts)
+    predictions = _read(load_predictions, args.predictions)
     calibrated, report = attach(artifacts, predictions)
-    atomic_write(args.out, join_lines(serialize_calibrated(c) for c in calibrated))
+    atomic_write(args.out, _lines(serialize_calibrated(c) for c in calibrated))
     if args.unmatched is not None:
         payload = {
             "unmatched_artifacts": [record_to_dict(a) for a in report.unmatched_artifacts],
@@ -314,17 +325,15 @@ def _cmd_claims_attach(args) -> int:
 
 
 def _cmd_claims_filter(args) -> int:
-    calibrated = load_calibrated(args.in_path.read_bytes(), backend=args.backend)
+    calibrated = _read(load_calibrated, args.in_path, args.backend)
     kept, dropped = filter_by_threshold(calibrated, args.threshold)
-    atomic_write(args.kept, join_lines(serialize_calibrated(c) for c in kept))
+    atomic_write(args.kept, _lines(serialize_calibrated(c) for c in kept))
     if args.dropped is not None:
         audit = (
             {"prob": c.prob, "threshold": args.threshold, "record": calibrated_to_dict(c)}
             for c in dropped
         )
-        atomic_write(
-            args.dropped, join_lines(json.dumps(a, ensure_ascii=False).encode("utf-8") for a in audit)
-        )
+        atomic_write(args.dropped, _lines(json.dumps(a, ensure_ascii=False).encode("utf-8") for a in audit))
     print(f"kept {len(kept)} / dropped {len(dropped)} at threshold {args.threshold}")
     return 0
 
@@ -483,11 +492,11 @@ def _endpoints_with_env(endpoints: dict) -> dict:
 
 
 def _cmd_decompose(args) -> int:
-    records = read_query_records(args.queries.read_bytes())
+    records = _read(read_query_records, args.queries)
     if args.replay is not None:
         from .clients import ReplayDecomposer
 
-        decomposer = ReplayDecomposer.from_jsonl(args.replay.read_bytes())
+        decomposer = _read(ReplayDecomposer.from_jsonl, args.replay)
     else:
         from .clients import HttpDecomposer
 

@@ -21,7 +21,7 @@ import time
 
 import requests
 
-from .core import RunSet, iter_jsonl, truncate
+from .core import RunSet, Source, iter_jsonl, truncate
 from .errors import ParseError, TransportError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -82,7 +82,7 @@ class ReplayDecomposer:
         self.responses = dict(responses)
 
     @classmethod
-    def from_jsonl(cls, data: bytes | str) -> "ReplayDecomposer":
+    def from_jsonl(cls, data: Source) -> "ReplayDecomposer":
         """Load ``{"query_id", "response"}`` records, one per JSON line."""
         responses = {}
         for line_no, record in iter_jsonl(data):

@@ -23,7 +23,7 @@ import secrets
 from array import array
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, get_type_hints
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, get_type_hints
 
 from .errors import ParseError, ValidationError
 
@@ -49,33 +49,58 @@ def _decode(data: bytes | str) -> str:
         raise ParseError(f"input is not valid UTF-8: {e}") from e
 
 
-_CHUNK = 1 << 20  # bytes or characters of input decoded and split at a time
+_CHUNK = 1 << 16  # bytes read, decoded and split at a time
+
+Source = bytes | str | BinaryIO  # an input's bytes, its text, or a file opened for binary reading
 
 
-def _iter_lines(data: bytes | str) -> Iterator[str]:
-    """The lines of ``_decode(data).splitlines()``, one chunk of ~``_CHUNK`` at a time.
+def _iter_lines(source: Source) -> Iterator[str]:
+    """The lines of the whole input's ``splitlines()``.
 
-    Each chunk ends just after a newline (or at the end), so no ``\r\n`` pair
-    is split, and in UTF-8 no multibyte sequence holds the byte ``0x0A``. An
-    invalid byte is reported at its offset in the whole input.
+    Text, already whole in memory, is split at once. Bytes and files are read
+    ``_CHUNK`` bytes at a time into one buffer that every read reuses. Each
+    read is decoded up to just after its last newline, so no ``\r\n`` pair is
+    split, and in UTF-8 no multibyte sequence holds the byte ``0x0A``; the
+    bytes after it move to the front of the buffer for the next read, and a
+    line longer than the buffer doubles it. An invalid byte is reported at
+    its offset in the whole input.
     """
-    newline = "\n" if isinstance(data, str) else b"\n"
-    start, size = 0, len(data)
-    while start < size:
-        cut = data.find(newline, start + _CHUNK - 1)
-        end = size if cut < 0 else cut + 1
-        chunk = data[start:end]
-        if not isinstance(chunk, str):
+    if isinstance(source, str):
+        yield from source.splitlines()
+        return
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)  # shares the bytes' buffer, no copy
+    buf = bytearray(_CHUNK)
+    offset = kept = 0  # where buf[0] is in the input; bytes at its front kept from the last read
+    while True:
+        if kept == len(buf):
+            buf *= 2
+        with memoryview(buf) as view:  # released before the buffer may grow
+            size = kept + source.readinto(view[kept:])
+            last = size == kept  # the input has ended: what is kept is its last line
+            cut = size if last else buf.rfind(b"\n", 0, size) + 1
             try:
-                chunk = chunk.decode("utf-8")
+                text = str(view[:cut], "utf-8")
             except UnicodeDecodeError as e:
-                e = UnicodeDecodeError(e.encoding, data, start + e.start, start + e.end, e.reason)
-                raise ParseError(f"input is not valid UTF-8: {e}") from e
-        yield from chunk.splitlines()
-        start = end
+                raise ParseError(f"input is not valid UTF-8: {_moved(e, offset)}") from None
+        yield from text.splitlines()
+        if last:
+            return
+        buf[: size - cut] = buf[cut:size]
+        offset, kept = offset + cut, size - cut
 
 
-def iter_jsonl(data: bytes | str) -> Iterator[tuple[int, object]]:
+def _moved(e: UnicodeDecodeError, offset: int) -> str:
+    """``str(e)`` for the same bad bytes found ``offset`` bytes further into the input."""
+    start = offset + e.start
+    if e.end - e.start == 1:
+        where = f"byte 0x{e.object[e.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{offset + e.end - 1}"
+    return f"'{e.encoding}' codec can't decode {where}: {e.reason}"
+
+
+def iter_jsonl(data: Source) -> Iterator[tuple[int, object]]:
     """Yield ``(line_no, value)`` per non-blank JSON line; bad JSON raises ParseError(line=...)."""
     for line_no, raw in enumerate(_iter_lines(data), start=1):
         line = raw.strip()
@@ -178,31 +203,23 @@ def to_json_object(record) -> dict:
     return out
 
 
-def join_lines(lines: Iterable[bytes]) -> bytes:
-    """Each of ``lines`` followed by a newline, written one at a time into one buffer.
-
-    Unlike ``b"".join``, no list of every line is held next to the result.
-    """
-    out = io.BytesIO()
-    for line in lines:
-        out.write(line)
-        out.write(b"\n")
-    return out.getvalue()
-
-
-def atomic_write(path: str | Path, data: bytes) -> None:
-    """Replace ``path`` with ``data``: readers see the old file or the new one.
+def atomic_write(path: str | Path, data: bytes | Iterable[bytes]) -> None:
+    """Replace ``path`` with ``data``, or with its chunks in order: readers see the old file or the new one.
 
     The bytes go to a uniquely named temp file beside the target, created
-    exclusively and with the mode a plain write gives, are fsynced, and are
-    renamed over the target; the temp file is removed if any step fails.
+    exclusively and with the mode a plain write gives, each chunk as it
+    arrives, so a generator's output is never held whole. The file is then
+    fsynced and renamed over the target. If any step fails, an exception
+    from the chunks' iterable included, the temp file is removed and the
+    target is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
     fh = open(tmp, "xb")  # outside the try: a failed open must not unlink a file it did not create
     try:
         with fh:
-            fh.write(data)
+            # bytes iterate as ints, so a bytes object is one chunk
+            fh.writelines((data,) if isinstance(data, bytes) else data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -215,7 +232,8 @@ class ScoredList:
     """One query's ranked (doc id, score) sequence.
 
     Entries are ordered by non-increasing score; the rank of entry ``i``
-    is ``i + 1``. Doc ids are unique within a list.
+    is ``i + 1``. Doc ids are unique within a list and every score is
+    finite, as in a parsed run.
 
     The list is stored as two columns, a tuple of doc ids and an
     ``array('d')`` of scores, which the library's own modules read directly
@@ -236,6 +254,8 @@ class ScoredList:
         prev = None
         for doc, score in entries:
             _check_token(doc, "doc id")
+            if not math.isfinite(score):
+                raise ValidationError(f"non-finite score {score} for doc {doc!r}")
             if doc in seen:
                 raise ValidationError(f"duplicate doc id {doc!r} in scored list")
             seen.add(doc)
@@ -325,7 +345,7 @@ class RunSet:
         return sorted(self.lists)
 
 
-def parse_run(data: bytes | str) -> RunSet:
+def parse_run(data: Source) -> RunSet:
     """Parse a TREC-style run file.
 
     The rank column is ignored; per-query lists are rebuilt by descending
@@ -455,7 +475,7 @@ class Qrels:
         return self._by_query.get(qid, {}).get(docid, 0)
 
 
-def parse_qrels(data: bytes | str) -> Qrels:
+def parse_qrels(data: Source) -> Qrels:
     """Parse ``qid 0 docid grade`` lines; grade-0 lines are retained."""
     by_query: dict[str, dict[str, int]] = {}
     current = grades = None  # the query being read and its doc id -> grade map
@@ -517,7 +537,7 @@ class SubQueryMap:
         return [sub_id for sub_id, _ in self.groups[qid]]
 
 
-def parse_subquery_map(data: bytes | str) -> SubQueryMap:
+def parse_subquery_map(data: Source) -> SubQueryMap:
     """Parse the JSON-lines sub-query map, preserving sub-query order."""
     groups: dict[str, tuple[tuple[str, str], ...]] = {}
     for line_no, record in iter_jsonl(data):

@@ -29,7 +29,8 @@ from functools import partial
 from typing import Iterable, Union
 
 from .core import (
-    DocId, QueryId, _check_token, _expect, _loads, from_json_object, iter_jsonl, json_record, to_json_object
+    DocId, QueryId, Source, _check_token, _expect, _loads, from_json_object, iter_jsonl, json_record,
+    to_json_object,
 )
 from .errors import AnswerTagError, ParseError, ValidationError
 
@@ -72,7 +73,7 @@ def _check_confidence(value, what: str) -> float:
 
 
 @json_record
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoteRecord:
     note_id: str
     video_id: DocId
@@ -106,7 +107,7 @@ class NoteRecord:
 
 
 @json_record
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimRecord:
     claim_id: str
     query_id: QueryId
@@ -176,12 +177,12 @@ def serialize(record: EvidenceRecord) -> bytes:
     return json.dumps(record_to_dict(record), ensure_ascii=False).encode("utf-8")
 
 
-def load_evidence(data: bytes | str) -> list[EvidenceRecord]:
+def load_evidence(data: Source) -> list[EvidenceRecord]:
     """Parse a JSON-lines evidence file."""
     return _load_jsonl(data, _evidence_record)
 
 
-def _load_jsonl(data: bytes | str, build) -> list:
+def _load_jsonl(data: Source, build) -> list:
     """``build(value)`` per JSON line; its ValidationError becomes a ParseError with the line."""
     items = []
     for line_no, value in iter_jsonl(data):
@@ -214,7 +215,7 @@ def parse_answer_tag(text: str) -> float:
 
 
 @json_record
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CalibrationPayload:
     prob: float
     backend: str = DEFAULT_BACKEND
@@ -226,7 +227,7 @@ class CalibrationPayload:
             raise ValidationError("calibration backend label must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CalibratedArtifact:
     """An evidence record plus its support probability; the record is untouched."""
 
@@ -239,7 +240,7 @@ class CalibratedArtifact:
 
 
 @json_record
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prediction:
     """One calibration output to be joined onto an artifact.
 
@@ -261,7 +262,7 @@ class Prediction:
             )
 
 
-def load_predictions(data: bytes | str) -> list[Prediction]:
+def load_predictions(data: Source) -> list[Prediction]:
     """Parse a JSON-lines prediction file, one ``Prediction`` object per line."""
     return _load_jsonl(data, partial(from_json_object, Prediction))
 
@@ -379,5 +380,5 @@ def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
     )
 
 
-def load_calibrated(data: bytes | str, backend: str = DEFAULT_BACKEND) -> list[CalibratedArtifact]:
+def load_calibrated(data: Source, backend: str = DEFAULT_BACKEND) -> list[CalibratedArtifact]:
     return _load_jsonl(data, lambda record: _calibrated_artifact(record, backend))

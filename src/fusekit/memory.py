@@ -81,11 +81,30 @@ class KeywordMatches:
 
 @dataclass
 class MemoryBank:
+    """The five slots, plus a search index derived from ``keywords`` and ``fact_table``.
+
+    Change those two slots through the operators below, which keep the index
+    in step; ``load`` and the constructor build it.
+    """
+
     findings: list[str] = field(default_factory=list)
     keywords: dict[str, set[str]] = field(default_factory=dict)
     fact_table: dict[str, list[FactEntry]] = field(default_factory=dict)
     selected_facts: list[str] = field(default_factory=list)
     videos: dict[str, VideoStatus] = field(default_factory=dict)
+    # derived from the slots above and never serialised: lowercase keyword -> videos tagged
+    # with it, and each video's fact texts in lowercase, kept in step by every operator
+    _videos_by_keyword: dict[str, set[str]] = field(init=False, compare=False, repr=False)
+    _lower_facts: dict[str, list[str]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._videos_by_keyword = {}
+        for video_id, keywords in self.keywords.items():
+            for keyword in keywords:
+                self._videos_by_keyword.setdefault(keyword.lower(), set()).add(video_id)
+        self._lower_facts = {
+            video_id: [entry.fact.lower() for entry in facts] for video_id, facts in self.fact_table.items()
+        }
 
     # -- mutation operators -------------------------------------------------
 
@@ -98,6 +117,7 @@ class MemoryBank:
         """Append to the video's fact list; returns the new 0-based index."""
         self._register_video(video_id)
         self.fact_table.setdefault(video_id, []).append(entry)
+        self._lower_facts.setdefault(video_id, []).append(entry.fact.lower())
         return len(self.fact_table[video_id]) - 1
 
     def add_keyword(self, video_id: str, keyword: str) -> None:
@@ -106,6 +126,7 @@ class MemoryBank:
             raise ValueError("keyword must be non-empty")
         self._register_video(video_id)
         self.keywords.setdefault(video_id, set()).add(keyword)
+        self._videos_by_keyword.setdefault(keyword.lower(), set()).add(video_id)
 
     def remove_fact(self, video_id: str, index: int) -> FactEntry:
         """Delete one fact; later facts shift down by one."""
@@ -116,6 +137,7 @@ class MemoryBank:
             raise IndexError(
                 f"fact index {index} out of range for video {video_id!r} ({len(facts)} facts)"
             )
+        del self._lower_facts[video_id][index]
         return facts.pop(index)
 
     def clear_facts(self, video_id: str | None = None) -> None:
@@ -123,10 +145,12 @@ class MemoryBank:
         if video_id is None:
             for vid in self.fact_table:
                 self.fact_table[vid] = []
+                self._lower_facts[vid] = []
             return
         if video_id not in self.fact_table:
             raise KeyError(f"no facts recorded for video {video_id!r}")
         self.fact_table[video_id] = []
+        self._lower_facts[video_id] = []
 
     def select_facts(self, references: list[tuple[str, int]]) -> None:
         """Replace selected_facts with the referenced facts' texts, in order."""
@@ -166,17 +190,13 @@ class MemoryBank:
     def search_by_keyword(self, keyword: str) -> KeywordMatches:
         """Videos tagged with the keyword plus facts containing it (case-insensitive)."""
         needle = keyword.lower()
-        videos = tuple(
-            vid
-            for vid in sorted(self.keywords)
-            if any(kw.lower() == needle for kw in self.keywords[vid])
-        )
         facts = tuple(
-            (vid, idx, entry)
-            for vid, idx, entry in self.flat_facts()
-            if needle in entry.fact.lower()
+            (vid, idx, self.fact_table[vid][idx])
+            for vid in sorted(self._lower_facts)
+            for idx, text in enumerate(self._lower_facts[vid])
+            if needle in text
         )
-        return KeywordMatches(videos=videos, facts=facts)
+        return KeywordMatches(videos=tuple(sorted(self._videos_by_keyword.get(needle, ()))), facts=facts)
 
     def flat_facts(self) -> list[tuple[str, int, FactEntry]]:
         """Deterministic flat view: video id ascending, then index; F#k = position k."""

@@ -18,6 +18,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .core import Qrels, QueryId, RunSet, ScoredList, _expect, _loads, from_json_object, json_record
 from .errors import ValidationError
@@ -258,13 +259,34 @@ def report_records(report: EvalReport) -> list[dict]:
     return records
 
 
-def report_to_json(report: EvalReport) -> bytes:
+_REPORT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)  # what json.dumps(indent=2, sort_keys=True) uses
+_BATCH = 1 << 16  # characters of encoder output joined into one chunk
+
+
+def report_json_chunks(report: EvalReport) -> Iterator[bytes]:
+    """``report_to_json(report)`` as UTF-8 chunks of about 64 KiB, made as they are written.
+
+    The encoder's own pieces are a few characters each; joining them into
+    batches keeps the writes few without ever holding the whole report text.
+    """
     payload = {
         "tag": report.tag,
         "aggregate": report.aggregate,
         "per_query": report.per_query,
     }
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    batch, size = [], 0
+    for piece in _REPORT_ENCODER.iterencode(payload):
+        batch.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            yield "".join(batch).encode("utf-8")
+            batch, size = [], 0
+    batch.append("\n")
+    yield "".join(batch).encode("utf-8")
+
+
+def report_to_json(report: EvalReport) -> bytes:
+    return b"".join(report_json_chunks(report))
 
 
 def report_from_json(data: bytes | str) -> EvalReport:

@@ -27,6 +27,7 @@ from . import __version__
 from .core import (
     RunSet,
     ScoredList,
+    Source,
     SubQueryMap,
     _expect,
     atomic_write,
@@ -169,7 +170,7 @@ def sub_query_id(query_id: str, position: int) -> str:
     return f"{query_id}-s{position:03d}"
 
 
-def read_query_records(data: bytes | str) -> list[dict]:
+def read_query_records(data: Source) -> list[dict]:
     """Query records from JSON lines, one object per line."""
     records = []
     for line_no, record in iter_jsonl(data):
@@ -272,16 +273,16 @@ def run_pipeline(
 
     # stage 1: sub-query map
     if "subquery_map" in inputs:
-        mapping = _stage("decompose", None, parse_subquery_map, inputs["subquery_map"].read_bytes())
+        mapping = _parse_input("decompose", parse_subquery_map, inputs["subquery_map"])
     elif "queries" in inputs and decomposer is not None:
-        records = _stage("decompose", None, read_query_records, inputs["queries"].read_bytes())
+        records = _parse_input("decompose", read_query_records, inputs["queries"])
         mapping, _ = decompose_all(records, decomposer)
     else:
         raise ValidationError("pipeline needs a sub-query map file or queries plus a decomposer")
 
     # stage 2: per-sub-query ranked lists
     if "subquery_runs" in inputs:
-        raw_runs = _stage("retrieve", None, parse_run, inputs["subquery_runs"].read_bytes())
+        raw_runs = _parse_input("retrieve", parse_run, inputs["subquery_runs"])
         sub_runs = _collect_sub_lists(mapping, raw_runs, config.first_stage_depth)
     elif retriever is not None:
         sub_runs = _retrieve_all(mapping, retriever, config.first_stage_depth)
@@ -295,7 +296,7 @@ def run_pipeline(
 
     # stage 4: rerank injection (empty scores when no rerank file was given)
     rerank_scores = (
-        _stage("rerank", None, parse_run, inputs["rerank"].read_bytes())
+        _parse_input("rerank", parse_run, inputs["rerank"])
         if "rerank" in inputs
         else RunSet(lists={}, tag="rerank")
     )
@@ -303,7 +304,7 @@ def run_pipeline(
 
     stage_paths = {name: out_dir / name for name in STAGE_FILES}
     for name, run in zip(STAGE_FILES, (sub_runs, fused, reranked)):
-        atomic_write(stage_paths[name], write_run(run, config.first_stage_depth))
+        write_run_file(stage_paths[name], run, config.first_stage_depth)
 
     manifest = {
         "toolkit_version": __version__,
@@ -318,6 +319,28 @@ def run_pipeline(
     return PipelineResult(
         final=reranked, stage_paths=stage_paths, manifest_path=manifest_path, manifest=manifest
     )
+
+
+def write_run_file(path: str | Path, run: RunSet, depth: int) -> None:
+    """Write ``write_run(run, depth)`` to ``path``, one query at a time.
+
+    ``atomic_write`` gets the bytes of one ``write_run`` call per query, so
+    only one query's lines are held at once. The depth and the tag are
+    checked before the file is opened, even for a run with no queries.
+    """
+    write_run(RunSet(tag=run.tag), depth)
+    atomic_write(
+        path, (write_run(RunSet({qid: run.lists[qid]}, run.tag), depth) for qid in run.queries())
+    )
+
+
+def _parse_input(stage: str, parse, path: Path):
+    """``parse`` of the open file at ``path`` as stage ``stage``.
+
+    The file is opened outside ``_stage``, so a missing input stays an OSError.
+    """
+    with open(path, "rb") as fh:
+        return _stage(stage, None, parse, fh)
 
 
 def _stage(stage: str, query_id, fn, *args):

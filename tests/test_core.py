@@ -49,6 +49,14 @@ def test_scored_list_rejects_whitespace_doc_ids():
         ScoredList((("d A", 0.9),))
 
 
+@pytest.mark.parametrize("score", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("build", [ScoredList, ScoredList.from_pairs], ids=["init", "from_pairs"])
+def test_scored_list_rejects_non_finite_scores_naming_the_doc(build, score):
+    # parse_run rejects such a score, so a list holding one could be written but not read back
+    with pytest.raises(ValidationError, match="non-finite score .* for doc 'dB'"):
+        build((("dA", 0.9), ("dB", score)))
+
+
 @pytest.mark.parametrize("value", [" ", "d A", "dA\t", "\u3000dA", "d\x1cA", "dA\u2028"])
 def test_check_token_rejects_whitespace(value):
     with pytest.raises(ValidationError, match="must not contain whitespace"):
@@ -447,6 +455,31 @@ def test_invalid_utf8_reports_the_offset_in_the_whole_input(chunk, bad):
             assert str(excinfo.value) == f"input is not valid UTF-8: {whole.value}"
 
 
+def test_iter_lines_reads_an_open_file_like_its_bytes(tmp_path):
+    # a \r\n pair and a 3-byte character each straddle a 4-byte read; the last line has no newline
+    data = "abc\r\nx€d\ne\u2028f\rlast".encode("utf-8")
+    assert data[3:5] == b"\r\n" and data[6:9] == "€".encode("utf-8")
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    for chunk in (1, 2, 3, 4, 5, 64):
+        with mock.patch.object(core, "_CHUNK", chunk), open(path, "rb") as fh:
+            assert list(_iter_lines(fh)) == list(_iter_lines(data)) == _decode(data).splitlines()
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 16])
+def test_iter_lines_reports_an_invalid_byte_in_a_file_at_its_offset_in_the_whole_input(tmp_path, chunk):
+    data = b"q1 Q0 d1 1 0.5 t\n" * 5 + b"q1 Q0 d\xff 1 0.5 t\n"
+    with pytest.raises(UnicodeDecodeError) as whole:
+        data.decode("utf-8")
+    assert whole.value.start == 92  # past the first chunk for every size above
+    path = tmp_path / "bad.run"
+    path.write_bytes(data)
+    with mock.patch.object(core, "_CHUNK", chunk), open(path, "rb") as fh:
+        with pytest.raises(ParseError) as excinfo:
+            list(_iter_lines(fh))
+    assert str(excinfo.value) == f"input is not valid UTF-8: {whole.value}"
+
+
 def test_atomic_write_replaces_and_leaves_no_temp_file(tmp_path):
     target = tmp_path / "out.run"
     target.write_bytes(b"old")
@@ -465,5 +498,33 @@ def test_atomic_write_failed_rename_keeps_old_file(tmp_path, monkeypatch):
     monkeypatch.setattr(core.os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename failed"):
         atomic_write(target, b"new")
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.run"]
+
+
+def test_atomic_write_streams_the_chunks_of_an_iterable(tmp_path):
+    target = tmp_path / "out.run"
+    atomic_write(target, (line + b"\n" for line in (b"a", b"b", b"c")))
+    assert target.read_bytes() == b"a\nb\nc\n"
+
+
+def test_atomic_write_of_an_empty_iterable_writes_an_empty_file(tmp_path):
+    target = tmp_path / "out.run"
+    target.write_bytes(b"old")
+    atomic_write(target, iter(()))
+    assert target.read_bytes() == b""
+    assert [p.name for p in tmp_path.iterdir()] == ["out.run"]
+
+
+def test_atomic_write_failing_midway_keeps_old_file_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.run"
+    target.write_bytes(b"old")
+
+    def chunks():
+        yield b"new, "
+        raise ValidationError("bad record")
+
+    with pytest.raises(ValidationError, match="bad record"):
+        atomic_write(target, chunks())
     assert target.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.run"]

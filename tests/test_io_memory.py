@@ -13,6 +13,7 @@ import tracemalloc
 import pytest
 
 from fusekit import parse_run, write_run
+from fusekit.pipeline import write_run_file
 
 QUERIES, DEPTH = 100, 1000
 
@@ -48,8 +49,20 @@ def test_parse_run_holds_no_copy_of_the_input_text(run_bytes):
     assert sum(len(ranking) for ranking in run.lists.values()) == QUERIES * DEPTH
     assert retained > len(run_bytes)  # the parsed lists themselves
     # a whole-input copy (the decoded text, a list of every line) would exceed this;
-    # measured: 9.2 MB with both, 2.9 MB reading one ~1 MiB chunk at a time
+    # measured: 9.2 MB with both, 2.9 MB decoding one 1 MiB slice at a time, 0.25 MB reading
+    # 64 KiB at a time into one reused buffer
     assert peak - retained < 4_500_000
+
+
+def test_parse_run_from_a_file_holds_no_copy_of_the_input(run_bytes, tmp_path):
+    path = tmp_path / "seeded.run"
+    path.write_bytes(run_bytes)
+    with open(path, "rb") as fh:
+        run, retained, peak = traced_call(parse_run, fh)
+    assert sum(len(ranking) for ranking in run.lists.values()) == QUERIES * DEPTH
+    # below what one whole-input copy (3.6 MB) would add; measured: 0.25 MB, one 64 KiB
+    # read, its text and its lines at a time, as from bytes
+    assert peak - retained < len(run_bytes)
 
 
 def test_parse_run_lists_are_columns(run_bytes):
@@ -69,3 +82,13 @@ def test_write_run_peak_is_about_its_output(run_bytes):
     # the output plus one query's lines; measured: 4.6x the output with a list of every
     # line and a whole-file str, 1.1x writing one query at a time
     assert peak < 1.5 * len(out)
+
+
+def test_write_run_file_holds_one_query_at_a_time(run_bytes, tmp_path):
+    run = parse_run(run_bytes)
+    path = tmp_path / "out.run"
+    _, _, peak = traced_call(write_run_file, path, run, DEPTH)
+    assert path.read_bytes() == write_run(run, DEPTH)
+    # one query's lines (~36 kB) at a time; measured: 0.17 MB, where the whole output
+    # built first, as write_run(run, DEPTH), peaks at 1.1x its 3.6 MB
+    assert peak < 0.1 * len(run_bytes)

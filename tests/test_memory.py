@@ -4,9 +4,12 @@ import json
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from fusekit import FactEntry, MemoryBank, ValidationError, VideoStatus
-from fusekit.memory import SLOTS, SUMMARY_CAP
+from fusekit.memory import SLOTS, SUMMARY_CAP, KeywordMatches
 
 
 def seeded_bank() -> MemoryBank:
@@ -172,6 +175,69 @@ def test_search_after_add_until_removed():
     bank = MemoryBank()
     bank.add_keyword("v1", "flood")
     assert "v1" in bank.search_by_keyword("flood").videos
+
+
+# search_by_keyword reads an index kept beside the slots; a brute-force scan of the
+# slots themselves is the reference
+def scanned_matches(bank: MemoryBank, keyword: str) -> KeywordMatches:
+    needle = keyword.lower()
+    videos = tuple(
+        vid for vid in sorted(bank.keywords) if any(kw.lower() == needle for kw in bank.keywords[vid])
+    )
+    facts = tuple((vid, idx, entry) for vid, idx, entry in bank.flat_facts() if needle in entry.fact.lower())
+    return KeywordMatches(videos=videos, facts=facts)
+
+
+# mixed case, and characters whose lowercase is longer ("İ") or differs by context ("Σ")
+WORDS = ["storm", "Storm", "STORM SURGE", "fire", "aid", "İstanbul", "ΣΟΦΙΑ", "σ", "a"]
+SEARCH_TERMS = WORDS + ["", "or", "i̇", "surge", "ΟΦ"]
+VIDEO_IDS = ["v0", "v1", "v2"]
+
+
+class MemoryIndexMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.bank = MemoryBank()
+
+    @rule(vid=st.sampled_from(VIDEO_IDS), words=st.lists(st.sampled_from(WORDS), min_size=1, max_size=3))
+    def add_fact(self, vid, words):
+        self.bank.add_fact(vid, FactEntry(fact=" ".join(words)))
+
+    @rule(vid=st.sampled_from(VIDEO_IDS), keyword=st.sampled_from(WORDS))
+    def add_keyword(self, vid, keyword):
+        self.bank.add_keyword(vid, keyword)
+
+    @precondition(lambda self: self.bank.total_facts() > 0)
+    @rule(data=st.data())
+    def remove_fact(self, data):
+        vid, idx, _ = data.draw(st.sampled_from(self.bank.flat_facts()))
+        self.bank.remove_fact(vid, idx)
+
+    @precondition(lambda self: self.bank.fact_table)
+    @rule(data=st.data())
+    def clear_one(self, data):
+        self.bank.clear_facts(data.draw(st.sampled_from(sorted(self.bank.fact_table))))
+
+    @rule()
+    def clear_all(self):
+        self.bank.clear_facts()
+
+    @rule()
+    def reload(self):
+        self.bank = MemoryBank.load(self.bank.dump())
+
+    @rule(keyword=st.text(alphabet="aorsStİΣσ ", max_size=4))
+    def search(self, keyword):
+        assert self.bank.search_by_keyword(keyword) == scanned_matches(self.bank, keyword)
+
+    @invariant()
+    def every_search_matches_a_scan(self):
+        for keyword in SEARCH_TERMS:
+            assert self.bank.search_by_keyword(keyword) == scanned_matches(self.bank, keyword)
+
+
+TestMemoryIndex = MemoryIndexMachine.TestCase
+TestMemoryIndex.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 
 
 # ---------------------------------------------------------------------------

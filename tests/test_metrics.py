@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from fusekit.metrics import (
     render_delta,
     render_report,
     report_from_json,
+    report_json_chunks,
     report_records,
     report_to_json,
 )
@@ -297,6 +299,19 @@ def test_report_json_round_trip():
     )
     loaded = report_from_json(report_to_json(report))
     assert loaded == report
+
+
+def test_report_json_streams_the_indented_dump_in_batches():
+    per_query = {f"q{i:04d}": {"nDCG@10": i / 2000, "R@10": 0.5} for i in range(2000)}
+    aggregate = {name: sum(m[name] for m in per_query.values()) / 2000 for name in ("nDCG@10", "R@10")}
+    report = EvalReport(per_query=per_query, aggregate=aggregate, tag="big")
+    chunks = list(report_json_chunks(report))
+    payload = {"tag": "big", "aggregate": aggregate, "per_query": per_query}
+    assert b"".join(chunks) == report_to_json(report)
+    assert report_to_json(report) == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    # ~140 kB of text in a few writes of about 64 KiB, not one per encoder piece
+    assert 2 <= len(chunks) <= 4
+    assert all(len(chunk) < (1 << 16) + 100 for chunk in chunks)
 
 
 @pytest.mark.parametrize(

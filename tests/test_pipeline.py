@@ -23,6 +23,7 @@ from fusekit.pipeline import (
     inject_rerank,
     read_query_records,
     run_pipeline,
+    write_run_file,
 )
 
 from conftest import make_list
@@ -429,3 +430,22 @@ def test_pipeline_bad_query_records_name_stage_and_line(tmp_path):
         )
     assert excinfo.value.stage == "decompose"
     assert excinfo.value.cause.line == 2
+
+
+@pytest.mark.parametrize(
+    "tag, depth, error", [("t", 0, ValueError), ("a b", 10, ValidationError)], ids=["depth", "tag"]
+)
+@pytest.mark.parametrize("lists", [{}, {"q1": make_list(("d1", 0.5))}], ids=["no-queries", "one-query"])
+def test_write_run_file_rejects_a_bad_depth_or_tag_and_keeps_the_old_file(tmp_path, lists, tag, depth, error):
+    target = tmp_path / "out.run"
+    target.write_bytes(b"old")
+    with pytest.raises(error):
+        write_run_file(target, RunSet(lists=lists, tag=tag), depth)
+    assert target.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.run"]
+
+
+def test_pipeline_missing_input_file_is_an_os_error_not_a_stage_error(tmp_path):
+    config = PipelineConfig(strategy=FusionStrategy("rrf", 60))
+    with pytest.raises(FileNotFoundError):
+        run_pipeline(config, tmp_path / "out", subquery_map_path=tmp_path / "missing.jsonl")

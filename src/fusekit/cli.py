@@ -199,6 +199,11 @@ def _read(parse, path: Path, *args):
         return parse(fh, *args)
 
 
+def _write_json(path: Path, payload) -> None:
+    """Write ``payload`` to ``path`` as indented JSON and a final newline."""
+    atomic_write(path, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+
+
 def _lines(items) -> Iterator[bytes]:
     """Each of ``items``, serialized bytes, followed by a newline: the chunks of a JSON-lines file."""
     return (item + b"\n" for item in items)
@@ -254,7 +259,7 @@ def _cmd_delta(args) -> int:
             "candidate": candidate.tag,
             "deltas": report.deltas,
         }
-        atomic_write(args.json, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        _write_json(args.json, payload)
     return 0
 
 
@@ -284,7 +289,7 @@ def _cmd_ablate(args) -> int:
             str(keep): {name: {"mean": m, "std": s} for name, (m, s) in row.items()}
             for keep, row in report.rows.items()
         }
-        atomic_write(args.json, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        _write_json(args.json, payload)
     return 0
 
 
@@ -316,7 +321,7 @@ def _cmd_claims_attach(args) -> int:
                 for p in report.orphan_predictions
             ],
         }
-        atomic_write(args.unmatched, (json.dumps(payload, indent=2) + "\n").encode("utf-8"))
+        _write_json(args.unmatched, payload)
     print(
         f"attached {len(calibrated)} of {len(artifacts)} artifacts "
         f"({len(report.unmatched_artifacts)} unmatched, {len(report.orphan_predictions)} orphan predictions)"

@@ -14,29 +14,26 @@ Wire formats:
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import math
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 
-import requests
-
-from .core import RunSet, Source, iter_jsonl, truncate
-from .errors import ParseError, TransportError, ValidationError
+from .core import RunSet, Source, _expect, _json_float, load_records, truncate
+from .errors import TransportError, ValidationError
 
 logger = logging.getLogger(__name__)
 
 
-def _retryable(error: requests.RequestException) -> bool:
-    """Connect errors, timeouts, 5xx and 429 may pass on a later attempt; others will not."""
-    if isinstance(error, requests.HTTPError):
-        status = error.response.status_code
-        return status >= 500 or status == 429
-    return isinstance(error, (requests.ConnectionError, requests.Timeout))
-
-
 class HttpTextClient:
-    """POST a JSON payload, return the body; only ``_retryable`` failures are retried."""
+    """POST a JSON payload, return the body.
+
+    Only connect errors, timeouts, resets, 5xx and 429 are retried: they may pass on a later attempt.
+    """
 
     def __init__(self, endpoint: str, retries: int = 3, backoff: float = 0.25, timeout: float = 30.0):
         if retries < 1:
@@ -47,13 +44,18 @@ class HttpTextClient:
         self.timeout = timeout
 
     def request(self, payload: dict) -> str:
+        if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
+            raise TransportError(f"{self.endpoint} request failed: not an http or https URL")
+        body = json.dumps(payload).encode("utf-8")
+        request = urllib.request.Request(self.endpoint, body, {"Content-Type": "application/json"})
         for attempt in range(self.retries):
             try:
-                response = requests.post(self.endpoint, json=payload, timeout=self.timeout)
-                response.raise_for_status()
-                return response.text
-            except requests.RequestException as e:
-                if not _retryable(e):
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    return response.read().decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise TransportError(f"{self.endpoint} reply is not valid UTF-8: {e}") from None
+            except (OSError, http.client.HTTPException) as e:  # URLError and HTTPError are OSErrors
+                if isinstance(e, urllib.error.HTTPError) and e.code < 500 and e.code != 429:
                     raise TransportError(f"{self.endpoint} request failed: {e}") from e
                 if attempt + 1 == self.retries:
                     raise TransportError(
@@ -83,21 +85,20 @@ class ReplayDecomposer:
 
     @classmethod
     def from_jsonl(cls, data: Source) -> "ReplayDecomposer":
-        """Load ``{"query_id", "response"}`` records, one per JSON line."""
-        responses = {}
-        for line_no, record in iter_jsonl(data):
-            if not isinstance(record, dict) or "query_id" not in record or "response" not in record:
-                raise ParseError(
-                    "replay record must be an object with 'query_id' and 'response'", line=line_no
-                )
-            responses[record["query_id"]] = record["response"]
-        return cls(responses)
+        """Load ``{"query_id", "response"}`` records of strings, one per JSON line."""
+        return cls(dict(load_records(data, _replay_entry)))
 
     def decompose_raw(self, record: dict) -> str:
         query_id = record.get("query_id")
         if query_id not in self.responses:
             raise TransportError(f"no recorded decomposition for query {query_id!r}")
         return self.responses[query_id]
+
+
+def _replay_entry(record) -> tuple[str, str]:
+    record = _expect(record, dict, "replay record")
+    query_id = _expect(record.get("query_id"), str, "'query_id'")
+    return query_id, _expect(record.get("response"), str, "'response'")
 
 
 class HttpRetriever:
@@ -117,12 +118,14 @@ class HttpRetriever:
             if not isinstance(hit, dict) or "doc_id" not in hit or "score" not in hit:
                 raise TransportError("retriever hits need 'doc_id' and 'score'")
             try:
-                score = float(hit["score"])
-            except (TypeError, ValueError, OverflowError):
+                score = _json_float(hit["score"])
+            except (TypeError, OverflowError):
                 score = math.nan
             if not math.isfinite(score):
                 raise TransportError(f"retriever hit score must be a finite number, got {hit['score']!r}")
-            pairs.append((str(hit["doc_id"]), score))
+            if not isinstance(hit["doc_id"], str):
+                raise TransportError(f"retriever hit doc_id must be a string, got {hit['doc_id']!r}")
+            pairs.append((hit["doc_id"], score))
         return pairs
 
 

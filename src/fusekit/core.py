@@ -23,7 +23,7 @@ import secrets
 from array import array
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NamedTuple, get_type_hints
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
 from .errors import ParseError, ValidationError
 
@@ -58,36 +58,26 @@ def _iter_lines(source: Source) -> Iterator[str]:
     """The lines of the whole input's ``splitlines()``.
 
     Text, already whole in memory, is split at once. Bytes and files are read
-    ``_CHUNK`` bytes at a time into one buffer that every read reuses. Each
-    read is decoded up to just after its last newline, so no ``\r\n`` pair is
-    split, and in UTF-8 no multibyte sequence holds the byte ``0x0A``; the
-    bytes after it move to the front of the buffer for the next read, and a
-    line longer than the buffer doubles it. An invalid byte is reported at
-    its offset in the whole input.
+    ``_CHUNK`` bytes at a time, each read completed to the end of its line, so
+    every chunk but the last ends just after a ``\n``: no ``\r\n`` pair is
+    split, and in UTF-8 no multibyte sequence holds the byte ``0x0A``. An
+    invalid byte is reported at its offset in the whole input.
     """
     if isinstance(source, str):
         yield from source.splitlines()
         return
     if isinstance(source, bytes):
         source = io.BytesIO(source)  # shares the bytes' buffer, no copy
-    buf = bytearray(_CHUNK)
-    offset = kept = 0  # where buf[0] is in the input; bytes at its front kept from the last read
-    while True:
-        if kept == len(buf):
-            buf *= 2
-        with memoryview(buf) as view:  # released before the buffer may grow
-            size = kept + source.readinto(view[kept:])
-            last = size == kept  # the input has ended: what is kept is its last line
-            cut = size if last else buf.rfind(b"\n", 0, size) + 1
-            try:
-                text = str(view[:cut], "utf-8")
-            except UnicodeDecodeError as e:
-                raise ParseError(f"input is not valid UTF-8: {_moved(e, offset)}") from None
+    offset = 0  # where the chunk starts in the input
+    while chunk := source.read(_CHUNK):
+        if not chunk.endswith(b"\n"):
+            chunk += source.readline()
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"input is not valid UTF-8: {_moved(e, offset)}") from None
         yield from text.splitlines()
-        if last:
-            return
-        buf[: size - cut] = buf[cut:size]
-        offset, kept = offset + cut, size - cut
+        offset += len(chunk)
 
 
 def _moved(e: UnicodeDecodeError, offset: int) -> str:
@@ -106,6 +96,17 @@ def iter_jsonl(data: Source) -> Iterator[tuple[int, object]]:
         line = raw.strip()
         if line:
             yield line_no, _json_value(line, line_no)
+
+
+def load_records(data: Source, build: Callable[[object], object]) -> list:
+    """``build(value)`` per JSON line; its ValidationError becomes a ParseError with the line."""
+    items = []
+    for line_no, value in iter_jsonl(data):
+        try:
+            items.append(build(value))
+        except ValidationError as e:
+            raise ParseError(str(e), line=line_no) from None
+    return items
 
 
 def _loads(data):
@@ -142,6 +143,16 @@ def _expect(value, kind: type, what: str, item: type | None = None):
 def _is_json(value, kind: type) -> bool:
     # bool is a subclass of int, but JSON true and false are not integers
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+_JSON_NUMBERS = frozenset((int, float))  # json.loads's number types; JSON true and false are bools
+
+
+def _json_float(value) -> float:
+    """``float(value)`` of a JSON number; any other value, even a bool or a numeric string, is a TypeError."""
+    if type(value) not in _JSON_NUMBERS:
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
 
 
 _TEXT_HINTS = {str: False, str | None: True}  # text annotation -> whether None is allowed
@@ -519,16 +530,7 @@ class SubQueryMap:
         object.__setattr__(self, "groups", groups)
         seen_sub: set[str] = set()
         for qid, subs in groups.items():
-            _check_token(qid, "query id")
-            if not subs:
-                raise ValidationError(f"query {qid!r} has an empty sub-query group")
-            for sub_id, text in subs:
-                _check_token(sub_id, "sub-query id")
-                if not isinstance(text, str):
-                    raise ValidationError(f"sub-query {sub_id!r} text must be a string")
-                if sub_id in seen_sub:
-                    raise ValidationError(f"sub-query id {sub_id!r} appears twice")
-                seen_sub.add(sub_id)
+            _check_group(qid, subs, seen_sub)
 
     def group_sizes(self) -> list[int]:
         return [len(subs) for subs in self.groups.values()]
@@ -537,31 +539,39 @@ class SubQueryMap:
         return [sub_id for sub_id, _ in self.groups[qid]]
 
 
+def _check_group(qid: QueryId, subs: tuple[tuple[QueryId, str], ...], seen_sub: set[str]) -> None:
+    """Check one query's sub-query group; ``seen_sub`` holds the sub-query ids of the groups before it."""
+    _check_token(qid, "query id")
+    if not subs:
+        raise ValidationError(f"query {qid!r} has an empty sub-query group")
+    for sub_id, text in subs:
+        _check_token(sub_id, "sub-query id")
+        if not isinstance(text, str):
+            raise ValidationError(f"sub-query {sub_id!r} text must be a string")
+        if sub_id in seen_sub:
+            raise ValidationError(f"sub-query id {sub_id!r} appears twice")
+        seen_sub.add(sub_id)
+
+
 def parse_subquery_map(data: Source) -> SubQueryMap:
-    """Parse the JSON-lines sub-query map, preserving sub-query order."""
+    """Parse the JSON-lines sub-query map, preserving sub-query order; a bad group names its line."""
     groups: dict[str, tuple[tuple[str, str], ...]] = {}
-    for line_no, record in iter_jsonl(data):
+    seen_sub: set[str] = set()
+
+    def add_group(record) -> None:
         if not isinstance(record, dict) or "query_id" not in record or "sub_queries" not in record:
-            raise ParseError(
-                "record must be an object with 'query_id' and 'sub_queries'",
-                line=line_no,
-            )
-        qid = record["query_id"]
-        subs = record["sub_queries"]
-        if not isinstance(qid, str):
-            raise ParseError(f"'query_id' must be a string, got {qid!r}", line=line_no)
-        if not isinstance(subs, list):
-            raise ParseError("'sub_queries' must be an array", line=line_no)
+            raise ValidationError("record must be an object with 'query_id' and 'sub_queries'")
+        qid = _expect(record["query_id"], str, "'query_id'")
+        subs = _expect(record["sub_queries"], list, "'sub_queries'", item=dict)
         if qid in groups:
             raise ValidationError(f"query {qid!r} appears in two map records")
-        entries = []
-        for sub in subs:
-            if not isinstance(sub, dict) or "id" not in sub or "text" not in sub:
-                raise ParseError(
-                    "each sub-query needs 'id' and 'text'", line=line_no
-                )
-            entries.append((sub["id"], sub["text"]))
-        groups[qid] = tuple(entries)
+        if not all("id" in sub and "text" in sub for sub in subs):
+            raise ValidationError("each sub-query needs 'id' and 'text'")
+        group = tuple((sub["id"], sub["text"]) for sub in subs)
+        _check_group(qid, group, seen_sub)
+        groups[qid] = group
+
+    load_records(data, add_group)
     return SubQueryMap(groups)
 
 

@@ -29,10 +29,10 @@ from functools import partial
 from typing import Iterable, Union
 
 from .core import (
-    DocId, QueryId, Source, _check_token, _expect, _loads, from_json_object, iter_jsonl, json_record,
-    to_json_object,
+    DocId, QueryId, Source, _JSON_NUMBERS, _check_token, _expect, _json_float, _loads, from_json_object,
+    json_record, load_records, to_json_object,
 )
-from .errors import AnswerTagError, ParseError, ValidationError
+from .errors import AnswerTagError, ValidationError
 
 MODALITIES = ("visual", "ocr", "audio")
 CLAIM_SOURCES = ("video_visual", "video_text", "transcript")
@@ -50,8 +50,8 @@ def _normalize_timestamp(value, what: str) -> tuple[float, float]:
         start, end = float(match.group(1)), float(match.group(2))
     elif isinstance(value, (list, tuple)) and len(value) == 2:
         try:
-            start, end = float(value[0]), float(value[1])
-        except (TypeError, ValueError, OverflowError):
+            start, end = _json_float(value[0]), _json_float(value[1])
+        except (TypeError, OverflowError):
             raise ValidationError(f"{what}: timestamp entries must be numbers: {value!r}") from None
     else:
         raise ValidationError(f"{what}: timestamp must be [start, end] or a span string, got {value!r}")
@@ -63,13 +63,12 @@ def _normalize_timestamp(value, what: str) -> tuple[float, float]:
 
 
 def _check_confidence(value, what: str) -> float:
-    try:
-        conf = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what}: confidence must be a number, got {value!r}") from None
-    if not 0.0 <= conf <= 1.0:
-        raise ValidationError(f"{what}: confidence {conf} outside [0, 1]")
-    return conf
+    if type(value) not in _JSON_NUMBERS:
+        raise ValidationError(f"{what}: confidence must be a number, got {value!r}")
+    # compared before float(), which cannot hold an integer like 10**400
+    if not 0.0 <= value <= 1.0:
+        raise ValidationError(f"{what}: confidence {value} outside [0, 1]")
+    return float(value)
 
 
 @json_record
@@ -179,18 +178,7 @@ def serialize(record: EvidenceRecord) -> bytes:
 
 def load_evidence(data: Source) -> list[EvidenceRecord]:
     """Parse a JSON-lines evidence file."""
-    return _load_jsonl(data, _evidence_record)
-
-
-def _load_jsonl(data: Source, build) -> list:
-    """``build(value)`` per JSON line; its ValidationError becomes a ParseError with the line."""
-    items = []
-    for line_no, value in iter_jsonl(data):
-        try:
-            items.append(build(value))
-        except ValidationError as e:
-            raise ParseError(str(e), line=line_no) from None
-    return items
+    return load_records(data, _evidence_record)
 
 
 def parse_answer_tag(text: str) -> float:
@@ -264,7 +252,7 @@ class Prediction:
 
 def load_predictions(data: Source) -> list[Prediction]:
     """Parse a JSON-lines prediction file, one ``Prediction`` object per line."""
-    return _load_jsonl(data, partial(from_json_object, Prediction))
+    return load_records(data, partial(from_json_object, Prediction))
 
 
 @dataclass(frozen=True)
@@ -381,4 +369,4 @@ def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
 
 
 def load_calibrated(data: Source, backend: str = DEFAULT_BACKEND) -> list[CalibratedArtifact]:
-    return _load_jsonl(data, lambda record: _calibrated_artifact(record, backend))
+    return load_records(data, lambda record: _calibrated_artifact(record, backend))

@@ -128,15 +128,20 @@ class MemoryBank:
         self.keywords.setdefault(video_id, set()).add(keyword)
         self._videos_by_keyword.setdefault(keyword.lower(), set()).add(video_id)
 
-    def remove_fact(self, video_id: str, index: int) -> FactEntry:
-        """Delete one fact; later facts shift down by one."""
+    def _facts(self, video_id: str, index: int | None = None) -> list[FactEntry]:
+        """The video's fact list; KeyError if it has none, IndexError if ``index`` is not in it."""
         if video_id not in self.fact_table:
             raise KeyError(f"no facts recorded for video {video_id!r}")
         facts = self.fact_table[video_id]
-        if not 0 <= index < len(facts):
+        if index is not None and not 0 <= index < len(facts):
             raise IndexError(
                 f"fact index {index} out of range for video {video_id!r} ({len(facts)} facts)"
             )
+        return facts
+
+    def remove_fact(self, video_id: str, index: int) -> FactEntry:
+        """Delete one fact; later facts shift down by one."""
+        facts = self._facts(video_id, index)
         del self._lower_facts[video_id][index]
         return facts.pop(index)
 
@@ -147,24 +152,13 @@ class MemoryBank:
                 self.fact_table[vid] = []
                 self._lower_facts[vid] = []
             return
-        if video_id not in self.fact_table:
-            raise KeyError(f"no facts recorded for video {video_id!r}")
+        self._facts(video_id)
         self.fact_table[video_id] = []
         self._lower_facts[video_id] = []
 
     def select_facts(self, references: list[tuple[str, int]]) -> None:
         """Replace selected_facts with the referenced facts' texts, in order."""
-        texts = []
-        for video_id, index in references:
-            if video_id not in self.fact_table:
-                raise KeyError(f"no facts recorded for video {video_id!r}")
-            facts = self.fact_table[video_id]
-            if not 0 <= index < len(facts):
-                raise IndexError(
-                    f"fact index {index} out of range for video {video_id!r} ({len(facts)} facts)"
-                )
-            texts.append(facts[index].fact)
-        self.selected_facts = texts
+        self.selected_facts = [self._facts(video_id, index)[index].fact for video_id, index in references]
 
     def set_findings(self, findings: list[str]) -> None:
         """Whole-slot replace; findings have no finer-grained editor."""

@@ -31,14 +31,14 @@ from .core import (
     SubQueryMap,
     _expect,
     atomic_write,
-    iter_jsonl,
+    load_records,
     parse_run,
     parse_subquery_map,
     truncate,
     write_run,
 )
 from .ablation import fuse_runs
-from .errors import ParseError, PipelineStageError, ValidationError
+from .errors import PipelineStageError, ValidationError
 from .fusion import FusionStrategy
 
 logger = logging.getLogger(__name__)
@@ -172,12 +172,7 @@ def sub_query_id(query_id: str, position: int) -> str:
 
 def read_query_records(data: Source) -> list[dict]:
     """Query records from JSON lines, one object per line."""
-    records = []
-    for line_no, record in iter_jsonl(data):
-        if not isinstance(record, dict):
-            raise ParseError("query record must be a JSON object", line=line_no)
-        records.append(record)
-    return records
+    return load_records(data, lambda record: _expect(record, dict, "query record"))
 
 
 def decompose_all(records: list[dict], decomposer) -> tuple[SubQueryMap, list[DecompositionResult]]:

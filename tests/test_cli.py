@@ -355,6 +355,66 @@ def test_decompose_cli_transport_error_names_query(tmp_path, capsys):
     assert "decompose" in err["message"]
 
 
+def _error_record(capsys) -> dict:
+    [line] = capsys.readouterr().err.splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["whitespace", "repeated"])
+def test_fuse_cli_names_the_map_line_of_a_bad_sub_query_id(tmp_path, capsys, repeat):
+    first, second = [json.loads(line) for line in (PIPE / "subquery_map.jsonl").read_text().splitlines()[:2]]
+    second["sub_queries"][0]["id"] = first["sub_queries"][0]["id"] if repeat else "a b"
+    map_path = tmp_path / "map.jsonl"
+    map_path.write_text(json.dumps(first) + "\n" + json.dumps(second) + "\n")
+    out = tmp_path / "fused.run"
+    code = run_cli(
+        "fuse", "--runs", PIPE / "subqueries.run", "--map", map_path, "--strategy", "rrf", "--out", out
+    )
+    assert code == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == ("ParseError", 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "bad", [{"query_id": ["1"], "response": "[]"}, {"query_id": "1", "response": 5}], ids=["list-id", "number"]
+)
+def test_decompose_cli_names_the_replay_line_of_a_bad_record(tmp_path, capsys, bad):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(json.dumps({"query_id": "0", "response": "[]"}) + "\n" + json.dumps(bad) + "\n")
+    out = tmp_path / "map.jsonl"
+    code = run_cli("decompose", "--queries", PIPE / "queries.jsonl", "--replay", replay, "--out", out)
+    assert code == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == ("ParseError", 2)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "artifact, prediction",
+    [
+        ({}, {"prob": True}),
+        ({}, {"prob": "0.5"}),
+        ({"confidence": "0.5"}, {"prob": 0.5}),
+        ({"timestamp": [True, "3"]}, {"prob": 0.5}),
+    ],
+    ids=["prob-true", "prob-string", "confidence-string", "timestamp-bool-string"],
+)
+def test_claims_attach_rejects_numbers_that_are_not_json_numbers(tmp_path, capsys, artifact, prediction):
+    claim = {"claim_id": "c1", "query_id": "q1", "video_id": "v1", "topic": "t", "claim": "x", **artifact}
+    artifacts = tmp_path / "artifacts.jsonl"
+    artifacts.write_text(json.dumps(claim) + "\n")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(json.dumps({"artifact_id": "c1", **prediction}) + "\n")
+    out = tmp_path / "out.jsonl"
+    code = run_cli("claims", "attach", "--artifacts", artifacts, "--predictions", predictions, "--out", out)
+    assert code == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == ("ParseError", 1)
+    assert "must be a number" in record["message"] or "must be numbers" in record["message"]
+    assert not out.exists()
+
+
 def test_exit_code_io_error(tmp_path, capsys):
     code = run_cli("eval", "--run", tmp_path / "missing.run", "--qrels", tmp_path / "q.txt")
     assert code == 2

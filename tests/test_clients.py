@@ -5,7 +5,6 @@ import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-import requests
 
 from fusekit import ParseError, ScoredList, RunSet, TransportError
 from fusekit.clients import (
@@ -21,8 +20,10 @@ class _StubHandler(BaseHTTPRequestHandler):
     """Echo-style service: behavior switches on the request path."""
 
     failures_left = 0
+    posts = 0  # requests received
 
     def do_POST(self):
+        type(self).posts += 1
         length = int(self.headers.get("Content-Length", 0))
         payload = json.loads(self.rfile.read(length) or b"{}")
         if self.path == "/flaky" and type(self).failures_left > 0:
@@ -38,11 +39,13 @@ class _StubHandler(BaseHTTPRequestHandler):
             )
         elif self.path == "/garbage":
             body = "not json at all"
+        elif self.path == "/latin1":
+            body = "café"
         else:
             self.send_response(404)
             self.end_headers()
             return
-        data = body.encode("utf-8")
+        data = body.encode("latin-1" if self.path == "/latin1" else "utf-8")
         self.send_response(200)
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -90,19 +93,26 @@ def test_http_client_gives_up_after_retries(stub_server):
     _StubHandler.failures_left = 0
 
 
-def test_http_client_does_not_retry_client_errors(stub_server, monkeypatch):
-    calls = []
-    real_post = requests.post
-
-    def counting_post(*args, **kwargs):
-        calls.append(args)
-        return real_post(*args, **kwargs)
-
-    monkeypatch.setattr(requests, "post", counting_post)
+def test_http_client_does_not_retry_client_errors(stub_server):
+    _StubHandler.posts = 0
     client = HttpTextClient(f"{stub_server}/missing", retries=3, backoff=0.01)
     with pytest.raises(TransportError, match="404"):
         client.request({"query": "x"})
-    assert len(calls) == 1
+    assert _StubHandler.posts == 1
+
+
+def test_http_client_rejects_a_reply_that_is_not_utf8(stub_server):
+    _StubHandler.posts = 0
+    client = HttpTextClient(f"{stub_server}/latin1", retries=3, backoff=0.01)
+    with pytest.raises(TransportError, match="not valid UTF-8"):
+        client.request({"query": "x"})
+    assert _StubHandler.posts == 1
+
+
+@pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "127.0.0.1:9/none", ""])
+def test_http_client_rejects_an_endpoint_that_is_not_http(endpoint):
+    with pytest.raises(TransportError, match="request failed"):
+        HttpTextClient(endpoint, retries=1).request({})
 
 
 def test_http_client_unreachable_endpoint():
@@ -128,6 +138,22 @@ def test_http_retriever_rejects_non_finite_or_non_numeric_score(body):
         client.retrieve("s1", "anything", 3)
 
 
+@pytest.mark.parametrize("score", ['"0.9"', "true", "1" + "0" * 400])
+def test_http_retriever_takes_only_json_numbers_as_scores(score):
+    client = HttpRetriever("http://127.0.0.1:9/unused")
+    client._client.request = lambda payload: '[{"doc_id": "v0", "score": %s}]' % score
+    with pytest.raises(TransportError, match="finite number"):
+        client.retrieve("s1", "anything", 3)
+
+
+@pytest.mark.parametrize("doc_id", ["7", "null", '["v0"]'])
+def test_http_retriever_rejects_a_doc_id_that_is_not_a_string(doc_id):
+    client = HttpRetriever("http://127.0.0.1:9/unused")
+    client._client.request = lambda payload: '[{"doc_id": %s, "score": 0.5}]' % doc_id
+    with pytest.raises(TransportError, match="doc_id must be a string"):
+        client.retrieve("s1", "anything", 3)
+
+
 def test_replay_decomposer_from_jsonl():
     data = json.dumps({"query_id": "1", "response": "[\"a\", \"b\"]"})
     replay = ReplayDecomposer.from_jsonl(data)
@@ -150,3 +176,14 @@ def test_replay_decomposer_bad_record_reports_line(line):
     with pytest.raises(ParseError) as excinfo:
         ReplayDecomposer.from_jsonl(data)
     assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "line", ['{"query_id": ["1"], "response": "[]"}', '{"query_id": 1, "response": "[]"}',
+             '{"query_id": "1", "response": ["a"]}', '{"query_id": "1", "response": null}']
+)
+def test_replay_decomposer_rejects_records_that_are_not_strings(line):
+    data = json.dumps({"query_id": "0", "response": "[]"}) + "\n" + line + "\n"
+    with pytest.raises(ParseError, match="must be a JSON string") as excinfo:
+        ReplayDecomposer.from_jsonl(data)
+    assert excinfo.value.line == 2

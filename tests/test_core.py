@@ -301,8 +301,9 @@ def test_parse_subquery_map_preserves_order():
 
 
 def test_parse_subquery_map_empty_group_is_error():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as excinfo:
         parse_subquery_map(_map_record("q1", 0))
+    assert excinfo.value.line == 1
 
 
 def test_parse_subquery_map_duplicate_sub_id_is_error():
@@ -311,8 +312,30 @@ def test_parse_subquery_map_duplicate_sub_id_is_error():
     record = json.dumps(
         {"query_id": "q1", "sub_queries": [{"id": "s0", "text": "a"}, {"id": "s0", "text": "b"}]}
     )
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as excinfo:
         parse_subquery_map(record)
+    assert excinfo.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"query_id": "q2", "sub_queries": [{"id": "a b", "text": "x"}]},
+        {"query_id": "q2", "sub_queries": [{"id": 7, "text": "x"}]},
+        {"query_id": "q 2", "sub_queries": [{"id": "q2-s0", "text": "x"}]},
+        {"query_id": "q2", "sub_queries": [{"id": "q2-s0", "text": ["x"]}]},
+        {"query_id": "q2", "sub_queries": [{"id": "q1-s1", "text": "x"}]},
+        {"query_id": "q1", "sub_queries": [{"id": "q2-s0", "text": "x"}]},
+    ],
+    ids=["sub-id-whitespace", "sub-id-number", "query-id-whitespace", "text-not-string",
+         "sub-id-of-line-1", "query-id-of-line-1"],
+)
+def test_parse_subquery_map_bad_group_reports_its_line(record):
+    import json
+
+    with pytest.raises(ParseError) as excinfo:
+        parse_subquery_map(_map_record("q1", 2) + "\n" + json.dumps(record) + "\n")
+    assert excinfo.value.line == 2
 
 
 def test_parse_subquery_map_bad_json_reports_line():

@@ -103,6 +103,31 @@ def test_prediction_prob_beyond_the_float_range_rejected():
         load_predictions(json.dumps({"prob": 10**400, "artifact_id": "a"}))
 
 
+@pytest.mark.parametrize("confidence", [True, False, "0.5"])
+def test_confidence_must_be_a_json_number(confidence):
+    with pytest.raises(ValidationError, match="confidence must be a number"):
+        validate({**CLAIM_FIXTURE, "confidence": confidence})
+
+
+@pytest.mark.parametrize("prob", [True, "0.5"])
+def test_prediction_prob_must_be_a_json_number(prob):
+    with pytest.raises(ParseError, match="line 1: prediction: confidence must be a number"):
+        load_predictions(json.dumps({"prob": prob, "artifact_id": "a"}))
+
+
+@pytest.mark.parametrize("timestamp", [[True, "3"], [0, "3"], [False, 1]])
+@pytest.mark.parametrize("fixture", [NOTE_FIXTURE, CLAIM_FIXTURE], ids=["note", "claim"])
+def test_timestamp_entries_must_be_json_numbers(fixture, timestamp):
+    with pytest.raises(ValidationError, match="timestamp entries must be numbers"):
+        validate({**fixture, "timestamp": timestamp})
+
+
+def test_integer_confidence_and_timestamp_are_written_as_floats():
+    record = validate({**CLAIM_FIXTURE, "confidence": 1, "timestamp": [0, 3]})
+    assert (record.confidence, record.timestamp) == (1.0, (0.0, 3.0))
+    assert b'"confidence": 1.0' in serialize(record)
+
+
 def test_unknown_modality_rejected():
     with pytest.raises(ValidationError) as excinfo:
         validate({**NOTE_FIXTURE, "modality": "smell"})

@@ -6,8 +6,9 @@ value. A library call either returns or raises ParseError/ValidationError.
 An in-process CLI call either exits 0 with every JSON or JSON-lines file
 it writes free of NaN/Infinity tokens, or exits 1
 with exactly one JSON error record on stderr and no output file (a
-pipeline config may also name an input path that cannot be read, which
-exits 2 with one record). The example budgets are small so the suite
+pipeline config may also name an input path that cannot be read, and a
+replay file may lose a query's recorded response, each of which exits 2
+with one record). The example budgets are small so the suite
 stays a quick tier-1 check.
 """
 
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from fusekit import FactEntry, MemoryBank, ParseError, ValidationError
 from fusekit.ablation import fuse_runs
 from fusekit.cli import main
+from fusekit.clients import ReplayDecomposer
 from fusekit.core import iter_jsonl, parse_qrels, parse_run, parse_subquery_map
 from fusekit.evidence import (
     attach,
@@ -37,7 +39,7 @@ from fusekit.evidence import (
 )
 from fusekit.fusion import FusionStrategy
 from fusekit.metrics import evaluate, report_from_json, report_to_json
-from fusekit.pipeline import PipelineConfig
+from fusekit.pipeline import PipelineConfig, read_query_records
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PIPE = FIXTURES / "pipeline"
@@ -79,6 +81,8 @@ INPUTS = {
     "run": (PIPE / "subqueries.run").read_bytes(),
     "qrels": (PIPE / "qrels.txt").read_bytes(),
     "map": (PIPE / "subquery_map.jsonl").read_bytes(),
+    "queries": (PIPE / "queries.jsonl").read_bytes(),
+    "replay": (PIPE / "decomposer_replay.jsonl").read_bytes(),
     "artifacts": (EVID / "artifacts.jsonl").read_bytes(),
     "predictions": (EVID / "predictions.jsonl").read_bytes(),
     "calibrated": _calibrated_fixture(),
@@ -168,6 +172,8 @@ PARSERS = {
     "parse_qrels": (mutated("qrels"), parse_qrels),
     "parse_subquery_map": (mutated("map"), parse_subquery_map),
     "iter_jsonl": (mutated("artifacts"), lambda data: list(iter_jsonl(data))),
+    "read_query_records": (mutated("queries"), read_query_records),
+    "ReplayDecomposer.from_jsonl": (mutated("replay"), ReplayDecomposer.from_jsonl),
     "load_evidence": (mutated("artifacts"), load_evidence),
     "load_predictions": (mutated("predictions"), load_predictions),
     "load_calibrated": (mutated("calibrated"), load_calibrated),
@@ -263,6 +269,25 @@ def test_cli_file_commands_exit_cleanly(case, data):
         out_dir.mkdir()
         code, err = _run_cli(argv(tmp / "input", out_dir))
         _check_exit(code, err, out_dir)
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw=mutated("replay"))
+def test_cli_decompose_replay_exits_cleanly(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        replay = Path(tmp) / "replay.jsonl"
+        replay.write_bytes(raw)
+        out_dir = Path(tmp) / "out"
+        out_dir.mkdir()
+        argv = ["decompose", "--queries", PIPE / "queries.jsonl", "--replay", replay, "--out", out_dir / "map.jsonl"]
+        code, err = _run_cli(argv)
+        if code == 2:  # the mutation removed a query's recorded response
+            [line] = err.splitlines()
+            record = json.loads(line)
+            assert record["error"] == "PipelineStageError" and "no recorded decomposition" in record["message"]
+            assert list(out_dir.iterdir()) == []
+        else:
+            _check_exit(code, err, out_dir)
 
 
 @settings(max_examples=25, deadline=None)

@@ -50,7 +50,7 @@ def test_parse_run_holds_no_copy_of_the_input_text(run_bytes):
     assert retained > len(run_bytes)  # the parsed lists themselves
     # a whole-input copy (the decoded text, a list of every line) would exceed this;
     # measured: 9.2 MB with both, 2.9 MB decoding one 1 MiB slice at a time, 0.25 MB reading
-    # 64 KiB at a time into one reused buffer
+    # 64 KiB at a time, each read completed to the end of its line
     assert peak - retained < 4_500_000
 
 
@@ -61,7 +61,7 @@ def test_parse_run_from_a_file_holds_no_copy_of_the_input(run_bytes, tmp_path):
         run, retained, peak = traced_call(parse_run, fh)
     assert sum(len(ranking) for ranking in run.lists.values()) == QUERIES * DEPTH
     # below what one whole-input copy (3.6 MB) would add; measured: 0.25 MB, one 64 KiB
-    # read, its text and its lines at a time, as from bytes
+    # read (completed to the end of its line), its text and its lines at a time, as from bytes
     assert peak - retained < len(run_bytes)
 
 

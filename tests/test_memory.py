@@ -509,3 +509,12 @@ def test_load_rejects_a_fact_confidence_that_is_not_a_probability(confidence):
     payload["videos"] = {"v1": {"status": "pending", "tools_used": []}}
     with pytest.raises(ValidationError, match="confidence"):
         MemoryBank.load(json.dumps(payload))
+
+
+@pytest.mark.parametrize("confidence", [True, "0.5"])
+def test_load_rejects_a_fact_confidence_that_is_not_a_json_number(confidence):
+    payload = json.loads(MemoryBank().dump())
+    payload["fact_table"] = {"v1": [{"fact": "x", "confidence": confidence}]}
+    payload["videos"] = {"v1": {"status": "pending", "tools_used": []}}
+    with pytest.raises(ValidationError, match="confidence must be a number"):
+        MemoryBank.load(json.dumps(payload))

@@ -18,6 +18,7 @@ from typing import Iterator
 
 from . import __version__
 from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_ablation
+from .clients import HttpDecomposer, HttpRetriever, ReplayDecomposer
 from .core import (
     RunSet,
     _loads,
@@ -462,12 +463,8 @@ def _cmd_pipeline(args) -> int:
     decomposer = retriever = None
     endpoints = _endpoints_with_env(config.endpoints)
     if "decomposer" in endpoints:
-        from .clients import HttpDecomposer
-
         decomposer = HttpDecomposer(endpoints["decomposer"])
     if "retriever" in endpoints:
-        from .clients import HttpRetriever
-
         retriever = HttpRetriever(endpoints["retriever"])
     result = run_pipeline(
         config,
@@ -499,12 +496,8 @@ def _endpoints_with_env(endpoints: dict) -> dict:
 def _cmd_decompose(args) -> int:
     records = _read(read_query_records, args.queries)
     if args.replay is not None:
-        from .clients import ReplayDecomposer
-
         decomposer = _read(ReplayDecomposer.from_jsonl, args.replay)
     else:
-        from .clients import HttpDecomposer
-
         decomposer = HttpDecomposer(args.endpoint)
     mapping, results = decompose_all(records, decomposer)
     atomic_write(args.out, write_subquery_map(mapping))

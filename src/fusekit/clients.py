@@ -4,6 +4,11 @@ The service contract is deliberately narrow: one JSON payload posted to
 an endpoint, one structured response back. Every live client has a replay
 twin backed by fixture files so the whole pipeline runs offline.
 
+A retriever returns a checked ``ScoredList``: ``HttpRetriever`` builds it
+with ``ScoredList.from_pairs`` from the service's hits, and
+``ReplayRetriever`` serves the already parsed lists of a run file, which is
+how the pipeline reads a per-sub-query run file.
+
 Wire formats:
   decomposer  POST {"query_id", "title", "language", "persona",
                     "background", "query"}  ->  raw text body (expected to
@@ -14,16 +19,12 @@ Wire formats:
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import math
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 
-from .core import RunSet, Source, _expect, _json_float, load_records, truncate
+from .core import RunSet, ScoredList, Source, _expect, _json_float, load_records, truncate
 from .errors import TransportError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -44,6 +45,12 @@ class HttpTextClient:
         self.timeout = timeout
 
     def request(self, payload: dict) -> str:
+        # imported here, so only a live request pays the HTTP stack's memory and import time
+        import http.client
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
         if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
             raise TransportError(f"{self.endpoint} request failed: not an http or https URL")
         body = json.dumps(payload).encode("utf-8")
@@ -85,8 +92,17 @@ class ReplayDecomposer:
 
     @classmethod
     def from_jsonl(cls, data: Source) -> "ReplayDecomposer":
-        """Load ``{"query_id", "response"}`` records of strings, one per JSON line."""
-        return cls(dict(load_records(data, _replay_entry)))
+        """Load ``{"query_id", "response"}`` records of strings, one per JSON line and query id."""
+        responses = {}
+
+        def add(record) -> None:
+            query_id, response = _replay_entry(record)
+            if query_id in responses:
+                raise ValidationError(f"query {query_id!r} appears in two replay records")
+            responses[query_id] = response
+
+        load_records(data, add)
+        return cls(responses)
 
     def decompose_raw(self, record: dict) -> str:
         query_id = record.get("query_id")
@@ -105,7 +121,7 @@ class HttpRetriever:
     def __init__(self, endpoint: str, **kwargs):
         self._client = HttpTextClient(endpoint, **kwargs)
 
-    def retrieve(self, query_id: str, query_text: str, depth: int) -> list[tuple[str, float]]:
+    def retrieve(self, query_id: str, query_text: str, depth: int) -> ScoredList:
         body = self._client.request({"query_id": query_id, "query": query_text, "depth": depth})
         try:
             hits = json.loads(body)
@@ -126,7 +142,7 @@ class HttpRetriever:
             if not isinstance(hit["doc_id"], str):
                 raise TransportError(f"retriever hit doc_id must be a string, got {hit['doc_id']!r}")
             pairs.append((hit["doc_id"], score))
-        return pairs
+        return ScoredList.from_pairs(pairs)
 
 
 class ReplayRetriever:
@@ -135,7 +151,7 @@ class ReplayRetriever:
     def __init__(self, runs: RunSet):
         self.runs = runs
 
-    def retrieve(self, query_id: str, query_text: str, depth: int) -> list[tuple[str, float]]:
+    def retrieve(self, query_id: str, query_text: str, depth: int) -> ScoredList:
         if query_id not in self.runs.lists:
             raise ValidationError(f"no recorded ranked list for sub-query {query_id!r}")
-        return list(truncate(self.runs.lists[query_id], depth))
+        return truncate(self.runs.lists[query_id], depth)

@@ -194,8 +194,7 @@ def from_json_object(cls, obj):
 
     A non-object or a missing required field is a ValidationError.
     """
-    if not isinstance(obj, dict):
-        raise ValidationError(f"record must be a JSON object, got {type(obj).__name__}")
+    obj = _expect(obj, dict, "record")
     if not obj.keys() >= cls._json_required:
         missing = [name for name, required in cls._json_fields if required and name not in obj]
         raise ValidationError(f"record is missing required fields: {', '.join(missing)}")
@@ -559,15 +558,12 @@ def parse_subquery_map(data: Source) -> SubQueryMap:
     seen_sub: set[str] = set()
 
     def add_group(record) -> None:
-        if not isinstance(record, dict) or "query_id" not in record or "sub_queries" not in record:
-            raise ValidationError("record must be an object with 'query_id' and 'sub_queries'")
-        qid = _expect(record["query_id"], str, "'query_id'")
-        subs = _expect(record["sub_queries"], list, "'sub_queries'", item=dict)
+        record = _expect(record, dict, "map record")
+        qid = _expect(record.get("query_id"), str, "'query_id'")
+        subs = _expect(record.get("sub_queries"), list, "'sub_queries'", item=dict)
         if qid in groups:
             raise ValidationError(f"query {qid!r} appears in two map records")
-        if not all("id" in sub and "text" in sub for sub in subs):
-            raise ValidationError("each sub-query needs 'id' and 'text'")
-        group = tuple((sub["id"], sub["text"]) for sub in subs)
+        group = tuple((sub.get("id"), sub.get("text")) for sub in subs)
         _check_group(qid, group, seen_sub)
         groups[qid] = group
 

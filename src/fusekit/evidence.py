@@ -156,8 +156,7 @@ def validate(record: bytes | str | dict) -> EvidenceRecord:
 
 
 def _evidence_record(record) -> EvidenceRecord:
-    if not isinstance(record, dict):
-        raise ValidationError(f"evidence record must be a JSON object, got {type(record).__name__}")
+    record = _expect(record, dict, "evidence record")
     if "note_id" in record:
         return from_json_object(NoteRecord, record)
     if "claim_id" in record:
@@ -349,21 +348,18 @@ def parse_calibrated(data: bytes | str | dict, backend: str = DEFAULT_BACKEND) -
 
 
 def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
-    if not isinstance(data, dict) or "calibration" not in data:
-        raise ValidationError("calibrated record must be an object with a 'calibration' key")
-    calibration = _expect(data["calibration"], dict, "'calibration'")
+    data = _expect(data, dict, "calibrated record")
+    calibration = _expect(data.get("calibration"), dict, "'calibration'")
     if backend not in calibration:
         raise ValidationError(
             f"no calibration payload for backend {backend!r}; present: {sorted(calibration)}"
         )
-    payload = calibration[backend]
-    if not isinstance(payload, dict) or "prob" not in payload:
-        raise ValidationError(f"backend {backend!r} payload must contain 'prob'")
+    payload = _expect(calibration[backend], dict, f"backend {backend!r} payload")
     raw = _expect(payload.get("raw", {}), dict, f"backend {backend!r} payload 'raw'")
     return CalibratedArtifact(
         artifact=_evidence_record(data),
         calibration=CalibrationPayload(
-            prob=payload["prob"], backend=backend, raw_output=raw.get("raw_output")
+            prob=payload.get("prob"), backend=backend, raw_output=raw.get("raw_output")
         ),
     )
 

@@ -29,15 +29,16 @@ from .core import (
     ScoredList,
     Source,
     SubQueryMap,
+    _check_token,
     _expect,
     atomic_write,
     load_records,
     parse_run,
     parse_subquery_map,
-    truncate,
     write_run,
 )
 from .ablation import fuse_runs
+from .clients import ReplayRetriever
 from .errors import PipelineStageError, ValidationError
 from .fusion import FusionStrategy
 
@@ -133,9 +134,7 @@ def decompose(record: dict, decomposer) -> DecompositionResult:
     ``fallback_used`` is set. Arrays longer than 25 are truncated. Only a
     transport failure propagates.
     """
-    for name in ("query_id", "query"):
-        if not record.get(name):
-            raise ValidationError(f"query record is missing {name!r}")
+    _check_query_record(record)
     sub_queries = _parse_sub_queries(decomposer.decompose_raw(record))
     fallback_used = sub_queries is None
     if fallback_used:
@@ -171,8 +170,18 @@ def sub_query_id(query_id: str, position: int) -> str:
 
 
 def read_query_records(data: Source) -> list[dict]:
-    """Query records from JSON lines, one object per line."""
-    return load_records(data, lambda record: _expect(record, dict, "query record"))
+    """Query records from JSON lines, one object per line, each checked by ``_check_query_record``."""
+    return load_records(data, _check_query_record)
+
+
+def _check_query_record(record) -> dict:
+    """``record`` if it is a JSON object with a token ``query_id`` and a non-empty string ``query``."""
+    record = _expect(record, dict, "query record")
+    _check_token(record.get("query_id"), "'query_id'")
+    query = record.get("query")
+    if not isinstance(query, str) or not query:
+        raise ValidationError(f"'query' must be a non-empty string, got {query!r}")
+    return record
 
 
 def decompose_all(records: list[dict], decomposer) -> tuple[SubQueryMap, list[DecompositionResult]]:
@@ -277,12 +286,10 @@ def run_pipeline(
 
     # stage 2: per-sub-query ranked lists
     if "subquery_runs" in inputs:
-        raw_runs = _parse_input("retrieve", parse_run, inputs["subquery_runs"])
-        sub_runs = _collect_sub_lists(mapping, raw_runs, config.first_stage_depth)
-    elif retriever is not None:
-        sub_runs = _retrieve_all(mapping, retriever, config.first_stage_depth)
-    else:
+        retriever = ReplayRetriever(_parse_input("retrieve", parse_run, inputs["subquery_runs"]))
+    elif retriever is None:
         raise ValidationError("pipeline needs a per-sub-query run file or a retriever client")
+    sub_runs = _retrieve_all(mapping, retriever, config.first_stage_depth)
 
     # stage 3: fusion
     fused = _stage(
@@ -347,24 +354,11 @@ def _stage(stage: str, query_id, fn, *args):
         raise PipelineStageError(stage, query_id, e) from e
 
 
-def _collect_sub_lists(mapping: SubQueryMap, raw: RunSet, depth: int) -> RunSet:
-    lists = {}
-    for qid, subs in mapping.groups.items():
-        for sub_id, _ in subs:
-            if sub_id not in raw.lists:
-                raise PipelineStageError(
-                    "retrieve", qid, ValidationError(f"no ranked list for sub-query {sub_id!r}")
-                )
-            lists[sub_id] = truncate(raw.lists[sub_id], depth)
-    return RunSet(lists=lists, tag="subqueries")
-
-
 def _retrieve_all(mapping: SubQueryMap, retriever, depth: int) -> RunSet:
     lists = {}
     for qid, subs in mapping.groups.items():
         for sub_id, text in subs:
-            pairs = _stage("retrieve", qid, retriever.retrieve, sub_id, text, depth)
-            lists[sub_id] = ScoredList.from_pairs(pairs)
+            lists[sub_id] = _stage("retrieve", qid, retriever.retrieve, sub_id, text, depth)
     return RunSet(lists=lists, tag="subqueries")
 
 

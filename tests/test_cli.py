@@ -390,6 +390,30 @@ def test_decompose_cli_names_the_replay_line_of_a_bad_record(tmp_path, capsys, b
     assert not out.exists()
 
 
+def test_decompose_cli_names_the_replay_line_of_a_repeated_query_id(tmp_path, capsys):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text("".join(json.dumps({"query_id": "1", "response": r}) + "\n" for r in ('["a"]', '["b"]')))
+    out = tmp_path / "map.jsonl"
+    code = run_cli("decompose", "--queries", PIPE / "queries.jsonl", "--replay", replay, "--out", out)
+    assert code == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == ("ParseError", 2)
+    assert not out.exists()
+
+
+def test_decompose_cli_names_the_query_line_of_a_query_id_that_is_not_a_string(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"query_id": ["1"], "query": "x"}) + "\n")
+    out = tmp_path / "map.jsonl"
+    code = run_cli(
+        "decompose", "--queries", queries, "--replay", PIPE / "decomposer_replay.jsonl", "--out", out
+    )
+    assert code == 1
+    record = _error_record(capsys)
+    assert (record["error"], record["line"]) == ("ParseError", 1)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "artifact, prediction",
     [

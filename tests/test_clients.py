@@ -62,6 +62,7 @@ def stub_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_decomposer_round_trip(stub_server):
@@ -73,7 +74,7 @@ def test_http_decomposer_round_trip(stub_server):
 def test_http_retriever_round_trip(stub_server):
     client = HttpRetriever(f"{stub_server}/retrieve")
     hits = client.retrieve("s1", "storm damage", 4)
-    assert hits[0] == ("v0", 1.0)
+    assert hits.entries[0] == ("v0", 1.0)
     assert len(hits) == 4
 
 
@@ -165,7 +166,7 @@ def test_replay_decomposer_from_jsonl():
 def test_replay_retriever_reads_run():
     runs = RunSet(lists={"s1": ScoredList((("vA", 0.9), ("vB", 0.5)))}, tag="t")
     replay = ReplayRetriever(runs)
-    assert replay.retrieve("s1", "ignored", 1) == [("vA", 0.9)]
+    assert replay.retrieve("s1", "ignored", 1).entries == (("vA", 0.9),)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +177,13 @@ def test_replay_decomposer_bad_record_reports_line(line):
     with pytest.raises(ParseError) as excinfo:
         ReplayDecomposer.from_jsonl(data)
     assert excinfo.value.line == 3
+
+
+def test_replay_decomposer_rejects_a_repeated_query_id():
+    data = "".join(json.dumps({"query_id": "1", "response": r}) + "\n" for r in ('["a"]', '["b"]'))
+    with pytest.raises(ParseError, match="query '1' appears in two replay records") as excinfo:
+        ReplayDecomposer.from_jsonl(data)
+    assert excinfo.value.line == 2
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,10 +12,11 @@ from fusekit import (
     ParseError,
     PipelineStageError,
     RunSet,
+    ScoredList,
     TransportError,
     ValidationError,
 )
-from fusekit.clients import ReplayDecomposer
+from fusekit.clients import HttpRetriever, ReplayDecomposer
 from fusekit.pipeline import (
     DecompositionResult,
     MAX_SUB_QUERIES,
@@ -124,11 +127,25 @@ def test_decompose_all_names_the_failing_query():
 
 
 def test_read_query_records_reports_line():
-    assert read_query_records(b'{"query_id": "1"}\n\n') == [{"query_id": "1"}]
-    for bad in ('{"query_id": "1"}\n["not", "an", "object"]\n', '{"query_id": "1"}\n{oops\n'):
+    good = '{"query_id": "1", "query": "q"}\n'
+    assert read_query_records(good.encode() + b"\n") == [{"query_id": "1", "query": "q"}]
+    for bad in (good + '["not", "an", "object"]\n', good + "{oops\n"):
         with pytest.raises(ParseError) as excinfo:
             read_query_records(bad)
         assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "record",
+    [{"query_id": ["1"], "query": "x"}, {"query_id": "a b", "query": "x"}, {"query_id": "1"},
+     {"query_id": "1", "query": ""}, {"query_id": "1", "query": 5}],
+    ids=["list-id", "whitespace-id", "no-query", "empty-query", "number-query"],
+)
+def test_read_query_records_rejects_a_bad_query_id_or_text(record):
+    data = json.dumps({"query_id": "0", "query": "q"}) + "\n" + json.dumps(record) + "\n"
+    with pytest.raises(ParseError, match="'query(_id)?' must") as excinfo:
+        read_query_records(data)
+    assert excinfo.value.line == 2
 
 
 def test_decomposition_result_rejects_empty():
@@ -354,8 +371,8 @@ def test_pipeline_with_replay_decomposer_and_retriever(tmp_path):
             qid, _, pos = sub_id.partition("-s")
             fixture_id = f"{qid}-s{int(pos):03d}"
             if fixture_id in raw.lists:
-                return list(raw.lists[fixture_id].entries[:depth])
-            return [(f"v{int(pos):03d}", 0.5)]
+                return ScoredList(raw.lists[fixture_id].entries[:depth])
+            return ScoredList([(f"v{int(pos):03d}", 0.5)])
 
     result = run_pipeline(
         fixture_config(),
@@ -384,6 +401,39 @@ def test_pipeline_missing_sub_query_list_names_stage_and_query(tmp_path):
         )
     assert excinfo.value.stage == "retrieve"
     assert "1-s999" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("doc_ids", [("v0", "v0"), ("v 0",)], ids=["duplicate", "whitespace"])
+def test_pipeline_names_stage_and_query_of_a_bad_retriever_list(tmp_path, doc_ids):
+    retriever = HttpRetriever("http://127.0.0.1:9/unused")
+    retriever._client.request = lambda payload: json.dumps([{"doc_id": d, "score": 0.5} for d in doc_ids])
+    with pytest.raises(PipelineStageError) as excinfo:
+        run_pipeline(
+            fixture_config(), tmp_path, subquery_map_path=FIXTURES / "subquery_map.jsonl", retriever=retriever
+        )
+    assert (excinfo.value.stage, excinfo.value.query_id) == ("retrieve", "1")
+    assert isinstance(excinfo.value.cause, ValidationError)
+
+
+def test_pipeline_does_not_load_the_http_stack_without_a_live_client(tmp_path):
+    # the HTTP stack is imported by a live request only, so an offline run stays smaller
+    code = f"""
+import sys
+import fusekit.cli
+from fusekit.pipeline import PipelineConfig, run_pipeline
+from fusekit.fusion import FusionStrategy
+fixtures = {str(FIXTURES)!r}
+run_pipeline(
+    PipelineConfig(strategy=FusionStrategy(kind="rrf")), {str(tmp_path)!r},
+    subquery_map_path=fixtures + "/subquery_map.jsonl",
+    subquery_runs_path=fixtures + "/subqueries.run",
+    rerank_path=fixtures + "/rerank.run",
+)
+assert "urllib.request" not in sys.modules, "urllib.request was imported"
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "reranked.run").exists()
 
 
 def test_pipeline_requires_some_input(tmp_path):

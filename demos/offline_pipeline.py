@@ -6,7 +6,6 @@ against the fixture qrels, and prints the improvement table. Rerun it:
 the outputs (including the manifest) are byte-identical.
 """
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -15,16 +14,10 @@ from fusekit.metrics import render_delta
 from fusekit.pipeline import PipelineConfig, run_pipeline
 
 fixtures = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "pipeline"
-config = PipelineConfig.from_dict(json.loads((fixtures / "config.json").read_text()))
+config = PipelineConfig.load(fixtures / "config.json")
 
 out_dir = Path(tempfile.mkdtemp(prefix="pipeline-demo-"))
-result = run_pipeline(
-    config,
-    out_dir,
-    subquery_map_path=fixtures / "subquery_map.jsonl",
-    subquery_runs_path=fixtures / "subqueries.run",
-    rerank_path=fixtures / "rerank.run",
-)
+result = run_pipeline(config, out_dir)
 
 print(f"stage files in {out_dir}:")
 for name, path in result.stage_paths.items():

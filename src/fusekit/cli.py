@@ -18,10 +18,9 @@ from typing import Iterator
 
 from . import __version__
 from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_ablation
-from .clients import HttpDecomposer, HttpRetriever, ReplayDecomposer
+from .clients import HttpDecomposer, ReplayDecomposer
 from .core import (
     RunSet,
-    _loads,
     atomic_write,
     parse_qrels,
     parse_run,
@@ -56,7 +55,6 @@ from .metrics import (
     report_to_json,  # unused here, but perfbench's traced mode rebinds fusekit.cli.report_to_json
 )
 from .pipeline import (
-    ENDPOINT_NAMES,
     PipelineConfig,
     decompose_all,
     inject_rerank,
@@ -452,45 +450,11 @@ def _memory_command(bank: MemoryBank, line: str, bank_path: Path) -> str | None:
 
 
 def _cmd_pipeline(args) -> int:
-    raw = _loads(args.config.read_bytes())
-    config = PipelineConfig.from_dict(raw)
-    base = args.config.parent
-    inputs = raw.get("inputs", {})
-
-    def _resolve(name):
-        return (base / inputs[name]) if name in inputs else None
-
-    decomposer = retriever = None
-    endpoints = _endpoints_with_env(config.endpoints)
-    if "decomposer" in endpoints:
-        decomposer = HttpDecomposer(endpoints["decomposer"])
-    if "retriever" in endpoints:
-        retriever = HttpRetriever(endpoints["retriever"])
-    result = run_pipeline(
-        config,
-        args.out_dir,
-        queries_path=_resolve("queries"),
-        subquery_map_path=_resolve("subquery_map"),
-        subquery_runs_path=_resolve("subquery_runs"),
-        rerank_path=_resolve("rerank"),
-        decomposer=decomposer,
-        retriever=retriever,
-    )
-    for name, path in result.stage_paths.items():
+    result = run_pipeline(PipelineConfig.load(args.config), args.out_dir)
+    for path in result.stage_paths.values():
         print(f"wrote {path}")
     print(f"wrote {result.manifest_path}")
     return 0
-
-
-def _endpoints_with_env(endpoints: dict) -> dict:
-    import os
-
-    merged = dict(endpoints)
-    for name in ENDPOINT_NAMES:
-        value = os.environ.get(f"FUSEKIT_{name.upper()}_URL")
-        if value:
-            merged[name] = value
-    return merged
 
 
 def _cmd_decompose(args) -> int:

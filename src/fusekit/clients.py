@@ -4,10 +4,11 @@ The service contract is deliberately narrow: one JSON payload posted to
 an endpoint, one structured response back. Every live client has a replay
 twin backed by fixture files so the whole pipeline runs offline.
 
-A retriever returns a checked ``ScoredList``: ``HttpRetriever`` builds it
-with ``ScoredList.from_pairs`` from the service's hits, and
-``ReplayRetriever`` serves the already parsed lists of a run file, which is
-how the pipeline reads a per-sub-query run file.
+A retriever returns a checked ``ScoredList`` cut to the asked depth:
+``HttpRetriever`` builds it with ``ScoredList.from_pairs`` from all of the
+service's hits, so the cut keeps the best ones, and ``ReplayRetriever``
+serves the already parsed lists of a run file, which is how the pipeline
+reads a per-sub-query run file.
 
 Wire formats:
   decomposer  POST {"query_id", "title", "language", "persona",
@@ -130,7 +131,7 @@ class HttpRetriever:
         if not isinstance(hits, list):
             raise TransportError("retriever response must be a JSON array")
         pairs = []
-        for hit in hits[:depth]:
+        for hit in hits:
             if not isinstance(hit, dict) or "doc_id" not in hit or "score" not in hit:
                 raise TransportError("retriever hits need 'doc_id' and 'score'")
             try:
@@ -142,7 +143,7 @@ class HttpRetriever:
             if not isinstance(hit["doc_id"], str):
                 raise TransportError(f"retriever hit doc_id must be a string, got {hit['doc_id']!r}")
             pairs.append((hit["doc_id"], score))
-        return ScoredList.from_pairs(pairs)
+        return truncate(ScoredList.from_pairs(pairs), depth)
 
 
 class ReplayRetriever:

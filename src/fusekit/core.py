@@ -323,10 +323,6 @@ class ScoredList:
     def docs(self) -> tuple[DocId, ...]:
         return self._docs
 
-    def ranks(self) -> dict[DocId, int]:
-        """Doc id -> 1-based rank."""
-        return {doc: rank for rank, doc in enumerate(self._docs, start=1)}
-
     def scores(self) -> dict[DocId, float]:
         return dict(zip(self._docs, self._scores))
 
@@ -479,10 +475,6 @@ class Qrels:
 
     def for_query(self, qid: QueryId) -> dict[DocId, int]:
         return dict(self._by_query.get(qid, {}))
-
-    def grade(self, qid: QueryId, docid: DocId) -> int:
-        """Judged grade, or 0 for unjudged documents."""
-        return self._by_query.get(qid, {}).get(docid, 0)
 
 
 def parse_qrels(data: Source) -> Qrels:

@@ -342,11 +342,6 @@ def serialize_calibrated(item: CalibratedArtifact) -> bytes:
     return json.dumps(calibrated_to_dict(item), ensure_ascii=False).encode("utf-8")
 
 
-def parse_calibrated(data: bytes | str | dict, backend: str = DEFAULT_BACKEND) -> CalibratedArtifact:
-    """Inverse of serialize_calibrated, reading the configured backend's payload."""
-    return _calibrated_artifact(_loads(data), backend)
-
-
 def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:
     data = _expect(data, dict, "calibrated record")
     calibration = _expect(data.get("calibration"), dict, "'calibration'")

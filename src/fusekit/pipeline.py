@@ -9,9 +9,9 @@ decomposer/retriever clients, and always emits three stage run files
   reranked.run    fused lists with external scores injected in the head
 
 plus ``manifest.json`` recording the toolkit version, the configuration
-(seed list included), and a sha256 digest of every input file, which makes
-a run reproducible: identical inputs and config yield byte-identical
-outputs. Every output goes through ``core.atomic_write``.
+(the endpoints that served the run included), and a sha256 digest of every
+input file, which makes a run reproducible: identical inputs and config
+yield byte-identical outputs. Every output goes through ``core.atomic_write``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,6 +32,7 @@ from .core import (
     SubQueryMap,
     _check_token,
     _expect,
+    _loads,
     atomic_write,
     load_records,
     parse_run,
@@ -38,7 +40,7 @@ from .core import (
     write_run,
 )
 from .ablation import fuse_runs
-from .clients import ReplayRetriever
+from .clients import HttpDecomposer, HttpRetriever, ReplayRetriever
 from .errors import PipelineStageError, ValidationError
 from .fusion import FusionStrategy
 
@@ -50,10 +52,10 @@ MAX_SUB_QUERIES = 25
 # rerank scores always arrive as a run file
 ENDPOINT_NAMES = ("decomposer", "retriever")
 
-# a config file may hold only these keys; "inputs" holds paths the CLI reads
-CONFIG_KEYS = ("strategy", "first_stage_depth", "rerank_depth", "seeds", "endpoints", "inputs")
+# a config file may hold only these keys
+CONFIG_KEYS = ("strategy", "first_stage_depth", "rerank_depth", "endpoints", "inputs")
 
-# the names "inputs" may give a path for, in the order run_pipeline takes them
+# the names "inputs" may give a path for
 INPUT_NAMES = ("queries", "subquery_map", "subquery_runs", "rerank")
 
 STAGE_FILES = ("subqueries.run", "fused.run", "reranked.run")
@@ -61,11 +63,17 @@ STAGE_FILES = ("subqueries.run", "fused.run", "reranked.run")
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """One pipeline run: fusion settings, service endpoints and input files.
+
+    A stage takes one source: a sub-query map file, or queries plus a
+    decomposer; a per-sub-query run file, or a retriever.
+    """
+
     strategy: FusionStrategy
     first_stage_depth: int = 1000
     rerank_depth: int = 100
-    seeds: tuple[int, ...] = ()
     endpoints: dict[str, str] = field(default_factory=dict)
+    inputs: dict[str, Path] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.first_stage_depth < 1:
@@ -76,36 +84,61 @@ class PipelineConfig:
             raise ValidationError(
                 f"rerank_depth {self.rerank_depth} exceeds first_stage_depth {self.first_stage_depth}"
             )
-        for name in self.endpoints:
-            if name not in ENDPOINT_NAMES:
-                raise ValidationError(
-                    f"unknown endpoint {name!r}; expected one of {ENDPOINT_NAMES}"
-                )
+        for kind, names, known in (
+            ("endpoint", self.endpoints, ENDPOINT_NAMES),
+            ("input", self.inputs, INPUT_NAMES),
+        ):
+            for name in names:
+                if name not in known:
+                    raise ValidationError(f"unknown {kind} {name!r}; expected one of {known}")
+        given = {f"endpoints.{name}" for name in self.endpoints} | {f"inputs.{name}" for name in self.inputs}
+        for stage, file_source, others in (
+            ("decompose", "inputs.subquery_map", ("inputs.queries", "endpoints.decomposer")),
+            ("retrieve", "inputs.subquery_runs", ("endpoints.retriever",)),
+        ):
+            for other in others:
+                if {file_source, other} <= given:
+                    raise ValidationError(f"stage {stage!r} has two sources: {file_source} and {other}")
 
     def to_dict(self) -> dict:
+        """The config as the manifest records it; the manifest lists the inputs apart, with digests."""
         return {
             "strategy": {"kind": self.strategy.kind, "k": self.strategy.k_constant},
             "first_stage_depth": self.first_stage_depth,
             "rerank_depth": self.rerank_depth,
-            "seeds": list(self.seeds),
             "endpoints": dict(self.endpoints),
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Build a config; unknown top-level, strategy or input keys raise ValidationError."""
+    def from_dict(cls, data: dict, base: str | Path = ".") -> "PipelineConfig":
+        """Build a config, input paths resolved against ``base``; unknown keys raise ValidationError."""
         _check_keys(data, CONFIG_KEYS, "config")
         strategy = _check_keys(data.get("strategy", {}), ("kind", "k"), "strategy")
-        _expect(_check_keys(data.get("inputs", {}), INPUT_NAMES, "inputs"), dict, "inputs", item=str)
+        inputs = _expect(data.get("inputs", {}), dict, "inputs", item=str)
         return cls(
             strategy=FusionStrategy(
                 kind=strategy.get("kind", "rrf"), k_constant=_expect(strategy.get("k", 60), int, "k")
             ),
             first_stage_depth=_expect(data.get("first_stage_depth", 1000), int, "first_stage_depth"),
             rerank_depth=_expect(data.get("rerank_depth", 100), int, "rerank_depth"),
-            seeds=tuple(_expect(data.get("seeds", []), list, "seeds", item=int)),
             endpoints=dict(_expect(data.get("endpoints", {}), dict, "endpoints", item=str)),
+            inputs={name: Path(base) / path for name, path in inputs.items()},
         )
+
+    @classmethod
+    def load(cls, path: str | Path) -> "PipelineConfig":
+        """The config file at ``path``, input paths resolved against its directory.
+
+        A non-empty ``FUSEKIT_<NAME>_URL`` environment variable sets endpoint
+        ``<name>``, over the file's, so it is checked and recorded like one.
+        """
+        path = Path(path)
+        data = _expect(_loads(path.read_bytes()), dict, "config")
+        endpoints = dict(_expect(data.get("endpoints", {}), dict, "endpoints", item=str))
+        for name in ENDPOINT_NAMES:
+            if url := os.environ.get(f"FUSEKIT_{name.upper()}_URL"):
+                endpoints[name] = url
+        return cls.from_dict({**data, "endpoints": endpoints}, base=path.parent)
 
 
 def _check_keys(data, known: tuple[str, ...], what: str) -> dict:
@@ -253,27 +286,22 @@ class PipelineResult:
 
 
 def run_pipeline(
-    config: PipelineConfig,
-    out_dir: str | Path,
-    *,
-    queries_path: str | Path | None = None,
-    subquery_map_path: str | Path | None = None,
-    subquery_runs_path: str | Path | None = None,
-    rerank_path: str | Path | None = None,
-    decomposer=None,
-    retriever=None,
+    config: PipelineConfig, out_dir: str | Path, *, decomposer=None, retriever=None
 ) -> PipelineResult:
     """Execute decomposition -> retrieval -> fusion -> rerank injection.
 
-    Each stage takes either a fixture file or a live client; any stage
-    failure aborts with the stage name and the query id being processed.
+    Each stage reads its input file from ``config.inputs`` or asks a client:
+    ``decomposer``/``retriever`` when given, else one built from
+    ``config.endpoints``. Any stage failure aborts with the stage name and
+    the query id being processed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    inputs: dict[str, Path] = {}
-    for name, path in zip(INPUT_NAMES, (queries_path, subquery_map_path, subquery_runs_path, rerank_path)):
-        if path is not None:
-            inputs[name] = Path(path)
+    inputs = config.inputs
+    if decomposer is None and "decomposer" in config.endpoints:
+        decomposer = HttpDecomposer(config.endpoints["decomposer"])
+    if retriever is None and "retriever" in config.endpoints:
+        retriever = HttpRetriever(config.endpoints["retriever"])
 
     # stage 1: sub-query map
     if "subquery_map" in inputs:

@@ -46,7 +46,7 @@ from fusekit import (
     validate,
     weighted_rrf,
 )
-from fusekit.evidence import Prediction, parse_calibrated, serialize, serialize_calibrated
+from fusekit.evidence import Prediction, load_calibrated, serialize, serialize_calibrated
 from fusekit.memory import SUMMARY_CAP
 from fusekit.metrics import format_delta
 
@@ -400,7 +400,7 @@ def test_criterion_7_evidence_round_trip_and_filtering():
     assert not report.unmatched_artifacts and not report.orphan_predictions
     payload = json.loads(serialize_calibrated(calibrated[0]))
     assert payload["calibration"]["unli"]["prob"] == 0.95
-    assert parse_calibrated(payload).prob == 0.95
+    assert load_calibrated(json.dumps(payload))[0].prob == 0.95
     kept, dropped = filter_by_threshold(calibrated, 0.5)
     assert len(kept) == 1 and not dropped
     _passed(7, "1000 records round-trip, filters monotone, documented fixtures carry 0.95/0.95 and pass 0.5")

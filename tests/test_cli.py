@@ -16,6 +16,7 @@ from fusekit.cli import main
 from fusekit.core import parse_subquery_map
 from fusekit.fusion import FusionStrategy
 from fusekit.memory import MemoryBank
+from fusekit.pipeline import PipelineConfig
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PIPE = FIXTURES / "pipeline"
@@ -457,16 +458,54 @@ def test_entry_point_subprocess_version():
     assert "fusekit" in result.stdout
 
 
-def test_endpoint_env_overrides(monkeypatch):
-    from fusekit.cli import _endpoints_with_env
-
+def test_endpoint_env_overrides(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    config = {"inputs": {"queries": "q.jsonl"}, "endpoints": {"retriever": "http://cfg-host/retrieve"}}
+    path.write_text(json.dumps(config))
+    monkeypatch.delenv("FUSEKIT_RETRIEVER_URL", raising=False)
     monkeypatch.setenv("FUSEKIT_DECOMPOSER_URL", "http://env-host/decompose")
-    merged = _endpoints_with_env({"retriever": "http://cfg-host/retrieve"})
+    merged = PipelineConfig.load(path).endpoints
     assert merged["decomposer"] == "http://env-host/decompose"
     assert merged["retriever"] == "http://cfg-host/retrieve"
     monkeypatch.setenv("FUSEKIT_RETRIEVER_URL", "http://env-host/retrieve")
-    merged = _endpoints_with_env({"retriever": "http://cfg-host/retrieve"})
+    merged = PipelineConfig.load(path).endpoints
     assert merged["retriever"] == "http://env-host/retrieve"
+
+
+def fixture_config_with(tmp_path, **changes) -> Path:
+    path = tmp_path / "config.json"
+    config = {**json.loads((PIPE / "config.json").read_text()), **changes}
+    config["inputs"] = {name: str(PIPE / value) for name, value in config["inputs"].items()}
+    path.write_text(json.dumps(config))
+    return path
+
+
+def assert_rejected_for_two_sources(code, capsys, out_dir):
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert "inputs.subquery_runs" in record["message"]
+    assert "endpoints.retriever" in record["message"]
+    assert not out_dir.exists()
+
+
+def test_pipeline_cli_rejects_a_retriever_endpoint_beside_a_run_file(tmp_path, capsys, monkeypatch):
+    # the endpoint would never be contacted, yet the manifest would list it
+    monkeypatch.delenv("FUSEKIT_RETRIEVER_URL", raising=False)
+    path = fixture_config_with(tmp_path, endpoints={"retriever": "http://127.0.0.1:9/never"})
+    out_dir = tmp_path / "out"
+    code = run_cli("pipeline", "--config", path, "--out-dir", out_dir)
+    assert_rejected_for_two_sources(code, capsys, out_dir)
+
+
+def test_pipeline_cli_rejects_a_retriever_url_from_the_environment_beside_a_run_file(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("FUSEKIT_RETRIEVER_URL", "http://127.0.0.1:9/never")
+    out_dir = tmp_path / "out"
+    code = run_cli("pipeline", "--config", PIPE / "config.json", "--out-dir", out_dir)
+    assert_rejected_for_two_sources(code, capsys, out_dir)
 
 
 def test_pipeline_cli_error_record_carries_the_cause_line(tmp_path, capsys):
@@ -645,6 +684,7 @@ def test_claims_filter_rejects_a_malformed_raw_payload(tmp_path, capsys, raw):
 
 @pytest.mark.parametrize(
     "change",
+    # "seeds" is no longer a config key: any value of it is rejected as an unknown key
     [{"seeds": 5}, {"endpoints": 5}, {"inputs": {"rerank": 5}}, {"strategy": {"kind": "rrf", "k": 1.5}}],
     ids=["seeds", "endpoints", "inputs", "k"],
 )

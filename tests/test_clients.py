@@ -155,6 +155,15 @@ def test_http_retriever_rejects_a_doc_id_that_is_not_a_string(doc_id):
         client.retrieve("s1", "anything", 3)
 
 
+def test_http_retriever_sorts_the_hits_before_the_depth_cut():
+    # the best hit comes last in the reply; cutting before sorting would keep v0
+    client = HttpRetriever("http://127.0.0.1:9/unused")
+    client._client.request = lambda payload: '[{"doc_id": "v0", "score": 0.1}, {"doc_id": "v1", "score": 0.9}]'
+    assert client.retrieve("s1", "anything", 1).entries == (("v1", 0.9),)
+    replay = ReplayRetriever(RunSet({"s1": ScoredList.from_pairs([("v0", 0.1), ("v1", 0.9)])}))
+    assert replay.retrieve("s1", "anything", 1).entries == (("v1", 0.9),)
+
+
 def test_replay_decomposer_from_jsonl():
     data = json.dumps({"query_id": "1", "response": "[\"a\", \"b\"]"})
     replay = ReplayDecomposer.from_jsonl(data)

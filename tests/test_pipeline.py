@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -227,7 +228,6 @@ def test_config_round_trip():
         strategy=FusionStrategy("max_sim"),
         first_stage_depth=200,
         rerank_depth=20,
-        seeds=(1, 2),
         endpoints={"decomposer": "http://example/d"},
     )
     assert PipelineConfig.from_dict(config.to_dict()) == config
@@ -250,6 +250,7 @@ def test_config_rejects_reranker_endpoint():
         ({"cutoffs": [10, 20]}, "cutoffs"),
         ({"strategy": {"kind": "rrf", "K": 10}}, "K"),
         ({"inputs": {"rerank_run": "rerank.run"}}, "rerank_run"),
+        ({"seeds": [0, 1, 2, 3, 4]}, "seeds"),
     ],
 )
 def test_config_rejects_unknown_keys(data, key):
@@ -276,7 +277,9 @@ def test_config_rejects_unknown_keys(data, key):
     ],
 )
 def test_config_rejects_values_of_the_wrong_type(data, key):
-    with pytest.raises(ValidationError, match=f"{key} must"):
+    # "seeds" is no longer a config key, so a value of any type is rejected as an unknown key
+    match = r"unknown config keys \['seeds'\]" if key == "seeds" else f"{key} must"
+    with pytest.raises(ValidationError, match=match):
         PipelineConfig.from_dict(data)
 
 
@@ -287,23 +290,85 @@ def test_config_rejects_non_object():
         PipelineConfig.from_dict({"strategy": "rrf"})
 
 
+@pytest.mark.parametrize(
+    "data, sources",
+    [
+        ({"inputs": {"subquery_map": "m", "queries": "q"}}, ("inputs.subquery_map", "inputs.queries")),
+        (
+            {"inputs": {"subquery_map": "m"}, "endpoints": {"decomposer": "http://d"}},
+            ("inputs.subquery_map", "endpoints.decomposer"),
+        ),
+        (
+            {"inputs": {"subquery_runs": "r"}, "endpoints": {"retriever": "http://r"}},
+            ("inputs.subquery_runs", "endpoints.retriever"),
+        ),
+    ],
+    ids=["map-and-queries", "map-and-decomposer", "runs-and-retriever"],
+)
+def test_config_rejects_a_stage_with_two_sources(data, sources):
+    with pytest.raises(ValidationError, match="two sources") as excinfo:
+        PipelineConfig.from_dict(data)
+    for source in sources:
+        assert source in str(excinfo.value)
+
+
+def test_config_takes_queries_with_a_decomposer_and_a_run_file_with_no_retriever():
+    config = PipelineConfig.from_dict(
+        {"inputs": {"queries": "q", "subquery_runs": "r"}, "endpoints": {"decomposer": "http://d"}}
+    )
+    assert config.inputs == {"queries": Path("q"), "subquery_runs": Path("r")}
+
+
+def test_config_rejects_an_unknown_input_given_directly():
+    with pytest.raises(ValidationError, match="rerank_run"):
+        PipelineConfig(strategy=FusionStrategy("rrf", 10), inputs={"rerank_run": Path("r")})
+
+
+def test_config_load_resolves_inputs_against_the_file(tmp_path):
+    config = PipelineConfig.load(FIXTURES / "config.json")
+    assert config.inputs == {
+        "subquery_map": FIXTURES / "subquery_map.jsonl",
+        "subquery_runs": FIXTURES / "subqueries.run",
+        "rerank": FIXTURES / "rerank.run",
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"inputs": {"queries": str(FIXTURES / "queries.jsonl")}}))
+    assert PipelineConfig.load(path).inputs == {"queries": FIXTURES / "queries.jsonl"}
+
+
+def test_config_load_takes_an_endpoint_from_the_environment(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"inputs": {"queries": "queries.jsonl", "subquery_runs": "subqueries.run"}}))
+    monkeypatch.delenv("FUSEKIT_RETRIEVER_URL", raising=False)
+    monkeypatch.setenv("FUSEKIT_DECOMPOSER_URL", "http://env-host/decompose")
+    assert PipelineConfig.load(path).to_dict()["endpoints"] == {"decomposer": "http://env-host/decompose"}
+    # an empty variable sets nothing
+    monkeypatch.setenv("FUSEKIT_DECOMPOSER_URL", "")
+    assert PipelineConfig.load(path).endpoints == {}
+
+
+def test_config_load_checks_an_environment_endpoint_like_the_files(monkeypatch):
+    monkeypatch.setenv("FUSEKIT_RETRIEVER_URL", "http://env-host/retrieve")
+    with pytest.raises(ValidationError, match="inputs.subquery_runs and endpoints.retriever"):
+        PipelineConfig.load(FIXTURES / "config.json")
+
+
 # ---------------------------------------------------------------------------
 # run_pipeline on the shipped fixtures
 # ---------------------------------------------------------------------------
 
 
-def fixture_config() -> PipelineConfig:
-    return PipelineConfig.from_dict(json.loads((FIXTURES / "config.json").read_text()))
+def fixture_config(**inputs: Path) -> PipelineConfig:
+    """The shipped fixture config; keyword arguments, when given, replace its inputs."""
+    config = PipelineConfig.load(FIXTURES / "config.json")
+    return replace(config, inputs=inputs) if inputs else config
+
+
+MAP_AND_RUNS = dict(subquery_map=FIXTURES / "subquery_map.jsonl", subquery_runs=FIXTURES / "subqueries.run")
 
 
 def test_pipeline_emits_stage_files_and_manifest(tmp_path):
-    result = run_pipeline(
-        fixture_config(),
-        tmp_path,
-        subquery_map_path=FIXTURES / "subquery_map.jsonl",
-        subquery_runs_path=FIXTURES / "subqueries.run",
-        rerank_path=FIXTURES / "rerank.run",
-    )
+    result = run_pipeline(fixture_config(), tmp_path)
     for name in ("subqueries.run", "fused.run", "reranked.run"):
         assert (tmp_path / name).exists()
         assert (tmp_path / name).stat().st_size > 0
@@ -315,25 +380,19 @@ def test_pipeline_emits_stage_files_and_manifest(tmp_path):
     assert set(result.final.lists) == {"1", "2", "3"}
 
 
-def test_pipeline_manifest_lists_seeds_once(tmp_path):
-    manifest = run_pipeline(
-        fixture_config(),
-        tmp_path,
-        subquery_map_path=FIXTURES / "subquery_map.jsonl",
-        subquery_runs_path=FIXTURES / "subqueries.run",
-    ).manifest
-    assert "seeds" not in manifest
-    assert manifest["config"]["seeds"] == [0, 1, 2, 3, 4]
+def test_pipeline_manifest_config_has_no_seeds(tmp_path):
+    manifest = run_pipeline(fixture_config(**MAP_AND_RUNS), tmp_path).manifest
+    assert manifest["config"] == {
+        "strategy": {"kind": "rrf", "k": 10},
+        "first_stage_depth": 50,
+        "rerank_depth": 5,
+        "endpoints": {},
+    }
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path):
-    kwargs = dict(
-        subquery_map_path=FIXTURES / "subquery_map.jsonl",
-        subquery_runs_path=FIXTURES / "subqueries.run",
-        rerank_path=FIXTURES / "rerank.run",
-    )
-    run_pipeline(fixture_config(), tmp_path / "a", **kwargs)
-    run_pipeline(fixture_config(), tmp_path / "b", **kwargs)
+    run_pipeline(fixture_config(), tmp_path / "a")
+    run_pipeline(fixture_config(), tmp_path / "b")
     for name in ("subqueries.run", "fused.run", "reranked.run", "manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -341,20 +400,16 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
 def test_pipeline_manifest_digest_tracks_input_changes(tmp_path):
     src = tmp_path / "inputs"
     src.mkdir()
-    for name in ("subquery_map.jsonl", "subqueries.run", "rerank.run"):
+    for name in ("config.json", "subquery_map.jsonl", "subqueries.run", "rerank.run"):
         (src / name).write_bytes((FIXTURES / name).read_bytes())
-    kwargs = dict(
-        subquery_map_path=src / "subquery_map.jsonl",
-        subquery_runs_path=src / "subqueries.run",
-        rerank_path=src / "rerank.run",
-    )
-    first = run_pipeline(fixture_config(), tmp_path / "a", **kwargs).manifest
-    second = run_pipeline(fixture_config(), tmp_path / "b", **kwargs).manifest
+    config = PipelineConfig.load(src / "config.json")
+    first = run_pipeline(config, tmp_path / "a").manifest
+    second = run_pipeline(config, tmp_path / "b").manifest
     assert first == second
     # touching an input changes exactly that digest
     with open(src / "rerank.run", "ab") as fh:
         fh.write(b"3 Q0 v999 99 0.0001 rerank\n")
-    third = run_pipeline(fixture_config(), tmp_path / "c", **kwargs).manifest
+    third = run_pipeline(config, tmp_path / "c").manifest
     assert third["inputs"]["rerank"]["sha256"] != first["inputs"]["rerank"]["sha256"]
     assert third["inputs"]["subquery_map"] == first["inputs"]["subquery_map"]
 
@@ -375,9 +430,8 @@ def test_pipeline_with_replay_decomposer_and_retriever(tmp_path):
             return ScoredList([(f"v{int(pos):03d}", 0.5)])
 
     result = run_pipeline(
-        fixture_config(),
+        fixture_config(queries=FIXTURES / "queries.jsonl"),
         tmp_path,
-        queries_path=FIXTURES / "queries.jsonl",
         decomposer=replay,
         retriever=PositionalRetriever(),
     )
@@ -394,10 +448,7 @@ def test_pipeline_missing_sub_query_list_names_stage_and_query(tmp_path):
     bad_map.write_text(json.dumps(record) + "\n")
     with pytest.raises(PipelineStageError) as excinfo:
         run_pipeline(
-            fixture_config(),
-            tmp_path / "out",
-            subquery_map_path=bad_map,
-            subquery_runs_path=FIXTURES / "subqueries.run",
+            fixture_config(subquery_map=bad_map, subquery_runs=FIXTURES / "subqueries.run"), tmp_path / "out"
         )
     assert excinfo.value.stage == "retrieve"
     assert "1-s999" in str(excinfo.value)
@@ -409,7 +460,7 @@ def test_pipeline_names_stage_and_query_of_a_bad_retriever_list(tmp_path, doc_id
     retriever._client.request = lambda payload: json.dumps([{"doc_id": d, "score": 0.5} for d in doc_ids])
     with pytest.raises(PipelineStageError) as excinfo:
         run_pipeline(
-            fixture_config(), tmp_path, subquery_map_path=FIXTURES / "subquery_map.jsonl", retriever=retriever
+            fixture_config(subquery_map=FIXTURES / "subquery_map.jsonl"), tmp_path, retriever=retriever
         )
     assert (excinfo.value.stage, excinfo.value.query_id) == ("retrieve", "1")
     assert isinstance(excinfo.value.cause, ValidationError)
@@ -421,14 +472,7 @@ def test_pipeline_does_not_load_the_http_stack_without_a_live_client(tmp_path):
 import sys
 import fusekit.cli
 from fusekit.pipeline import PipelineConfig, run_pipeline
-from fusekit.fusion import FusionStrategy
-fixtures = {str(FIXTURES)!r}
-run_pipeline(
-    PipelineConfig(strategy=FusionStrategy(kind="rrf")), {str(tmp_path)!r},
-    subquery_map_path=fixtures + "/subquery_map.jsonl",
-    subquery_runs_path=fixtures + "/subqueries.run",
-    rerank_path=fixtures + "/rerank.run",
-)
+run_pipeline(PipelineConfig.load({str(FIXTURES / "config.json")!r}), {str(tmp_path)!r})
 assert "urllib.request" not in sys.modules, "urllib.request was imported"
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
@@ -438,16 +482,11 @@ assert "urllib.request" not in sys.modules, "urllib.request was imported"
 
 def test_pipeline_requires_some_input(tmp_path):
     with pytest.raises(ValidationError):
-        run_pipeline(fixture_config(), tmp_path)
+        run_pipeline(replace(fixture_config(), inputs={}), tmp_path)
 
 
 def test_pipeline_without_rerank_file_still_emits_three_stages(tmp_path):
-    run_pipeline(
-        fixture_config(),
-        tmp_path,
-        subquery_map_path=FIXTURES / "subquery_map.jsonl",
-        subquery_runs_path=FIXTURES / "subqueries.run",
-    )
+    run_pipeline(fixture_config(**MAP_AND_RUNS), tmp_path)
     from fusekit.core import parse_run
 
     fused = parse_run((tmp_path / "fused.run").read_bytes())
@@ -458,12 +497,7 @@ def test_pipeline_without_rerank_file_still_emits_three_stages(tmp_path):
 def test_pipeline_writes_past_a_stale_temp_directory(tmp_path):
     # the old writer always used "<name>.tmp" and failed when that name was taken
     (tmp_path / "fused.run.tmp").mkdir()
-    run_pipeline(
-        fixture_config(),
-        tmp_path,
-        subquery_map_path=FIXTURES / "subquery_map.jsonl",
-        subquery_runs_path=FIXTURES / "subqueries.run",
-    )
+    run_pipeline(fixture_config(**MAP_AND_RUNS), tmp_path)
     assert (tmp_path / "fused.run").stat().st_size > 0
 
 
@@ -472,11 +506,7 @@ def test_pipeline_bad_query_records_name_stage_and_line(tmp_path):
     queries.write_text('{"query_id": "1", "query": "q"}\n{oops\n')
     with pytest.raises(PipelineStageError) as excinfo:
         run_pipeline(
-            fixture_config(),
-            tmp_path / "out",
-            queries_path=queries,
-            decomposer=ReplayDecomposer({}),
-            retriever=None,
+            fixture_config(queries=queries), tmp_path / "out", decomposer=ReplayDecomposer({}), retriever=None
         )
     assert excinfo.value.stage == "decompose"
     assert excinfo.value.cause.line == 2
@@ -496,6 +526,6 @@ def test_write_run_file_rejects_a_bad_depth_or_tag_and_keeps_the_old_file(tmp_pa
 
 
 def test_pipeline_missing_input_file_is_an_os_error_not_a_stage_error(tmp_path):
-    config = PipelineConfig(strategy=FusionStrategy("rrf", 60))
+    config = PipelineConfig(strategy=FusionStrategy("rrf", 60), inputs={"subquery_map": tmp_path / "missing.jsonl"})
     with pytest.raises(FileNotFoundError):
-        run_pipeline(config, tmp_path / "out", subquery_map_path=tmp_path / "missing.jsonl")
+        run_pipeline(config, tmp_path / "out")

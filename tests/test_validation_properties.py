@@ -151,7 +151,7 @@ def test_parse_qrels_answers_like_validating_qrels(case):
     for qid in reference.queries() | {"unjudged"}:
         assert parsed.for_query(qid) == reference.for_query(qid)
     for (qid, doc) in judgments:
-        assert parsed.grade(qid, doc) == reference.grade(qid, doc)
+        assert parsed.for_query(qid).get(doc, 0) == reference.for_query(qid).get(doc, 0)
 
 
 def formula_ndcg(ranked: list[str], judged: dict[str, int], k: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .core import Qrels, RunSet, SubQueryMap
 from .errors import ValidationError
 from .fusion import FusionInput, FusionStrategy, fuse
-from .metrics import Cutoffs, EvalReport, evaluate
+from .metrics import Cutoffs, evaluate
 
 KEEP_ALL = "all"
 
@@ -39,12 +39,14 @@ class AblationConfig:
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
         for keep in self.keep_counts:
-            if keep == KEEP_ALL:
-                continue
-            if not isinstance(keep, int) or keep < 1:
+            if keep != KEEP_ALL and (not isinstance(keep, int) or keep < 1):
                 raise ValidationError(
                     f"keep count must be a positive integer or '{KEEP_ALL}', got {keep!r}"
                 )
+        for what, values in (("keep count", self.keep_counts), ("seed", self.seeds)):
+            repeated = [value for i, value in enumerate(values) if value in values[:i]]
+            if repeated:
+                raise ValidationError(f"{what} {repeated[0]!r} is given twice")
 
 
 @dataclass(frozen=True)
@@ -98,36 +100,24 @@ def run_ablation(
     cutoffs: Cutoffs,
     output_depth: int | None = None,
 ) -> AblationReport:
-    """Evaluate every (keep count, seed) cell and aggregate across seeds."""
+    """Evaluate every cell, "all" over the whole map and any other keep count once per seed."""
     rows: dict[int | str, dict[str, tuple[float, float]]] = {}
     for keep in config.keep_counts:
-        if keep == KEEP_ALL:
-            report = _cell(mapping, sub_query_runs, qrels, config.strategy, cutoffs, output_depth)
-            rows[keep] = {name: (value, 0.0) for name, value in report.aggregate.items()}
-            continue
-        per_seed: list[EvalReport] = []
-        for seed in config.seeds:
-            sampled = subsample(mapping, keep, seed)
-            per_seed.append(
-                _cell(sampled, sub_query_runs, qrels, config.strategy, cutoffs, output_depth)
-            )
-        rows[keep] = {
-            name: _mean_std([r.aggregate[name] for r in per_seed])
-            for name in per_seed[0].aggregate
-        }
+        # lazy: each cell is drawn, fused and evaluated in turn, and no fused run outlives its evaluation
+        maps = [mapping] if keep == KEEP_ALL else (subsample(mapping, keep, seed) for seed in config.seeds)
+        reports = [
+            evaluate(fuse_runs(m, sub_query_runs, config.strategy, output_depth), qrels, cutoffs)
+            for m in maps
+        ]
+        rows[keep] = {name: _mean_std([r.aggregate[name] for r in reports]) for name in reports[0].aggregate}
     return AblationReport(rows=rows)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
-    # identical per-seed values must report std exactly 0 and mean exactly x
+    # identical per-seed values, a single one included, must report std exactly 0 and mean exactly x
     if min(values) == max(values):
         return values[0], 0.0
     return statistics.fmean(values), statistics.pstdev(values)
-
-
-def _cell(mapping, sub_query_runs, qrels, strategy, cutoffs, output_depth) -> EvalReport:
-    fused = fuse_runs(mapping, sub_query_runs, strategy, output_depth)
-    return evaluate(fused, qrels, cutoffs)
 
 
 def render_ablation(report: AblationReport) -> str:

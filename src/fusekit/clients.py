@@ -10,6 +10,9 @@ service's hits, so the cut keeps the best ones, and ``ReplayRetriever``
 serves the already parsed lists of a run file, which is how the pipeline
 reads a per-sub-query run file.
 
+Replies are decoded like files, by ``core._json_value``: one it cannot read
+is a malformed decomposition, or a retriever ``TransportError``.
+
 Wire formats:
   decomposer  POST {"query_id", "title", "language", "persona",
                     "background", "query"}  ->  raw text body (expected to
@@ -25,8 +28,8 @@ import logging
 import math
 import time
 
-from .core import RunSet, ScoredList, Source, _expect, _json_float, load_records, truncate
-from .errors import TransportError, ValidationError
+from .core import RunSet, ScoredList, Source, _expect, _json_float, _json_value, load_unique_records, truncate
+from .errors import ParseError, TransportError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -78,8 +81,8 @@ class HttpTextClient:
 
 
 class HttpDecomposer:
-    def __init__(self, endpoint: str, **kwargs):
-        self._client = HttpTextClient(endpoint, **kwargs)
+    def __init__(self, endpoint: str):
+        self._client = HttpTextClient(endpoint)
 
     def decompose_raw(self, record: dict) -> str:
         return self._client.request(record)
@@ -94,16 +97,7 @@ class ReplayDecomposer:
     @classmethod
     def from_jsonl(cls, data: Source) -> "ReplayDecomposer":
         """Load ``{"query_id", "response"}`` records of strings, one per JSON line and query id."""
-        responses = {}
-
-        def add(record) -> None:
-            query_id, response = _replay_entry(record)
-            if query_id in responses:
-                raise ValidationError(f"query {query_id!r} appears in two replay records")
-            responses[query_id] = response
-
-        load_records(data, add)
-        return cls(responses)
+        return cls(load_unique_records(data, _replay_entry, "replay"))
 
     def decompose_raw(self, record: dict) -> str:
         query_id = record.get("query_id")
@@ -119,15 +113,15 @@ def _replay_entry(record) -> tuple[str, str]:
 
 
 class HttpRetriever:
-    def __init__(self, endpoint: str, **kwargs):
-        self._client = HttpTextClient(endpoint, **kwargs)
+    def __init__(self, endpoint: str):
+        self._client = HttpTextClient(endpoint)
 
     def retrieve(self, query_id: str, query_text: str, depth: int) -> ScoredList:
         body = self._client.request({"query_id": query_id, "query": query_text, "depth": depth})
         try:
-            hits = json.loads(body)
-        except json.JSONDecodeError as e:
-            raise TransportError(f"retriever returned invalid JSON: {e.msg}") from None
+            hits = _json_value(body)
+        except ParseError as e:
+            raise TransportError(f"retriever returned {e}") from None
         if not isinstance(hits, list):
             raise TransportError("retriever response must be a JSON array")
         pairs = []

@@ -109,6 +109,23 @@ def load_records(data: Source, build: Callable[[object], object]) -> list:
     return items
 
 
+def load_unique_records(data: Source, build: Callable[[object], tuple[str, object]], what: str) -> dict:
+    """``dict(build(value) ...)`` over the JSON lines, as ``load_records`` reads them.
+
+    ``build`` returns ``(query_id, item)``; a query id on two lines is a ParseError naming the second.
+    """
+    items = {}
+
+    def add(value) -> None:
+        query_id, item = build(value)
+        if query_id in items:
+            raise ValidationError(f"query {query_id!r} appears in two {what} records")
+        items[query_id] = item
+
+    load_records(data, add)
+    return items
+
+
 def _loads(data):
     """Decode one JSON document from bytes/text; any other value is returned as it is."""
     return _json_value(_decode(data)) if isinstance(data, (bytes, str)) else data
@@ -145,7 +162,7 @@ def _is_json(value, kind: type) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
-_JSON_NUMBERS = frozenset((int, float))  # json.loads's number types; JSON true and false are bools
+_JSON_NUMBERS = frozenset((int, float))  # the number types _json_value returns; JSON true and false are bools
 
 
 def _json_float(value) -> float:

@@ -32,16 +32,17 @@ from .core import (
     SubQueryMap,
     _check_token,
     _expect,
+    _json_value,
     _loads,
     atomic_write,
-    load_records,
+    load_unique_records,
     parse_run,
     parse_subquery_map,
     write_run,
 )
 from .ablation import fuse_runs
 from .clients import HttpDecomposer, HttpRetriever, ReplayRetriever
-from .errors import PipelineStageError, ValidationError
+from .errors import ParseError, PipelineStageError, ValidationError
 from .fusion import FusionStrategy
 
 logger = logging.getLogger(__name__)
@@ -58,6 +59,12 @@ CONFIG_KEYS = ("strategy", "first_stage_depth", "rerank_depth", "endpoints", "in
 # the names "inputs" may give a path for
 INPUT_NAMES = ("queries", "subquery_map", "subquery_runs", "rerank")
 
+# per stage: its file source, and the config entries that together make its live source
+STAGE_SOURCES = (
+    ("decompose", "inputs.subquery_map", ("inputs.queries", "endpoints.decomposer")),
+    ("retrieve", "inputs.subquery_runs", ("endpoints.retriever",)),
+)
+
 STAGE_FILES = ("subqueries.run", "fused.run", "reranked.run")
 
 
@@ -65,8 +72,8 @@ STAGE_FILES = ("subqueries.run", "fused.run", "reranked.run")
 class PipelineConfig:
     """One pipeline run: fusion settings, service endpoints and input files.
 
-    A stage takes one source: a sub-query map file, or queries plus a
-    decomposer; a per-sub-query run file, or a retriever.
+    Each stage takes exactly one source: a sub-query map file, or queries
+    plus a decomposer; a per-sub-query run file, or a retriever.
     """
 
     strategy: FusionStrategy
@@ -92,13 +99,15 @@ class PipelineConfig:
                 if name not in known:
                     raise ValidationError(f"unknown {kind} {name!r}; expected one of {known}")
         given = {f"endpoints.{name}" for name in self.endpoints} | {f"inputs.{name}" for name in self.inputs}
-        for stage, file_source, others in (
-            ("decompose", "inputs.subquery_map", ("inputs.queries", "endpoints.decomposer")),
-            ("retrieve", "inputs.subquery_runs", ("endpoints.retriever",)),
-        ):
-            for other in others:
+        for stage, file_source, live in STAGE_SOURCES:
+            for other in live:
                 if {file_source, other} <= given:
                     raise ValidationError(f"stage {stage!r} has two sources: {file_source} and {other}")
+        for stage, file_source, live in STAGE_SOURCES:
+            if file_source not in given and not given.issuperset(live):
+                raise ValidationError(
+                    f"stage {stage!r} has no source: give {file_source}, or {' and '.join(live)}"
+                )
 
     def to_dict(self) -> dict:
         """The config as the manifest records it; the manifest lists the inputs apart, with digests."""
@@ -185,17 +194,14 @@ def decompose(record: dict, decomposer) -> DecompositionResult:
 
 def _parse_sub_queries(raw: str) -> list[str] | None:
     try:
-        parsed = json.loads(raw)
-    except json.JSONDecodeError:
+        parsed = _json_value(raw)
+    except ParseError:
         return None
     if not isinstance(parsed, list) or not parsed:
         return None
-    out = []
-    for item in parsed:
-        if not isinstance(item, str) or not item.strip():
-            return None
-        out.append(item.strip())
-    return out
+    if not all(isinstance(item, str) and item.strip() for item in parsed):
+        return None
+    return [item.strip() for item in parsed]
 
 
 def sub_query_id(query_id: str, position: int) -> str:
@@ -203,18 +209,18 @@ def sub_query_id(query_id: str, position: int) -> str:
 
 
 def read_query_records(data: Source) -> list[dict]:
-    """Query records from JSON lines, one object per line, each checked by ``_check_query_record``."""
-    return load_records(data, _check_query_record)
+    """Query records from JSON lines, one per line and query id, each checked by ``_check_query_record``."""
+    return list(load_unique_records(data, _check_query_record, "query").values())
 
 
-def _check_query_record(record) -> dict:
-    """``record`` if it is a JSON object with a token ``query_id`` and a non-empty string ``query``."""
+def _check_query_record(record) -> tuple[str, dict]:
+    """``(query_id, record)`` of a JSON object with a token ``query_id`` and a non-empty string ``query``."""
     record = _expect(record, dict, "query record")
     _check_token(record.get("query_id"), "'query_id'")
     query = record.get("query")
     if not isinstance(query, str) or not query:
         raise ValidationError(f"'query' must be a non-empty string, got {query!r}")
-    return record
+    return record["query_id"], record
 
 
 def decompose_all(records: list[dict], decomposer) -> tuple[SubQueryMap, list[DecompositionResult]]:
@@ -285,38 +291,30 @@ class PipelineResult:
     manifest: dict
 
 
-def run_pipeline(
-    config: PipelineConfig, out_dir: str | Path, *, decomposer=None, retriever=None
-) -> PipelineResult:
+def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     """Execute decomposition -> retrieval -> fusion -> rerank injection.
 
-    Each stage reads its input file from ``config.inputs`` or asks a client:
-    ``decomposer``/``retriever`` when given, else one built from
-    ``config.endpoints``. Any stage failure aborts with the stage name and
-    the query id being processed.
+    Each stage reads the input file named in ``config.inputs`` or asks the
+    service at ``config.endpoints``; the config gives it exactly one of the
+    two. Any stage failure aborts with the stage name and the query id
+    being processed.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     inputs = config.inputs
-    if decomposer is None and "decomposer" in config.endpoints:
-        decomposer = HttpDecomposer(config.endpoints["decomposer"])
-    if retriever is None and "retriever" in config.endpoints:
-        retriever = HttpRetriever(config.endpoints["retriever"])
 
     # stage 1: sub-query map
     if "subquery_map" in inputs:
         mapping = _parse_input("decompose", parse_subquery_map, inputs["subquery_map"])
-    elif "queries" in inputs and decomposer is not None:
-        records = _parse_input("decompose", read_query_records, inputs["queries"])
-        mapping, _ = decompose_all(records, decomposer)
     else:
-        raise ValidationError("pipeline needs a sub-query map file or queries plus a decomposer")
+        records = _parse_input("decompose", read_query_records, inputs["queries"])
+        mapping, _ = decompose_all(records, HttpDecomposer(config.endpoints["decomposer"]))
 
     # stage 2: per-sub-query ranked lists
     if "subquery_runs" in inputs:
         retriever = ReplayRetriever(_parse_input("retrieve", parse_run, inputs["subquery_runs"]))
-    elif retriever is None:
-        raise ValidationError("pipeline needs a per-sub-query run file or a retriever client")
+    else:
+        retriever = HttpRetriever(config.endpoints["retriever"])
     sub_runs = _retrieve_all(mapping, retriever, config.first_stage_depth)
 
     # stage 3: fusion

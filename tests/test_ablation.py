@@ -176,6 +176,35 @@ def test_config_validation():
         AblationConfig(keep_counts=("some",), seeds=(0,), strategy=STRATEGY)
 
 
+@pytest.mark.parametrize(
+    "keep_counts, seeds, repeated",
+    [((1, 1), (0,), "keep count 1"), ((KEEP_ALL, 2, KEEP_ALL), (0,), "keep count 'all'"),
+     ((1,), (0, 0, 1), "seed 0")],
+    ids=["keep", "keep-all", "seed"],
+)
+def test_config_rejects_a_repeated_keep_count_or_seed(keep_counts, seeds, repeated):
+    # a repeated seed would be counted twice in the mean, a repeated keep count fold into one row
+    with pytest.raises(ValidationError, match=f"{repeated} is given twice"):
+        AblationConfig(keep_counts=keep_counts, seeds=seeds, strategy=STRATEGY)
+
+
+def test_run_ablation_subsamples_fuses_and_evaluates_each_cell_in_turn(monkeypatch):
+    import fusekit.ablation as ablation
+
+    calls = []
+    for name in ("subsample", "fuse_runs", "evaluate"):
+        def traced(*args, _name=name, _fn=getattr(ablation, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ablation, name, traced)
+    mapping = build_map({"q1": 6, "q2": 3})
+    config = AblationConfig(keep_counts=(KEEP_ALL, 2), seeds=(0, 1, 2), strategy=STRATEGY)
+    run_ablation(mapping, build_runs(mapping), build_qrels(mapping), config, CUTOFFS)
+    cell = ["subsample", "fuse_runs", "evaluate"]
+    assert calls == cell[1:] + cell * 3
+
+
 def test_render_ablation_row_labels():
     mapping = build_map({"q1": 8})
     runs = build_runs(mapping)

@@ -18,6 +18,8 @@ from fusekit.fusion import FusionStrategy
 from fusekit.memory import MemoryBank
 from fusekit.pipeline import PipelineConfig
 
+from conftest import DEEP_JSON
+
 FIXTURES = Path(__file__).parent / "fixtures"
 PIPE = FIXTURES / "pipeline"
 EVID = FIXTURES / "evidence"
@@ -165,6 +167,27 @@ def test_ablate_cli(tmp_path, capsys):
     assert payload["all"]["nDCG@5"]["std"] == 0.0
 
 
+@pytest.mark.parametrize("flag, value", [("--seeds", "0,0,1"), ("--keep", "1,1")])
+def test_ablate_cli_rejects_a_repeated_seed_or_keep_count(tmp_path, capsys, flag, value):
+    argv = {"--keep": "1,all", "--seeds": "0,1", flag: value}
+    code = run_cli(
+        "ablate",
+        "--map", PIPE / "subquery_map.jsonl",
+        "--runs", PIPE / "subqueries.run",
+        "--qrels", PIPE / "qrels.txt",
+        "--strategy", "rrf",
+        "--cutoffs", "5",
+        *[item for pair in argv.items() for item in pair],
+        "--json", tmp_path / "ablation.json",
+    )
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert "given twice" in record["message"]
+    assert not (tmp_path / "ablation.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # claims
 # ---------------------------------------------------------------------------
@@ -286,6 +309,52 @@ def test_decompose_cli_with_replay(tmp_path, capsys):
     mapping = parse_subquery_map(out.read_bytes())
     assert len(mapping.groups) == 3
     assert len(mapping.groups["3"]) == 1  # fallback probe
+
+
+def test_decompose_cli_falls_back_on_a_reply_json_cannot_read(tmp_path, capsys):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(json.dumps({"query_id": "1", "response": DEEP_JSON}) + "\n")
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"query_id": "1", "query": "storm damage"}) + "\n")
+    out = tmp_path / "map.jsonl"
+    code = run_cli("decompose", "--queries", queries, "--replay", replay, "--out", out)
+    assert code == 0
+    assert "decomposed 1 queries (1 fallbacks)" in capsys.readouterr().out
+    assert parse_subquery_map(out.read_bytes()).groups == {"1": (("1-s000", "storm damage"),)}
+
+
+def test_decompose_cli_rejects_a_repeated_query_id(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(
+        "".join(json.dumps({"query_id": "1", "query": q}) + "\n" for q in ("first", "second"))
+    )
+    out = tmp_path / "map.jsonl"
+    code = run_cli(
+        "decompose", "--queries", queries, "--replay", PIPE / "decomposer_replay.jsonl", "--out", out
+    )
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert (record["error"], record["line"]) == ("ParseError", 2)
+    assert "query '1' appears in two query records" in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "inputs", [{"subquery_runs": "subqueries.run"}, {"subquery_map": "subquery_map.jsonl"}],
+    ids=["no-decompose-source", "no-retrieve-source"],
+)
+def test_pipeline_cli_rejects_a_stage_with_no_source(tmp_path, capsys, monkeypatch, inputs):
+    for name in ("DECOMPOSER", "RETRIEVER"):
+        monkeypatch.delenv(f"FUSEKIT_{name}_URL", raising=False)
+    out_dir = tmp_path / "out"
+    code = run_cli("pipeline", "--config", fixture_config_with(tmp_path, inputs=inputs), "--out-dir", out_dir)
+    assert code == 1
+    [line] = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert "has no source" in record["message"]
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

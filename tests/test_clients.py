@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -15,54 +13,7 @@ from fusekit.clients import (
     ReplayRetriever,
 )
 
-
-class _StubHandler(BaseHTTPRequestHandler):
-    """Echo-style service: behavior switches on the request path."""
-
-    failures_left = 0
-    posts = 0  # requests received
-
-    def do_POST(self):
-        type(self).posts += 1
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length) or b"{}")
-        if self.path == "/flaky" and type(self).failures_left > 0:
-            type(self).failures_left -= 1
-            self.send_response(503)
-            self.end_headers()
-            return
-        if self.path == "/decompose" or self.path == "/flaky":
-            body = json.dumps([f"{payload['query']} facet {i}" for i in range(3)])
-        elif self.path == "/retrieve":
-            body = json.dumps(
-                [{"doc_id": f"v{i}", "score": 1.0 - 0.1 * i} for i in range(payload["depth"])]
-            )
-        elif self.path == "/garbage":
-            body = "not json at all"
-        elif self.path == "/latin1":
-            body = "café"
-        else:
-            self.send_response(404)
-            self.end_headers()
-            return
-        data = body.encode("latin-1" if self.path == "/latin1" else "utf-8")
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture(scope="module")
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
-    server.shutdown()
-    server.server_close()
+from conftest import DEEP_JSON, LONG_INT_JSON, StubHandler
 
 
 def test_http_decomposer_round_trip(stub_server):
@@ -79,35 +30,35 @@ def test_http_retriever_round_trip(stub_server):
 
 
 def test_http_client_retries_then_succeeds(stub_server):
-    _StubHandler.failures_left = 2
+    StubHandler.failures_left = 2
     client = HttpTextClient(f"{stub_server}/flaky", retries=3, backoff=0.01)
     body = client.request({"query": "x"})
     assert json.loads(body)
-    assert _StubHandler.failures_left == 0
+    assert StubHandler.failures_left == 0
 
 
 def test_http_client_gives_up_after_retries(stub_server):
-    _StubHandler.failures_left = 99
+    StubHandler.failures_left = 99
     client = HttpTextClient(f"{stub_server}/flaky", retries=2, backoff=0.01)
     with pytest.raises(TransportError):
         client.request({"query": "x"})
-    _StubHandler.failures_left = 0
+    StubHandler.failures_left = 0
 
 
 def test_http_client_does_not_retry_client_errors(stub_server):
-    _StubHandler.posts = 0
+    StubHandler.posts = 0
     client = HttpTextClient(f"{stub_server}/missing", retries=3, backoff=0.01)
     with pytest.raises(TransportError, match="404"):
         client.request({"query": "x"})
-    assert _StubHandler.posts == 1
+    assert StubHandler.posts == 1
 
 
 def test_http_client_rejects_a_reply_that_is_not_utf8(stub_server):
-    _StubHandler.posts = 0
+    StubHandler.posts = 0
     client = HttpTextClient(f"{stub_server}/latin1", retries=3, backoff=0.01)
     with pytest.raises(TransportError, match="not valid UTF-8"):
         client.request({"query": "x"})
-    assert _StubHandler.posts == 1
+    assert StubHandler.posts == 1
 
 
 @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "127.0.0.1:9/none", ""])
@@ -123,9 +74,11 @@ def test_http_client_unreachable_endpoint():
 
 
 def test_http_retriever_rejects_garbage(stub_server):
-    client = HttpRetriever(f"{stub_server}/garbage")
-    with pytest.raises(TransportError):
-        client.retrieve("s1", "anything", 3)
+    # "/deep" and "/long-int" send JSON that json.loads itself cannot read
+    for path in ("/garbage", "/deep", "/long-int"):
+        client = HttpRetriever(f"{stub_server}{path}")
+        with pytest.raises(TransportError, match="retriever returned invalid JSON"):
+            client.retrieve("s1", "anything", 3)
 
 
 @pytest.mark.parametrize(
@@ -144,6 +97,14 @@ def test_http_retriever_takes_only_json_numbers_as_scores(score):
     client = HttpRetriever("http://127.0.0.1:9/unused")
     client._client.request = lambda payload: '[{"doc_id": "v0", "score": %s}]' % score
     with pytest.raises(TransportError, match="finite number"):
+        client.retrieve("s1", "anything", 3)
+
+
+@pytest.mark.parametrize("score", [DEEP_JSON, LONG_INT_JSON], ids=["deep", "long-int"])
+def test_http_retriever_rejects_a_score_json_cannot_read(score):
+    client = HttpRetriever("http://127.0.0.1:9/unused")
+    client._client.request = lambda payload: '[{"doc_id": "v0", "score": %s}]' % score
+    with pytest.raises(TransportError, match="retriever returned invalid JSON"):
         client.retrieve("s1", "anything", 3)
 
 

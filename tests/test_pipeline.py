@@ -7,17 +7,18 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusekit import (
     FusionStrategy,
     ParseError,
     PipelineStageError,
     RunSet,
-    ScoredList,
     TransportError,
     ValidationError,
 )
-from fusekit.clients import HttpRetriever, ReplayDecomposer
+from fusekit.clients import ReplayDecomposer
 from fusekit.pipeline import (
     DecompositionResult,
     MAX_SUB_QUERIES,
@@ -30,7 +31,7 @@ from fusekit.pipeline import (
     write_run_file,
 )
 
-from conftest import make_list
+from conftest import DEEP_JSON, LONG_INT_JSON, make_list
 
 FIXTURES = Path(__file__).parent / "fixtures" / "pipeline"
 
@@ -149,6 +150,32 @@ def test_read_query_records_rejects_a_bad_query_id_or_text(record):
     assert excinfo.value.line == 2
 
 
+def test_read_query_records_rejects_a_repeated_query_id():
+    data = "".join(json.dumps({"query_id": "1", "query": q}) + "\n" for q in ("first", "second"))
+    with pytest.raises(ParseError, match="query '1' appears in two query records") as excinfo:
+        read_query_records(data)
+    assert excinfo.value.line == 2
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.text() | JSON_VALUES.map(json.dumps))
+@example(raw=DEEP_JSON)
+@example(raw=LONG_INT_JSON)
+@example(raw="[" + LONG_INT_JSON + "]")
+def test_decompose_returns_for_any_reply(raw):
+    result = decompose(QUERY_RECORD, CannedDecomposer(raw))
+    assert 1 <= len(result.sub_queries) <= MAX_SUB_QUERIES
+    if result.fallback_used:
+        assert result.sub_queries == (QUERY_RECORD["query"],)
+
+
 def test_decomposition_result_rejects_empty():
     with pytest.raises(ValidationError):
         DecompositionResult(query_id="1", sub_queries=())
@@ -228,9 +255,11 @@ def test_config_round_trip():
         strategy=FusionStrategy("max_sim"),
         first_stage_depth=200,
         rerank_depth=20,
-        endpoints={"decomposer": "http://example/d"},
+        endpoints={"decomposer": "http://example/d", "retriever": "http://example/r"},
+        inputs={"queries": Path("q.jsonl")},
     )
-    assert PipelineConfig.from_dict(config.to_dict()) == config
+    # the manifest lists the inputs apart, so to_dict leaves them out
+    assert PipelineConfig.from_dict({**config.to_dict(), "inputs": {"queries": "q.jsonl"}}) == config
 
 
 def test_config_rejects_unknown_endpoint():
@@ -312,6 +341,27 @@ def test_config_rejects_a_stage_with_two_sources(data, sources):
         assert source in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "data, stage",
+    [
+        ({"inputs": {"subquery_runs": "r"}}, "decompose"),
+        ({"inputs": {"queries": "q", "subquery_runs": "r"}}, "decompose"),
+        ({"inputs": {"subquery_runs": "r"}, "endpoints": {"decomposer": "http://d"}}, "decompose"),
+        ({"inputs": {"subquery_map": "m", "rerank": "k"}}, "retrieve"),
+    ],
+    ids=["nothing", "queries-without-decomposer", "decomposer-without-queries", "no-retriever"],
+)
+def test_config_rejects_a_stage_with_no_source(data, stage):
+    with pytest.raises(ValidationError, match=f"stage '{stage}' has no source"):
+        PipelineConfig.from_dict(data)
+
+
+def test_config_names_two_sources_before_a_missing_one():
+    data = {"inputs": {"subquery_runs": "r"}, "endpoints": {"retriever": "http://r"}}
+    with pytest.raises(ValidationError, match="stage 'retrieve' has two sources"):
+        PipelineConfig.from_dict(data)
+
+
 def test_config_takes_queries_with_a_decomposer_and_a_run_file_with_no_retriever():
     config = PipelineConfig.from_dict(
         {"inputs": {"queries": "q", "subquery_runs": "r"}, "endpoints": {"decomposer": "http://d"}}
@@ -332,8 +382,12 @@ def test_config_load_resolves_inputs_against_the_file(tmp_path):
         "rerank": FIXTURES / "rerank.run",
     }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"inputs": {"queries": str(FIXTURES / "queries.jsonl")}}))
-    assert PipelineConfig.load(path).inputs == {"queries": FIXTURES / "queries.jsonl"}
+    inputs = {"queries": str(FIXTURES / "queries.jsonl"), "subquery_runs": "subqueries.run"}
+    path.write_text(json.dumps({"inputs": inputs, "endpoints": {"decomposer": "http://d"}}))
+    assert PipelineConfig.load(path).inputs == {
+        "queries": FIXTURES / "queries.jsonl",
+        "subquery_runs": tmp_path / "subqueries.run",
+    }
 
 
 def test_config_load_takes_an_endpoint_from_the_environment(tmp_path, monkeypatch):
@@ -342,9 +396,10 @@ def test_config_load_takes_an_endpoint_from_the_environment(tmp_path, monkeypatc
     monkeypatch.delenv("FUSEKIT_RETRIEVER_URL", raising=False)
     monkeypatch.setenv("FUSEKIT_DECOMPOSER_URL", "http://env-host/decompose")
     assert PipelineConfig.load(path).to_dict()["endpoints"] == {"decomposer": "http://env-host/decompose"}
-    # an empty variable sets nothing
+    # an empty variable sets nothing, which leaves the queries without a decomposer
     monkeypatch.setenv("FUSEKIT_DECOMPOSER_URL", "")
-    assert PipelineConfig.load(path).endpoints == {}
+    with pytest.raises(ValidationError, match="stage 'decompose' has no source"):
+        PipelineConfig.load(path)
 
 
 def test_config_load_checks_an_environment_endpoint_like_the_files(monkeypatch):
@@ -358,10 +413,10 @@ def test_config_load_checks_an_environment_endpoint_like_the_files(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def fixture_config(**inputs: Path) -> PipelineConfig:
-    """The shipped fixture config; keyword arguments, when given, replace its inputs."""
+def fixture_config(endpoints: dict[str, str] | None = None, **inputs: Path) -> PipelineConfig:
+    """The shipped fixture config; ``endpoints`` and the keyword inputs, when given, replace its own."""
     config = PipelineConfig.load(FIXTURES / "config.json")
-    return replace(config, inputs=inputs) if inputs else config
+    return replace(config, inputs=inputs or config.inputs, endpoints=endpoints or config.endpoints)
 
 
 MAP_AND_RUNS = dict(subquery_map=FIXTURES / "subquery_map.jsonl", subquery_runs=FIXTURES / "subqueries.run")
@@ -414,32 +469,19 @@ def test_pipeline_manifest_digest_tracks_input_changes(tmp_path):
     assert third["inputs"]["subquery_map"] == first["inputs"]["subquery_map"]
 
 
-def test_pipeline_with_replay_decomposer_and_retriever(tmp_path):
+def test_pipeline_with_replay_decomposer_and_retriever(tmp_path, stub_server):
     from fusekit.core import parse_run
 
-    replay = ReplayDecomposer.from_jsonl((FIXTURES / "decomposer_replay.jsonl").read_bytes())
-    # retriever keyed by generated sub-query ids: reuse fixture lists by position
-    raw = parse_run((FIXTURES / "subqueries.run").read_bytes())
-
-    class PositionalRetriever:
-        def retrieve(self, sub_id, text, depth):
-            qid, _, pos = sub_id.partition("-s")
-            fixture_id = f"{qid}-s{int(pos):03d}"
-            if fixture_id in raw.lists:
-                return ScoredList(raw.lists[fixture_id].entries[:depth])
-            return ScoredList([(f"v{int(pos):03d}", 0.5)])
-
-    result = run_pipeline(
-        fixture_config(queries=FIXTURES / "queries.jsonl"),
-        tmp_path,
-        decomposer=replay,
-        retriever=PositionalRetriever(),
-    )
+    # live clients: the stub's "/replay" answers from the decomposer replay file
+    endpoints = {"decomposer": f"{stub_server}/replay", "retriever": f"{stub_server}/retrieve"}
+    config = fixture_config(endpoints, queries=FIXTURES / "queries.jsonl")
+    result = run_pipeline(config, tmp_path)
     # query 3's decomposition is malformed in the replay file -> fallback single probe
     sub_run = parse_run((tmp_path / "subqueries.run").read_bytes())
     assert "3-s000" in sub_run.lists
     assert "3-s001" not in sub_run.lists
     assert set(result.final.lists) == {"1", "2", "3"}
+    assert result.manifest["config"]["endpoints"] == endpoints
 
 
 def test_pipeline_missing_sub_query_list_names_stage_and_query(tmp_path):
@@ -454,14 +496,11 @@ def test_pipeline_missing_sub_query_list_names_stage_and_query(tmp_path):
     assert "1-s999" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("doc_ids", [("v0", "v0"), ("v 0",)], ids=["duplicate", "whitespace"])
-def test_pipeline_names_stage_and_query_of_a_bad_retriever_list(tmp_path, doc_ids):
-    retriever = HttpRetriever("http://127.0.0.1:9/unused")
-    retriever._client.request = lambda payload: json.dumps([{"doc_id": d, "score": 0.5} for d in doc_ids])
+@pytest.mark.parametrize("path", ["/duplicate-hits", "/whitespace-hits"], ids=["duplicate", "whitespace"])
+def test_pipeline_names_stage_and_query_of_a_bad_retriever_list(tmp_path, stub_server, path):
+    config = fixture_config({"retriever": f"{stub_server}{path}"}, subquery_map=FIXTURES / "subquery_map.jsonl")
     with pytest.raises(PipelineStageError) as excinfo:
-        run_pipeline(
-            fixture_config(subquery_map=FIXTURES / "subquery_map.jsonl"), tmp_path, retriever=retriever
-        )
+        run_pipeline(config, tmp_path)
     assert (excinfo.value.stage, excinfo.value.query_id) == ("retrieve", "1")
     assert isinstance(excinfo.value.cause, ValidationError)
 
@@ -481,8 +520,8 @@ assert "urllib.request" not in sys.modules, "urllib.request was imported"
 
 
 def test_pipeline_requires_some_input(tmp_path):
-    with pytest.raises(ValidationError):
-        run_pipeline(replace(fixture_config(), inputs={}), tmp_path)
+    with pytest.raises(ValidationError, match="stage 'decompose' has no source"):
+        replace(fixture_config(), inputs={})
 
 
 def test_pipeline_without_rerank_file_still_emits_three_stages(tmp_path):
@@ -501,13 +540,14 @@ def test_pipeline_writes_past_a_stale_temp_directory(tmp_path):
     assert (tmp_path / "fused.run").stat().st_size > 0
 
 
-def test_pipeline_bad_query_records_name_stage_and_line(tmp_path):
+def test_pipeline_bad_query_records_name_stage_and_line(tmp_path, stub_server):
     queries = tmp_path / "queries.jsonl"
     queries.write_text('{"query_id": "1", "query": "q"}\n{oops\n')
+    config = fixture_config(
+        {"decomposer": f"{stub_server}/replay"}, queries=queries, subquery_runs=FIXTURES / "subqueries.run"
+    )
     with pytest.raises(PipelineStageError) as excinfo:
-        run_pipeline(
-            fixture_config(queries=queries), tmp_path / "out", decomposer=ReplayDecomposer({}), retriever=None
-        )
+        run_pipeline(config, tmp_path / "out")
     assert excinfo.value.stage == "decompose"
     assert excinfo.value.cause.line == 2
 
@@ -526,6 +566,9 @@ def test_write_run_file_rejects_a_bad_depth_or_tag_and_keeps_the_old_file(tmp_pa
 
 
 def test_pipeline_missing_input_file_is_an_os_error_not_a_stage_error(tmp_path):
-    config = PipelineConfig(strategy=FusionStrategy("rrf", 60), inputs={"subquery_map": tmp_path / "missing.jsonl"})
+    config = PipelineConfig(
+        strategy=FusionStrategy("rrf", 60),
+        inputs={"subquery_map": tmp_path / "missing.jsonl", "subquery_runs": FIXTURES / "subqueries.run"},
+    )
     with pytest.raises(FileNotFoundError):
         run_pipeline(config, tmp_path / "out")

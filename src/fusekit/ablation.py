@@ -17,7 +17,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 
-from .core import Qrels, RunSet, SubQueryMap
+from .core import Qrels, RunSet, SubQueryMap, _is_json
 from .errors import ValidationError
 from .fusion import FusionInput, FusionStrategy, fuse
 from .metrics import Cutoffs, evaluate
@@ -33,16 +33,18 @@ class AblationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "keep_counts", tuple(self.keep_counts))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.keep_counts:
             raise ValidationError("keep_counts must be non-empty")
         if not self.seeds:
             raise ValidationError("seeds must be non-empty")
         for keep in self.keep_counts:
-            if keep != KEEP_ALL and (not isinstance(keep, int) or keep < 1):
+            if keep != KEEP_ALL and (not _is_json(keep, int) or keep < 1):
                 raise ValidationError(
                     f"keep count must be a positive integer or '{KEEP_ALL}', got {keep!r}"
                 )
+        if not all(_is_json(seed, int) for seed in self.seeds):
+            raise ValidationError(f"seeds must be integers, got {self.seeds!r}")
         for what, values in (("keep count", self.keep_counts), ("seed", self.seeds)):
             repeated = [value for i, value in enumerate(values) if value in values[:i]]
             if repeated:
@@ -62,7 +64,7 @@ def subsample(mapping: SubQueryMap, keep: int, seed: int) -> SubQueryMap:
     Deterministic: the draw for each group is seeded by (seed, query id).
     """
     if keep < 1:
-        raise ValueError(f"keep must be >= 1, got {keep}")
+        raise ValidationError(f"keep must be >= 1, got {keep}")
     groups = {}
     for qid, subs in mapping.groups.items():
         if len(subs) <= keep:
@@ -98,16 +100,15 @@ def run_ablation(
     qrels: Qrels,
     config: AblationConfig,
     cutoffs: Cutoffs,
-    output_depth: int | None = None,
 ) -> AblationReport:
     """Evaluate every cell, "all" over the whole map and any other keep count once per seed."""
+    depth = max(cutoffs.values)  # evaluation reads no further down a fused list
     rows: dict[int | str, dict[str, tuple[float, float]]] = {}
     for keep in config.keep_counts:
         # lazy: each cell is drawn, fused and evaluated in turn, and no fused run outlives its evaluation
         maps = [mapping] if keep == KEEP_ALL else (subsample(mapping, keep, seed) for seed in config.seeds)
         reports = [
-            evaluate(fuse_runs(m, sub_query_runs, config.strategy, output_depth), qrels, cutoffs)
-            for m in maps
+            evaluate(fuse_runs(m, sub_query_runs, config.strategy, depth), qrels, cutoffs) for m in maps
         ]
         rows[keep] = {name: _mean_std([r.aggregate[name] for r in reports]) for name in reports[0].aggregate}
     return AblationReport(rows=rows)

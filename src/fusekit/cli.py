@@ -3,8 +3,10 @@
 Subcommands: fuse, rerank-inject, eval, delta, ablate,
 claims (validate | attach | filter), memory, pipeline, decompose.
 
-Exit codes: 0 success, 1 validation or parse error, 2 I/O or transport
-error. Errors are additionally written to stderr as one JSON record.
+Exit codes: 0 success; 1 for a ParseError or ValidationError, bad argument
+values included; 2 for a TransportError or OSError, or a pipeline stage
+error caused by one. Each of these is also written to stderr as one JSON
+record. Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -69,23 +71,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, ValidationError, ValueError, KeyError, IndexError) as e:
-        _emit_error(e)
-        return 1
-    except PipelineStageError as e:
-        _emit_error(e)
-        return 2 if isinstance(e.cause, (TransportError, OSError)) else 1
-    except (TransportError, OSError) as e:
-        _emit_error(e)
-        return 2
-
-
-def _emit_error(e: Exception) -> None:
-    record = {"error": type(e).__name__, "message": str(e)}
-    cause = e.cause if isinstance(e, PipelineStageError) else e
-    if isinstance(cause, ParseError) and cause.line is not None:
-        record["line"] = cause.line
-    print(json.dumps(record), file=sys.stderr)
+    except (FusekitError, OSError) as e:
+        cause = e.cause if isinstance(e, PipelineStageError) else e
+        record = {"error": type(e).__name__, "message": str(e)}
+        if isinstance(cause, ParseError) and cause.line is not None:
+            record["line"] = cause.line
+        print(json.dumps(record), file=sys.stderr)
+        return 2 if isinstance(cause, (TransportError, OSError)) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keep", default="1,5,10,all", help="keep counts, e.g. '1,5,10,all'")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     p.add_argument("--cutoffs", default="10,20,100")
-    p.add_argument("--depth", type=int, default=None, help="fused output depth")
     p.add_argument("--json", type=Path, default=None)
     p.set_defaults(handler=_cmd_ablate)
 
@@ -188,8 +179,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_cutoffs(text: str) -> Cutoffs:
-    return Cutoffs(tuple(int(v) for v in text.split(",") if v.strip()))
+def _int_list(text: str, option: str, words: tuple[str, ...] = ()) -> tuple:
+    """The comma-separated integers (or ``words``) of ``option``; any other item is a ValidationError."""
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    try:
+        return tuple(item if item in words else int(item) for item in items)
+    except ValueError:
+        allowed = " or ".join(("integers", *map(repr, words)))
+        raise ValidationError(f"{option} takes comma-separated {allowed}, got {text!r}") from None
 
 
 def _read(parse, path: Path, *args):
@@ -235,7 +232,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(
         run,
         qrels,
-        _parse_cutoffs(args.cutoffs),
+        Cutoffs(_int_list(args.cutoffs, "--cutoffs")),
         on_missing=args.on_missing,
         exclude_no_relevant=args.exclude_no_relevant,
     )
@@ -262,26 +259,16 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def _parse_keep(text: str) -> tuple:
-    keeps = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        keeps.append(KEEP_ALL if item == KEEP_ALL else int(item))
-    return tuple(keeps)
-
-
 def _cmd_ablate(args) -> int:
     mapping = _read(parse_subquery_map, args.map_path)
     runs = _read(parse_run, args.runs)
     qrels = _read(parse_qrels, args.qrels)
     config = AblationConfig(
-        keep_counts=_parse_keep(args.keep),
-        seeds=tuple(int(s) for s in args.seeds.split(",") if s.strip()),
+        keep_counts=_int_list(args.keep, "--keep", (KEEP_ALL,)),
+        seeds=_int_list(args.seeds, "--seeds"),
         strategy=FusionStrategy(kind=args.strategy, k_constant=args.k),
     )
-    report = run_ablation(mapping, runs, qrels, config, _parse_cutoffs(args.cutoffs), args.depth)
+    report = run_ablation(mapping, runs, qrels, config, Cutoffs(_int_list(args.cutoffs, "--cutoffs")))
     print(render_ablation(report))
     if args.json is not None:
         payload = {

@@ -42,7 +42,7 @@ class HttpTextClient:
 
     def __init__(self, endpoint: str, retries: int = 3, backoff: float = 0.25, timeout: float = 30.0):
         if retries < 1:
-            raise ValueError("retries must be >= 1")
+            raise ValidationError("retries must be >= 1")
         self.endpoint = endpoint
         self.retries = retries
         self.backoff = backoff
@@ -55,16 +55,18 @@ class HttpTextClient:
         import urllib.parse
         import urllib.request
 
-        if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
-            raise TransportError(f"{self.endpoint} request failed: not an http or https URL")
         body = json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(self.endpoint, body, {"Content-Type": "application/json"})
         for attempt in range(self.retries):
             try:
+                if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
+                    raise TransportError(f"{self.endpoint} request failed: not an http or https URL")
+                request = urllib.request.Request(self.endpoint, body, {"Content-Type": "application/json"})
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     return response.read().decode("utf-8")
             except UnicodeDecodeError as e:
                 raise TransportError(f"{self.endpoint} reply is not valid UTF-8: {e}") from None
+            except ValueError as e:  # a URL urllib cannot parse or send, e.g. "http://[::1" or a non-ASCII path
+                raise TransportError(f"{self.endpoint} request failed: {e}") from None
             except (OSError, http.client.HTTPException) as e:  # URLError and HTTPError are OSErrors
                 if isinstance(e, urllib.error.HTTPError) and e.code < 500 and e.code != 429:
                     raise TransportError(f"{self.endpoint} request failed: {e}") from e

@@ -347,7 +347,7 @@ class ScoredList:
 def truncate(ranking: ScoredList, depth: int) -> ScoredList:
     """First ``min(depth, len)`` entries, order preserved. Idempotent."""
     if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+        raise ValidationError(f"depth must be >= 0, got {depth}")
     if depth >= len(ranking):
         return ranking
     return ScoredList._trusted(ranking._docs[:depth], ranking._scores[:depth])
@@ -421,7 +421,7 @@ def write_run(run: RunSet, depth: int) -> bytes:
     exactly. Queries are emitted in ascending id order.
     """
     if depth < 1:
-        raise ValueError(f"depth must be a positive integer, got {depth}")
+        raise ValidationError(f"depth must be a positive integer, got {depth}")
     _check_token(run.tag, "run tag")
     # one query's lines at a time, so the only whole-file copy is the output itself
     out = io.BytesIO()
@@ -610,7 +610,7 @@ def expansion_stats(mapping: SubQueryMap) -> ExpansionStats:
     """Total sub-query count plus min/mean/max group size (mean shown at 2 dp)."""
     sizes = mapping.group_sizes()
     if not sizes:
-        raise ValueError("expansion stats require a non-empty sub-query map")
+        raise ValidationError("expansion stats require a non-empty sub-query map")
     return ExpansionStats(
         count=sum(sizes),
         min_size=min(sizes),

@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: validation/parse problems exit 1,
-I/O and transport problems exit 2.
+These types alone decide how the CLI exits: a ``ParseError`` or
+``ValidationError`` (bad input, bad argument values included) exits 1, a
+``TransportError`` or an ``OSError`` exits 2, and a ``PipelineStageError``
+exits as its cause would. Any other exception is a bug and shows a traceback.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ class ParseError(FusekitError):
         super().__init__(message)
 
 
-class ValidationError(FusekitError):
-    """Parsed data violates a documented invariant."""
+class ValidationError(FusekitError, ValueError):
+    """Parsed data or an argument violates a documented invariant; also a ValueError."""
 
 
 class AnswerTagError(ValidationError):

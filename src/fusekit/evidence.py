@@ -322,7 +322,7 @@ def filter_by_threshold(
 ) -> tuple[list[CalibratedArtifact], list[CalibratedArtifact]]:
     """Split into (kept, dropped); prob >= threshold is kept (inclusive)."""
     if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
     kept, dropped = [], []
     for item in calibrated:
         (kept if item.prob >= threshold else dropped).append(item)

@@ -18,10 +18,11 @@ score with doc-id ascending tie-break.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 
-from .core import QueryId, ScoredList, truncate
+from .core import QueryId, ScoredList, _is_json, truncate
 from .errors import ValidationError
 
 STRATEGY_KINDS = ("rrf", "weighted_rrf", "sum_sim", "max_sim", "mean_sim")
@@ -39,7 +40,7 @@ class FusionStrategy:
             raise ValidationError(
                 f"unknown fusion strategy {self.kind!r}; expected one of {STRATEGY_KINDS}"
             )
-        if not isinstance(self.k_constant, int) or self.k_constant <= 0:
+        if not _is_json(self.k_constant, int) or self.k_constant <= 0:
             raise ValidationError(
                 f"k_constant must be a positive integer, got {self.k_constant!r}"
             )
@@ -65,7 +66,9 @@ class FusionInput:
 
 def _check_k(k: int) -> None:
     if k <= 0:
-        raise ValueError(f"rrf smoothing constant must be > 0, got {k}")
+        raise ValidationError(f"rrf smoothing constant must be > 0, got {k}")
+    if k > sys.float_info.max:  # 1 / (k + rank) needs k as a float
+        raise ValidationError("rrf smoothing constant exceeds the float range")
 
 
 def _summed(inp: FusionInput, terms, divisor: int = 1) -> ScoredList:

@@ -123,7 +123,7 @@ class MemoryBank:
     def add_keyword(self, video_id: str, keyword: str) -> None:
         """Tag a video with a keyword (idempotent)."""
         if not keyword:
-            raise ValueError("keyword must be non-empty")
+            raise ValidationError("keyword must be non-empty")
         self._register_video(video_id)
         self.keywords.setdefault(video_id, set()).add(keyword)
         self._videos_by_keyword.setdefault(keyword.lower(), set()).add(video_id)
@@ -169,7 +169,7 @@ class MemoryBank:
     ) -> None:
         """Record a tool run against a video and flip it to processed."""
         if not tool:
-            raise ValueError("tool name must be non-empty")
+            raise ValidationError("tool name must be non-empty")
         self._register_video(video_id)
         status = self.videos[video_id]
         status.tools_used.add(tool)
@@ -246,7 +246,7 @@ class MemoryBank:
         data = self.to_dict()
         if slot is not None:
             if slot not in SLOTS:
-                raise ValueError(f"unknown slot {slot!r}; expected one of {SLOTS}")
+                raise ValidationError(f"unknown slot {slot!r}; expected one of {SLOTS}")
             data = {slot: data[slot]}
         return (json.dumps(data, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 

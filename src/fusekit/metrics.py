@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import Qrels, QueryId, RunSet, ScoredList, _expect, _loads, from_json_object, json_record
+from .core import Qrels, QueryId, RunSet, ScoredList, _expect, _is_json, _loads, from_json_object, json_record
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -36,12 +36,12 @@ class Cutoffs:
     values: tuple[int, ...] = (10, 20, 100)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(self.values))
         if not self.values:
             raise ValidationError("cutoffs must be non-empty")
         prev = 0
         for v in self.values:
-            if v <= prev:
+            if not _is_json(v, int) or v <= prev:
                 raise ValidationError(
                     f"cutoffs must be strictly increasing positive integers, got {self.values}"
                 )
@@ -68,7 +68,7 @@ def recall_at_k(ranking: ScoredList, qrels: Qrels, query: QueryId, k: int) -> fl
 
 def _check_cutoff(k: int) -> None:
     if k < 1:
-        raise ValueError(f"cutoff must be >= 1, got {k}")
+        raise ValidationError(f"cutoff must be >= 1, got {k}")
 
 
 def _query_metrics(
@@ -154,7 +154,7 @@ def evaluate(
     ``exclude_no_relevant`` is set.
     """
     if on_missing not in ("error", "skip"):
-        raise ValueError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
+        raise ValidationError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
     if not run.lists:
         raise ValidationError("cannot evaluate an empty run")
     judged_queries = qrels.queries()

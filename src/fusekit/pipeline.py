@@ -42,7 +42,7 @@ from .core import (
 )
 from .ablation import fuse_runs
 from .clients import HttpDecomposer, HttpRetriever, ReplayRetriever
-from .errors import ParseError, PipelineStageError, ValidationError
+from .errors import FusekitError, ParseError, PipelineStageError, ValidationError
 from .fusion import FusionStrategy
 
 logger = logging.getLogger(__name__)
@@ -124,6 +124,10 @@ class PipelineConfig:
         _check_keys(data, CONFIG_KEYS, "config")
         strategy = _check_keys(data.get("strategy", {}), ("kind", "k"), "strategy")
         inputs = _expect(data.get("inputs", {}), dict, "inputs", item=str)
+        for name, path in inputs.items():
+            # open() raises ValueError for a NUL or a lone surrogate, which no file name holds
+            if "\0" in path or any("\ud800" <= ch <= "\udfff" for ch in path):
+                raise ValidationError(f"inputs.{name} must name a file, got {path!r}")
         return cls(
             strategy=FusionStrategy(
                 kind=strategy.get("kind", "rrf"), k_constant=_expect(strategy.get("k", 60), int, "k")
@@ -253,7 +257,7 @@ def inject_rerank(fused: RunSet, rerank: RunSet, rerank_depth: int) -> RunSet:
     output tag gains a ``-reranked`` suffix.
     """
     if rerank_depth < 0:
-        raise ValueError("rerank_depth must be >= 0")
+        raise ValidationError("rerank_depth must be >= 0")
     lists = {}
     for qid, fused_list in fused.lists.items():
         external = rerank.lists.get(qid)
@@ -297,10 +301,9 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     Each stage reads the input file named in ``config.inputs`` or asks the
     service at ``config.endpoints``; the config gives it exactly one of the
     two. Any stage failure aborts with the stage name and the query id
-    being processed.
+    being processed. ``out_dir`` is made only once every stage has run, so
+    a failed run leaves none behind.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = config.inputs
 
     # stage 1: sub-query map
@@ -330,10 +333,6 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     )
     reranked = _stage("rerank", None, inject_rerank, fused, rerank_scores, config.rerank_depth)
 
-    stage_paths = {name: out_dir / name for name in STAGE_FILES}
-    for name, run in zip(STAGE_FILES, (sub_runs, fused, reranked)):
-        write_run_file(stage_paths[name], run, config.first_stage_depth)
-
     manifest = {
         "toolkit_version": __version__,
         "config": config.to_dict(),
@@ -342,6 +341,11 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
             for name, path in sorted(inputs.items())
         },
     }
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage_paths = {name: out_dir / name for name in STAGE_FILES}
+    for name, run in zip(STAGE_FILES, (sub_runs, fused, reranked)):
+        write_run_file(stage_paths[name], run, config.first_stage_depth)
     manifest_path = out_dir / "manifest.json"
     atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return PipelineResult(
@@ -372,11 +376,10 @@ def _parse_input(stage: str, parse, path: Path):
 
 
 def _stage(stage: str, query_id, fn, *args):
+    """``fn(*args)``, a FusekitError or OSError wrapped as PipelineStageError; any other exception is a bug."""
     try:
         return fn(*args)
-    except PipelineStageError:
-        raise
-    except Exception as e:
+    except (FusekitError, OSError) as e:
         raise PipelineStageError(stage, query_id, e) from e
 
 

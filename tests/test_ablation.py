@@ -177,6 +177,23 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: AblationConfig(keep_counts=(1,), seeds=(True, 0.5), strategy=STRATEGY),
+        lambda: AblationConfig(keep_counts=(True,), seeds=(0,), strategy=STRATEGY),
+        lambda: Cutoffs((True, 10.5)),
+        lambda: Cutoffs(("5", 20)),
+        lambda: FusionStrategy("rrf", True),
+    ],
+    ids=["ablation-seeds", "ablation-keep", "cutoffs-bool-float", "cutoffs-string", "strategy-k"],
+)
+def test_value_objects_reject_bools_and_non_integers(build):
+    # int() would turn True into 1 and 10.5 into 10 without a word, and isinstance(True, int) holds
+    with pytest.raises(ValidationError):
+        build()
+
+
+@pytest.mark.parametrize(
     "keep_counts, seeds, repeated",
     [((1, 1), (0,), "keep count 1"), ((KEEP_ALL, 2, KEEP_ALL), (0,), "keep count 'all'"),
      ((1,), (0, 0, 1), "seed 0")],
@@ -203,6 +220,18 @@ def test_run_ablation_subsamples_fuses_and_evaluates_each_cell_in_turn(monkeypat
     run_ablation(mapping, build_runs(mapping), build_qrels(mapping), config, CUTOFFS)
     cell = ["subsample", "fuse_runs", "evaluate"]
     assert calls == cell[1:] + cell * 3
+
+
+def test_run_ablation_fuses_down_to_the_largest_cutoff_only(monkeypatch):
+    import fusekit.ablation as ablation
+
+    depths = []
+    fuse_runs = ablation.fuse_runs
+    monkeypatch.setattr(ablation, "fuse_runs", lambda *args: depths.append(args[3]) or fuse_runs(*args))
+    mapping = build_map({"q1": 6, "q2": 3})
+    config = AblationConfig(keep_counts=(KEEP_ALL, 2), seeds=(0, 1), strategy=STRATEGY)
+    run_ablation(mapping, build_runs(mapping), build_qrels(mapping), config, CUTOFFS)
+    assert depths == [max(CUTOFFS.values)] * 3
 
 
 def test_render_ablation_row_labels():

@@ -754,8 +754,10 @@ def test_claims_filter_rejects_a_malformed_raw_payload(tmp_path, capsys, raw):
 @pytest.mark.parametrize(
     "change",
     # "seeds" is no longer a config key: any value of it is rejected as an unknown key
-    [{"seeds": 5}, {"endpoints": 5}, {"inputs": {"rerank": 5}}, {"strategy": {"kind": "rrf", "k": 1.5}}],
-    ids=["seeds", "endpoints", "inputs", "k"],
+    [{"seeds": 5}, {"endpoints": 5}, {"inputs": {"rerank": 5}}, {"strategy": {"kind": "rrf", "k": 1.5}},
+     {"inputs": {"subquery_map": str(PIPE / "subquery_map.jsonl"), "subquery_runs": str(PIPE / "subqueries.run"),
+                 "rerank": str(PIPE / "re\0rank.run")}}],
+    ids=["seeds", "endpoints", "inputs", "k", "input-path-with-nul"],
 )
 def test_pipeline_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, change):
     config = {**json.loads((PIPE / "config.json").read_text()), **change}
@@ -774,3 +776,69 @@ def test_pipeline_cli_rejects_a_config_that_is_not_json(tmp_path, capsys):
     assert run_cli("pipeline", "--config", path, "--out-dir", tmp_path / "out") == 1
     [line] = capsys.readouterr().err.splitlines()
     assert json.loads(line)["error"] == "ParseError"
+
+
+def test_a_failed_pipeline_run_leaves_no_out_dir(tmp_path, capsys):
+    map_path = tmp_path / "map.jsonl"
+    map_path.write_text('{"query_id": "1", "sub_queries": []}\n')
+    config = json.loads((PIPE / "config.json").read_text())
+    config["inputs"] = {"subquery_map": str(map_path), "subquery_runs": str(PIPE / "subqueries.run")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    assert run_cli("pipeline", "--config", path, "--out-dir", out_dir) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "PipelineStageError"
+    assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# failure policy: bad input is a FusekitError, anything else is a bug
+# ---------------------------------------------------------------------------
+
+
+def test_a_bug_in_a_pipeline_stage_propagates(tmp_path, monkeypatch):
+    def broken(*args):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr("fusekit.pipeline.inject_rerank", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_cli("pipeline", "--config", PIPE / "config.json", "--out-dir", tmp_path / "out")
+
+
+def test_a_bug_in_a_command_propagates(tmp_path, monkeypatch):
+    def broken(*args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr("fusekit.cli.attach", broken)
+    with pytest.raises(KeyError, match="missing"):
+        run_cli(
+            "claims", "attach", "--artifacts", EVID / "artifacts.jsonl",
+            "--predictions", EVID / "predictions.jsonl", "--out", tmp_path / "out.jsonl",
+        )
+
+
+ABLATE = ["ablate", "--map", PIPE / "subquery_map.jsonl", "--runs", PIPE / "subqueries.run",
+          "--qrels", PIPE / "qrels.txt", "--strategy", "rrf"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fuse", "--runs", PIPE / "subqueries.run", "--map", PIPE / "subquery_map.jsonl", "--strategy", "rrf",
+          "--depth", "0"], "depth must be a positive integer, got 0"),
+        (["fuse", "--runs", PIPE / "subqueries.run", "--map", PIPE / "subquery_map.jsonl", "--strategy", "rrf",
+          "--k", "1" + "0" * 309], "rrf smoothing constant exceeds the float range"),
+        (["eval", "--run", PIPE / "rerank.run", "--qrels", PIPE / "qrels.txt", "--cutoffs", "10,a"],
+         "--cutoffs takes comma-separated integers, got '10,a'"),
+        (ABLATE + ["--seeds", "x"], "--seeds takes comma-separated integers, got 'x'"),
+        (ABLATE + ["--keep", "1,y"], "--keep takes comma-separated integers or 'all', got '1,y'"),
+    ],
+    ids=["fuse-depth", "fuse-k", "eval-cutoffs", "ablate-seeds", "ablate-keep"],
+)
+def test_bad_argument_values_exit_1_with_one_validation_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, *(["--out", out] if argv[0] == "fuse" else ["--json", out])) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ValidationError", "message": message}
+    assert not out.exists()

@@ -61,7 +61,9 @@ def test_http_client_rejects_a_reply_that_is_not_utf8(stub_server):
     assert StubHandler.posts == 1
 
 
-@pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "127.0.0.1:9/none", ""])
+@pytest.mark.parametrize(
+    "endpoint", ["file:///etc/hostname", "127.0.0.1:9/none", "", "http://[::1", "http://127.0.0.1:9/\u00e9"]
+)
 def test_http_client_rejects_an_endpoint_that_is_not_http(endpoint):
     with pytest.raises(TransportError, match="request failed"):
         HttpTextClient(endpoint, retries=1).request({})

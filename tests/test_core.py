@@ -550,3 +550,40 @@ def test_atomic_write_failing_midway_keeps_old_file_and_leaves_no_temp_file(tmp_
         atomic_write(target, chunks())
     assert target.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.run"]
+
+
+def _bad_argument_calls():
+    from fusekit.ablation import subsample
+    from fusekit.clients import HttpTextClient
+    from fusekit.evidence import filter_by_threshold
+    from fusekit.fusion import FusionInput, rrf
+    from fusekit.memory import MemoryBank
+    from fusekit.metrics import evaluate, ndcg_at_k
+    from fusekit.pipeline import inject_rerank
+
+    ranking = make_list(("dA", 1.0))
+    run = RunSet(lists={"q1": ranking}, tag="t")
+    qrels = Qrels({("q1", "dA"): 1})
+    return {
+        "subsample-keep": lambda: subsample(SubQueryMap({"q1": (("q1-s0", "a"),)}), 0, seed=0),
+        "filter-threshold": lambda: filter_by_threshold([], 2.0),
+        "rrf-k": lambda: rrf(FusionInput("q1", (ranking,)), 0),
+        "ndcg-cutoff": lambda: ndcg_at_k(ranking, qrels, "q1", 0),
+        "evaluate-on-missing": lambda: evaluate(run, qrels, on_missing="drop"),
+        "client-retries": lambda: HttpTextClient("http://127.0.0.1:9/", retries=0),
+        "truncate-depth": lambda: truncate(ranking, -1),
+        "write-run-depth": lambda: write_run(run, 0),
+        "expansion-stats-empty": lambda: expansion_stats(SubQueryMap({})),
+        "keyword-empty": lambda: MemoryBank().add_keyword("v1", ""),
+        "tool-empty": lambda: MemoryBank().mark_processed("v1", ""),
+        "dump-slot": lambda: MemoryBank().dump("nope"),
+        "rerank-depth": lambda: inject_rerank(run, run, -1),
+    }
+
+
+@pytest.mark.parametrize("case", list(_bad_argument_calls()))
+def test_bad_argument_values_are_validation_errors(case):
+    # a ValidationError is a FusekitError, so the CLI reports it, and a ValueError, so older callers still catch it
+    with pytest.raises(ValidationError) as excinfo:
+        _bad_argument_calls()[case]()
+    assert isinstance(excinfo.value, ValueError)

@@ -94,6 +94,12 @@ def test_rrf_membership_beats_single_good_rank():
     assert fused.docs()[0] == "dB"
 
 
+@pytest.mark.parametrize("fuse", [rrf, weighted_rrf])
+def test_rrf_rejects_a_k_beyond_the_float_range(fuse):
+    with pytest.raises(ValidationError, match="exceeds the float range"):
+        fuse(as_input([[("dA", 1.0)]]), 10**309)
+
+
 def test_rrf_rejects_nonpositive_k():
     with pytest.raises(ValueError):
         rrf(as_input([[("dA", 1.0)]]), 0)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fusekit import FactEntry, MemoryBank, ParseError, ValidationError
+from fusekit import FactEntry, MemoryBank, ParseError, ValidationError, errors
 from fusekit.ablation import fuse_runs
 from fusekit.cli import main
 from fusekit.clients import ReplayDecomposer
@@ -232,6 +232,8 @@ def _check_exit(code: int, err: str, out_dir: Path, allow_io_error: bool = False
         assert record["error"] in ("FileNotFoundError", "IsADirectoryError", "NotADirectoryError", "OSError")
     else:
         assert code == 1
+        # only bad input exits 1: any other exception is a bug and leaves main with its traceback
+        assert issubclass(getattr(errors, record["error"]), errors.FusekitError)
     assert outputs == []
 
 
@@ -322,3 +324,5 @@ def test_cli_pipeline_config_exits_cleanly(raw):
         _check_exit(code, err, out_dir, allow_io_error=True)
         if code == 0:
             assert (out_dir / "manifest.json").is_file()
+        else:
+            assert not out_dir.exists()

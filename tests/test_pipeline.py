@@ -303,6 +303,8 @@ def test_config_rejects_unknown_keys(data, key):
         ({"first_stage_depth": True, "rerank_depth": 1}, "first_stage_depth"),
         ({"first_stage_depth": "500"}, "first_stage_depth"),
         ({"rerank_depth": 5.0}, "rerank_depth"),
+        ({"inputs": {"rerank": "re\0rank.run"}}, "rerank"),
+        ({"inputs": {"rerank": "\ud800.run"}}, "rerank"),
     ],
 )
 def test_config_rejects_values_of_the_wrong_type(data, key):

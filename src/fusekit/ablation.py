@@ -73,7 +73,7 @@ def subsample(mapping: SubQueryMap, keep: int, seed: int) -> SubQueryMap:
         rng = random.Random(f"{seed}:{qid}")
         indices = sorted(rng.sample(range(len(subs)), keep))
         groups[qid] = tuple(subs[i] for i in indices)
-    return SubQueryMap(groups)
+    return SubQueryMap._trusted(groups)  # a subsample of a checked map needs no second check
 
 
 def fuse_runs(

@@ -451,11 +451,11 @@ def _cmd_decompose(args) -> int:
     else:
         decomposer = HttpDecomposer(args.endpoint)
     mapping, results = decompose_all(records, decomposer)
+    stats = expansion_stats(mapping) if args.stats else None  # before the write: an empty map fails here
     atomic_write(args.out, write_subquery_map(mapping))
     fallbacks = sum(1 for r in results if r.fallback_used)
     print(f"decomposed {len(results)} queries ({fallbacks} fallbacks) -> {args.out}")
-    if args.stats:
-        stats = expansion_stats(mapping)
+    if stats is not None:
         print(stats.formatted())
     return 0
 

@@ -22,6 +22,7 @@ import os
 import secrets
 from array import array
 from dataclasses import MISSING, dataclass, field, fields
+from operator import neg
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
@@ -399,7 +400,7 @@ def parse_run(data: Source) -> RunSet:
         if qid != current:
             # each query's map becomes columns when its lines end, so only one map is held
             if current is not None:
-                lists[current] = ScoredList._trusted_sorted(scores)
+                lists[current] = _ranked(scores)
             current = qid
             done = lists.get(qid)
             # a query whose lines come back later is re-opened, so a repeated doc is still caught
@@ -410,8 +411,19 @@ def parse_run(data: Source) -> RunSet:
         if tag is None:
             tag = line_tag
     if current is not None:
-        lists[current] = ScoredList._trusted_sorted(scores)
+        lists[current] = _ranked(scores)
     return RunSet(lists=lists, tag=tag if tag is not None else "run")
+
+
+def _ranked(scores: dict[DocId, float]) -> ScoredList:
+    """The canonical order of one parsed query's doc id -> score map.
+
+    The (-score, doc id) pairs are sorted in file order, so a query whose lines
+    are already ranked, as run files usually are, sorts in near-linear time.
+    Fusion's maps follow no order, and ``ScoredList._trusted_sorted`` sorts them faster.
+    """
+    neg_scores, docs = zip(*sorted(zip(map(neg, scores.values()), scores)))
+    return ScoredList._trusted(docs, array("d", map(neg, neg_scores)))
 
 
 def write_run(run: RunSet, depth: int) -> bytes:
@@ -529,6 +541,7 @@ class SubQueryMap:
     """Ordered sub-queries per original query.
 
     Sub-query ids are globally unique tokens; every group is non-empty.
+    ``SubQueryMap(groups)`` checks this; ``_trusted`` is internal and checks nothing.
     """
 
     groups: dict[QueryId, tuple[tuple[QueryId, str], ...]] = field(default_factory=dict)
@@ -539,6 +552,13 @@ class SubQueryMap:
         seen_sub: set[str] = set()
         for qid, subs in groups.items():
             _check_group(qid, subs, seen_sub)
+
+    @classmethod
+    def _trusted(cls, groups: dict[QueryId, tuple[tuple[QueryId, str], ...]]) -> "SubQueryMap":
+        """Wrap groups, each a tuple, that already meet every invariant (a subsample of a map)."""
+        mapping = object.__new__(cls)
+        object.__setattr__(mapping, "groups", groups)
+        return mapping
 
     def group_sizes(self) -> list[int]:
         return [len(subs) for subs in self.groups.values()]

@@ -13,14 +13,21 @@ A document absent from a list contributes nothing to that list's sum and
 is skipped by max; mean divides by N regardless, so sparse appearances are
 diluted. Fused output carries the fused score only, sorted by descending
 score with doc-id ascending tie-break.
+
+max_sim cut to an output depth reads only the lists' heads: a doc's best
+score is its first in a merge of the lists by descending score, so the
+merge stops once the cut can no longer change.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import neg
 
 from .core import QueryId, ScoredList, _is_json, truncate
 from .errors import ValidationError
@@ -127,6 +134,30 @@ def max_sim(inp: FusionInput) -> ScoredList:
     return ScoredList._trusted_sorted(scores)
 
 
+def _max_sim_head(inp: FusionInput, depth: int) -> ScoredList:
+    """``max_sim`` restricted to docs scoring at least its ``depth``-th score; ``depth`` > 0.
+
+    The merge keys on (-score, list index), never reaching the doc id, as a list
+    holds each doc once: each list is in that order whatever the order of its
+    tied docs, so a doc is first met at its best score, and on a tie (0.0 and
+    -0.0 included) in the earliest list, the one ``max_sim`` keeps.
+    """
+    merged = heapq.merge(
+        *(zip(map(neg, sub._scores), repeat(i), sub._docs) for i, sub in enumerate(inp.sub_lists))
+    )
+    scores: dict[str, float] = {}
+    bound = math.inf  # -score of the depth-th doc, once it is met
+    for neg_sim, _, doc in merged:
+        if doc in scores:
+            continue
+        if neg_sim > bound:
+            break  # this doc and every one after it score below the depth-th
+        scores[doc] = -neg_sim
+        if len(scores) == depth:
+            bound = neg_sim
+    return ScoredList._trusted_sorted(scores)
+
+
 def mean_sim(inp: FusionInput) -> ScoredList:
     """Sum of scores divided by the total list count N (absences count as 0)."""
     return _summed(inp, _scores, len(inp.sub_lists))
@@ -137,6 +168,8 @@ _STRATEGIES = {fn.__name__: fn for fn in (rrf, weighted_rrf, sum_sim, max_sim, m
 
 def fuse(inp: FusionInput, strategy: FusionStrategy, output_depth: int | None = None) -> ScoredList:
     """Apply a strategy, then truncate to ``output_depth`` if given."""
+    if strategy.kind == "max_sim" and output_depth is not None and output_depth > 0:
+        return truncate(_max_sim_head(inp, output_depth), output_depth)
     if strategy.kind in ("rrf", "weighted_rrf"):
         fused = _STRATEGIES[strategy.kind](inp, strategy.k_constant)
     else:

@@ -129,12 +129,12 @@ class MemoryBank:
         self._videos_by_keyword.setdefault(keyword.lower(), set()).add(video_id)
 
     def _facts(self, video_id: str, index: int | None = None) -> list[FactEntry]:
-        """The video's fact list; KeyError if it has none, IndexError if ``index`` is not in it."""
+        """The video's fact list; a ValidationError if it has none or ``index`` is not in it."""
         if video_id not in self.fact_table:
-            raise KeyError(f"no facts recorded for video {video_id!r}")
+            raise ValidationError(f"no facts recorded for video {video_id!r}")
         facts = self.fact_table[video_id]
         if index is not None and not 0 <= index < len(facts):
-            raise IndexError(
+            raise ValidationError(
                 f"fact index {index} out of range for video {video_id!r} ({len(facts)} facts)"
             )
         return facts

@@ -281,6 +281,17 @@ def test_memory_missing_bank_without_init(tmp_path, capsys):
     assert code == 1
 
 
+def test_memory_repl_reports_an_unknown_video_without_quotes(tmp_path, capsys, monkeypatch):
+    bank_path = tmp_path / "bank.json"
+    monkeypatch.setattr(sys, "stdin", io.StringIO("add-fact v1 a\nclear nope\nremove-fact nope 0\nremove-fact v1 3\n"))
+    assert run_cli("memory", "--bank", bank_path, "--init") == 0
+    assert capsys.readouterr().out.splitlines()[1:4] == [
+        "error: no facts recorded for video 'nope'",
+        "error: no facts recorded for video 'nope'",
+        "error: fact index 3 out of range for video 'v1' (1 facts)",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # pipeline / decompose
 # ---------------------------------------------------------------------------
@@ -337,6 +348,21 @@ def test_decompose_cli_rejects_a_repeated_query_id(tmp_path, capsys):
     record = json.loads(line)
     assert (record["error"], record["line"]) == ("ParseError", 2)
     assert "query '1' appears in two query records" in record["message"]
+    assert not out.exists()
+
+
+def test_decompose_cli_stats_on_no_queries_writes_no_map(tmp_path, capsys):
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text("")
+    out = tmp_path / "map.jsonl"
+    code = run_cli(
+        "decompose", "--queries", queries, "--replay", PIPE / "decomposer_replay.jsonl",
+        "--out", out, "--stats",
+    )
+    assert code == 1
+    assert _error_record(capsys) == {
+        "error": "ValidationError", "message": "expansion stats require a non-empty sub-query map"
+    }
     assert not out.exists()
 
 

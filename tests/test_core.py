@@ -232,6 +232,29 @@ def test_round_trip_property(per_query):
         assert all(abs(g - w) <= 1e-9 for (_, g), (_, w) in zip(got, want))
 
 
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["q1", "q2", "q3"]),
+            st.sampled_from([f"d{i}" for i in range(6)]),
+            st.one_of(st.sampled_from([1.0, 0.5, 0.0, -0.0]), st.floats(-1e3, 1e3)),
+        ),
+        min_size=1,
+        max_size=20,
+        unique_by=lambda line: line[:2],
+    ),
+    st.data(),
+)
+def test_parse_run_ignores_the_order_of_lines(lines, data):
+    text = [f"{qid} Q0 {doc} 1 {score!r} t\n" for qid, doc, score in lines]
+    run = parse_run("".join(text))
+    shuffled = parse_run("".join(data.draw(st.permutations(text))))
+    assert shuffled == run
+    for qid, ranking in run.lists.items():  # == takes -0.0 for 0.0, repr does not
+        assert list(map(repr, shuffled.lists[qid]._scores)) == list(map(repr, ranking._scores))
+
+
 def test_parse_recomputes_contiguous_ranks():
     run = parse_run(b"q1 Q0 d1 5 0.3 t\nq1 Q0 d2 17 0.9 t\nq1 Q0 d3 2 0.5 t\n")
     assert run.lists["q1"].docs() == ("d2", "d3", "d1")

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fusekit import (
@@ -210,6 +210,32 @@ def test_fuse_is_truncate_of_strategy():
 def test_fuse_depth_zero_is_empty():
     inp = as_input([[("dA", 1.0)]])
     assert len(fuse(inp, FusionStrategy("sum_sim"), 0)) == 0
+
+
+# few doc ids and few score values, so docs recur across lists and scores tie, 0.0 and -0.0 included
+HEAD_DOCS = [f"d{i}" for i in range(8)]
+HEAD_SCORES = st.sampled_from([1.0, 0.5, 0.25, 0.0, -0.0, -0.5])
+
+
+@st.composite
+def public_scored_lists(draw) -> ScoredList:
+    """A list built by the public constructor, its tied docs in any order (which it accepts)."""
+    docs = draw(st.lists(st.sampled_from(HEAD_DOCS), unique=True, max_size=len(HEAD_DOCS)))
+    scores = draw(st.lists(HEAD_SCORES, min_size=len(docs), max_size=len(docs)))
+    return ScoredList(sorted(zip(docs, scores), key=lambda entry: -entry[1]))  # stable: ties keep the draw
+
+
+@settings(max_examples=400)
+@given(st.lists(public_scored_lists(), min_size=1, max_size=5), st.integers(0, len(HEAD_DOCS) + 2))
+@example([ScoredList([("b", 1.0), ("a", 1.0)])], 1)  # a stop at the first doc would give b
+@example([ScoredList([("a", 0.0)]), ScoredList([("a", -0.0)])], 1)
+@example([ScoredList([("b", 0.0), ("a", 0.0)]), ScoredList([("a", -0.0)])], 2)  # a (-score, doc) merge gives -0.0
+def test_max_sim_head_equals_the_cut_of_the_whole_fusion(sub_lists, depth):
+    inp = FusionInput("q", sub_lists)
+    head = fuse(inp, FusionStrategy("max_sim"), depth)
+    whole = truncate(max_sim(inp), depth)
+    assert head.docs() == whole.docs()
+    assert list(map(repr, head._scores)) == list(map(repr, whole._scores))  # bit for bit: -0.0 is not 0.0
 
 
 def test_unknown_strategy_kind_unrepresentable():

@@ -37,7 +37,7 @@ from fusekit.evidence import (
     load_predictions,
     serialize_calibrated,
 )
-from fusekit.fusion import FusionStrategy
+from fusekit.fusion import STRATEGY_KINDS, FusionStrategy
 from fusekit.metrics import evaluate, report_from_json, report_to_json
 from fusekit.pipeline import PipelineConfig, read_query_records
 
@@ -326,3 +326,18 @@ def test_cli_pipeline_config_exits_cleanly(raw):
             assert (out_dir / "manifest.json").is_file()
         else:
             assert not out_dir.exists()
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(STRATEGY_KINDS), depth=st.integers(max_value=-1))
+def test_cli_fuse_negative_depth_is_one_validation_error(kind, depth):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = Path(tmp) / "out"
+        out_dir.mkdir()
+        code, err = _run_cli([
+            "fuse", "--runs", PIPE / "subqueries.run", "--map", PIPE / "subquery_map.jsonl",
+            "--strategy", kind, "--depth", depth, "--out", out_dir / "fused.run",
+        ])
+        assert code == 1
+        assert json.loads(err) == {"error": "ValidationError", "message": f"depth must be >= 0, got {depth}"}
+        assert list(out_dir.iterdir()) == []

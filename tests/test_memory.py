@@ -93,9 +93,9 @@ def test_remove_fact_out_of_range():
     bank = MemoryBank()
     bank.add_fact("v1", FactEntry(fact="a", source_tool="t"))
     bank.add_fact("v1", FactEntry(fact="b", source_tool="t"))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValidationError):
         bank.remove_fact("v1", 5)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValidationError):
         bank.remove_fact("ghost", 0)
 
 
@@ -118,7 +118,7 @@ def test_clear_all_resets_every_list_but_nothing_else():
 
 
 def test_clear_unknown_video_errors():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValidationError):
         MemoryBank().clear_facts("ghost")
 
 
@@ -261,7 +261,7 @@ def test_select_empty_clears_selection():
 def test_select_dangling_reference_errors():
     bank = seeded_bank()
     bank.remove_fact("vidB", 0)
-    with pytest.raises(IndexError):
+    with pytest.raises(ValidationError):
         bank.select_facts([("vidB", 0)])
 
 

@@ -329,21 +329,6 @@ def _cmd_claims_filter(args) -> int:
     return 0
 
 
-MEMORY_REPL_HELP = """commands:
-  summary                         print the compact digest
-  dump [slot]                     full JSON dump, or one slot
-  add-fact <vid> <text> [--tool T] [--span S] [--confidence C]
-  add-keyword <vid> <keyword>
-  search <keyword>
-  remove-fact <vid> <index>
-  clear [vid]                     clear one video's facts, or all
-  select <vid:index> ...          replace selected_facts
-  set-findings <text> [| <text>]  whole-slot replace, '|'-separated
-  mark-processed <vid> <tool>
-  save | quit | help
-"""
-
-
 def _cmd_memory(args) -> int:
     if args.bank.exists():
         bank = MemoryBank.load(args.bank.read_bytes())
@@ -351,89 +336,111 @@ def _cmd_memory(args) -> int:
         bank = MemoryBank()
     else:
         raise ValidationError(f"bank file {args.bank} does not exist (use --init to create it)")
-    interactive = sys.stdin.isatty()
-    if interactive:
+    if sys.stdin.isatty():
         print(f"memory bank: {args.bank} (type 'help' for commands)")
-    for raw in sys.stdin:
-        line = raw.strip()
-        if not line:
-            continue
+    for line in map(str.strip, sys.stdin):
         try:
-            if _memory_command(bank, line, args.bank) == "quit":
+            if line and _memory_command(bank, args.bank, line):
                 break
-        except (FusekitError, ValueError, KeyError, IndexError) as e:
+        except FusekitError as e:
             print(f"error: {e}")
-    atomic_write(args.bank, bank.dump())
-    print(f"saved {args.bank}")
+    _memory_command(bank, args.bank, "save")
     return 0
 
 
-def _memory_command(bank: MemoryBank, line: str, bank_path: Path) -> str | None:
-    parts = shlex.split(line)
-    command, rest = parts[0], parts[1:]
-    if command == "quit":
-        return "quit"
-    if command == "help":
-        print(MEMORY_REPL_HELP)
-    elif command == "summary":
-        print(bank.memory_summary())
-    elif command == "dump":
-        print(bank.dump(rest[0] if rest else None).decode("utf-8"), end="")
-    elif command == "add-fact":
-        vid, remaining = rest[0], rest[1:]
-        tool, span, confidence, words = "repl", None, None, []
-        i = 0
-        while i < len(remaining):
-            if remaining[i] == "--tool":
-                tool, i = remaining[i + 1], i + 2
-            elif remaining[i] == "--span":
-                span, i = remaining[i + 1], i + 2
-            elif remaining[i] == "--confidence":
-                confidence, i = float(remaining[i + 1]), i + 2
-            else:
-                words.append(remaining[i])
-                i += 1
-        index = bank.add_fact(
-            vid, FactEntry(fact=" ".join(words), source_tool=tool, timestamp=span, confidence=confidence)
-        )
-        print(f"added fact {vid}:{index}")
-    elif command == "add-keyword":
-        bank.add_keyword(rest[0], rest[1])
-        print(f"tagged {rest[0]} with {rest[1]!r}")
-    elif command == "search":
-        matches = bank.search_by_keyword(rest[0])
-        for vid in matches.videos:
-            print(f"video {vid}")
-        for vid, idx, entry in matches.facts:
-            print(f"fact {vid}:{idx} {entry.fact}")
-        if not matches.videos and not matches.facts:
-            print("no matches")
-    elif command == "remove-fact":
-        bank.remove_fact(rest[0], int(rest[1]))
-        print(f"removed fact {rest[0]}:{rest[1]}")
-    elif command == "clear":
-        bank.clear_facts(rest[0] if rest else None)
-        print("cleared")
-    elif command == "select":
-        references = []
-        for ref in rest:
-            vid, _, idx = ref.rpartition(":")
-            references.append((vid, int(idx)))
-        bank.select_facts(references)
-        print(f"selected {len(references)} facts")
-    elif command == "set-findings":
-        text = " ".join(rest)
-        bank.set_findings([part.strip() for part in text.split("|") if part.strip()])
-        print(f"findings: {len(bank.findings)}")
-    elif command == "mark-processed":
-        bank.mark_processed(rest[0], rest[1])
-        print(f"{rest[0]} processed via {rest[1]}")
-    elif command == "save":
-        atomic_write(bank_path, bank.dump())
-        print(f"saved {bank_path}")
-    else:
+def _memory_command(bank: MemoryBank, path: Path, line: str) -> bool:
+    """Run one REPL line as its ``MEMORY_COMMANDS`` entry declares; True if it ends the session."""
+    try:
+        line.encode("utf-8")  # stdin turns a byte it cannot decode into a lone surrogate
+        command, *words = shlex.split(line)
+    except ValueError as e:  # that surrogate, an unclosed quote or a trailing backslash
+        raise ValidationError(f"cannot read the line: {e}") from None
+    if command not in MEMORY_COMMANDS:
         print(f"unknown command {command!r} (type 'help')")
-    return None
+        return False
+    usage, _, action = MEMORY_COMMANDS[command]
+    options, positional, words = {}, [], iter(words)
+    for word in words:
+        if word.startswith("--") and f"[{word} <" in usage:
+            options[word[2:]] = next(words, None)
+        else:
+            positional.append(word)
+    specs = usage.split(" [--")[0].split()[1:]  # a usage declares its options last
+    fewest = sum(spec.startswith("<") for spec in specs)
+    most = len(positional) if "..." in usage else len(specs)  # only the last spec may be variadic
+    if not fewest <= len(positional) <= most or None in options.values():
+        raise ValidationError(f"{command}: expected {usage}")
+    arguments = []
+    for i, spec in enumerate(specs):
+        name = spec.strip("<>[].")
+        if spec.endswith("..."):
+            arguments.append([_typed(command, name, word) for word in positional[i:]])
+        else:
+            arguments.append(_typed(command, name, positional[i]) if i < len(positional) else None)
+    options = {name: _typed(command, name, word) for name, word in options.items()}
+    return bool(action(bank, path, *arguments, **options))
+
+
+def _typed(command: str, name: str, word: str):
+    """``word`` converted as ``_MEMORY_TYPES`` says for the placeholder ``name``, or as it is."""
+    try:
+        return _MEMORY_TYPES.get(name, str)(word)
+    except ValueError:
+        raise ValidationError(f"{command}: {word!r} is not a valid <{name}>") from None
+
+
+def _reference(word: str) -> tuple[str, int]:
+    vid, index = word.rsplit(":", 1)
+    return vid, int(index)
+
+
+def _reply(_, text: str) -> None:
+    """Print ``text``, the answer to the bank call passed first, which has returned by then."""
+    print(text)
+
+
+def _memory_add_fact(bank: MemoryBank, _, vid: str, words: list, tool="repl", span=None, confidence=None):
+    entry = FactEntry(fact=" ".join(words), source_tool=tool, timestamp=span, confidence=confidence)
+    print(f"added fact {vid}:{bank.add_fact(vid, entry)}")
+
+
+def _memory_search(bank: MemoryBank, _, keyword: str) -> None:
+    matches = bank.search_by_keyword(keyword)
+    lines = [f"video {vid}" for vid in matches.videos]
+    lines += [f"fact {vid}:{idx} {entry.fact}" for vid, idx, entry in matches.facts]
+    print("\n".join(lines or ["no matches"]))
+
+
+_MEMORY_TYPES = {"index": int, "confidence": float, "vid:index": _reference}
+# Each REPL command once: its usage, which is its grammar (<a> takes one word, [a] at most one, <a>...
+# one or more, [a]... any number, [--name <a>] an option anywhere), a help note and its action. Actions
+# call the bank through the instance: a traced benchmark run rebinds MemoryBank's methods on the class.
+MEMORY_COMMANDS = {usage.split()[0]: (usage, note, action) for usage, note, action in [
+    ("summary", "print the compact digest", lambda bank, _: print(bank.memory_summary())),
+    ("dump [slot]", "full JSON dump, or one slot",
+     lambda bank, _, slot: print(bank.dump(slot).decode(), end="")),
+    ("add-fact <vid> <text>... [--tool <tool>] [--span <span>] [--confidence <confidence>]",
+     "append a fact (source tool 'repl' by default)", _memory_add_fact),
+    ("add-keyword <vid> <keyword>", "tag a video with a keyword",
+     lambda bank, _, vid, kw: _reply(bank.add_keyword(vid, kw), f"tagged {vid} with {kw!r}")),
+    ("search <keyword>", "tagged videos and facts containing the keyword", _memory_search),
+    ("remove-fact <vid> <index>", "delete one fact; later ones shift down",
+     lambda bank, _, vid, i: _reply(bank.remove_fact(vid, i), f"removed fact {vid}:{i}")),
+    ("clear [vid]", "clear one video's facts, or all",
+     lambda bank, _, vid: _reply(bank.clear_facts(vid), "cleared")),
+    ("select [vid:index]...", "replace selected_facts",
+     lambda bank, _, refs: _reply(bank.select_facts(refs), f"selected {len(refs)} facts")),
+    ("set-findings [text]...", "whole-slot replace, '|'-separated", lambda bank, _, words: _reply(
+        bank.set_findings([f for f in map(str.strip, " ".join(words).split("|")) if f]),
+        f"findings: {len(bank.findings)}")),
+    ("mark-processed <vid> <tool>", "record a tool run; the video is processed",
+     lambda bank, _, vid, tool: _reply(bank.mark_processed(vid, tool), f"{vid} processed via {tool}")),
+    ("save", "write the bank file now",
+     lambda bank, path: _reply(atomic_write(path, bank.dump()), f"saved {path}")),
+    ("quit", "save and leave, as the end of input does", lambda *_: True),  # True ends the session
+    ("help", "print this list", lambda *_: print(
+        "commands:", *(f"  {usage:<30} {note}" for usage, note, _ in MEMORY_COMMANDS.values()), sep="\n")),
+]}
 
 
 def _cmd_pipeline(args) -> int:

@@ -33,6 +33,10 @@ from .errors import ParseError, TransportError, ValidationError
 
 logger = logging.getLogger(__name__)
 
+RETRIES = 3  # attempts per request
+BACKOFF = 0.25  # seconds before the second attempt, doubled before each later one
+TIMEOUT = 30.0  # seconds per attempt
+
 
 class HttpTextClient:
     """POST a JSON payload, return the body.
@@ -40,13 +44,8 @@ class HttpTextClient:
     Only connect errors, timeouts, resets, 5xx and 429 are retried: they may pass on a later attempt.
     """
 
-    def __init__(self, endpoint: str, retries: int = 3, backoff: float = 0.25, timeout: float = 30.0):
-        if retries < 1:
-            raise ValidationError("retries must be >= 1")
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.retries = retries
-        self.backoff = backoff
-        self.timeout = timeout
 
     def request(self, payload: dict) -> str:
         # imported here, so only a live request pays the HTTP stack's memory and import time
@@ -56,12 +55,12 @@ class HttpTextClient:
         import urllib.request
 
         body = json.dumps(payload).encode("utf-8")
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             try:
                 if urllib.parse.urlsplit(self.endpoint).scheme not in ("http", "https"):
                     raise TransportError(f"{self.endpoint} request failed: not an http or https URL")
                 request = urllib.request.Request(self.endpoint, body, {"Content-Type": "application/json"})
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                with urllib.request.urlopen(request, timeout=TIMEOUT) as response:
                     return response.read().decode("utf-8")
             except UnicodeDecodeError as e:
                 raise TransportError(f"{self.endpoint} reply is not valid UTF-8: {e}") from None
@@ -70,14 +69,14 @@ class HttpTextClient:
             except (OSError, http.client.HTTPException) as e:  # URLError and HTTPError are OSErrors
                 if isinstance(e, urllib.error.HTTPError) and e.code < 500 and e.code != 429:
                     raise TransportError(f"{self.endpoint} request failed: {e}") from e
-                if attempt + 1 == self.retries:
+                if attempt + 1 == RETRIES:
                     raise TransportError(
-                        f"{self.endpoint} unreachable after {self.retries} attempts: {e}"
+                        f"{self.endpoint} unreachable after {RETRIES} attempts: {e}"
                     ) from e
-                delay = self.backoff * (2**attempt)
+                delay = BACKOFF * (2**attempt)
                 logger.warning(
                     "request to %s failed (attempt %d/%d): %s; retrying in %.2fs",
-                    self.endpoint, attempt + 1, self.retries, e, delay,
+                    self.endpoint, attempt + 1, RETRIES, e, delay,
                 )
                 time.sleep(delay)
 

@@ -555,7 +555,7 @@ class SubQueryMap:
 
     @classmethod
     def _trusted(cls, groups: dict[QueryId, tuple[tuple[QueryId, str], ...]]) -> "SubQueryMap":
-        """Wrap groups, each a tuple, that already meet every invariant (a subsample of a map)."""
+        """Wrap groups, each a tuple, that already meet every invariant (a parsed map, a subsample)."""
         mapping = object.__new__(cls)
         object.__setattr__(mapping, "groups", groups)
         return mapping
@@ -597,7 +597,7 @@ def parse_subquery_map(data: Source) -> SubQueryMap:
         groups[qid] = group
 
     load_records(data, add_group)
-    return SubQueryMap(groups)
+    return SubQueryMap._trusted(groups)
 
 
 def write_subquery_map(mapping: SubQueryMap) -> bytes:

@@ -15,7 +15,7 @@ from fusekit.ablation import fuse_runs
 from fusekit.cli import main
 from fusekit.core import parse_subquery_map
 from fusekit.fusion import FusionStrategy
-from fusekit.memory import MemoryBank
+from fusekit.memory import FactEntry, MemoryBank
 from fusekit.pipeline import PipelineConfig
 
 from conftest import DEEP_JSON
@@ -290,6 +290,34 @@ def test_memory_repl_reports_an_unknown_video_without_quotes(tmp_path, capsys, m
         "error: no facts recorded for video 'nope'",
         "error: fact index 3 out of range for video 'v1' (1 facts)",
     ]
+
+
+@pytest.mark.parametrize("line, command", [
+    ("add-keyword v1", "add-keyword"),
+    ("add-fact", "add-fact"),
+    ("search", "search"),
+    ("add-fact v1 hi --confidence", "add-fact"),
+    ("add-fact v1 hi --confidence q", "add-fact"),
+    ("remove-fact v1 x", "remove-fact"),
+    ("select v1", "select"),
+    ("add-keyword v1 a b", "add-keyword"),
+    ("mark-processed v1 t extra", "mark-processed"),
+    ("clear v1 v2", "clear"),
+    ("save now", "save"),
+    ('add-fact v1 "unclosed', None),
+    ("add-fact v1 \udcff", None),  # a byte stdin could not decode
+])
+def test_memory_repl_rejects_a_malformed_line_with_one_error(tmp_path, capsys, monkeypatch, line, command):
+    bank = MemoryBank()
+    bank.add_fact("v1", FactEntry(fact="a"))
+    bank_path = tmp_path / "bank.json"
+    bank_path.write_bytes(bank.dump())
+    monkeypatch.setattr(sys, "stdin", io.StringIO(line + "\n"))
+    assert run_cli("memory", "--bank", bank_path) == 0
+    error, saved = capsys.readouterr().out.splitlines()
+    assert error.startswith(f"error: {command}: " if command else "error: "), error
+    assert saved == f"saved {bank_path}"
+    assert bank_path.read_bytes() == bank.dump()
 
 
 # ---------------------------------------------------------------------------

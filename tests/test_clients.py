@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fusekit import ParseError, ScoredList, RunSet, TransportError
+from fusekit import ParseError, ScoredList, RunSet, TransportError, clients
 from fusekit.clients import (
     HttpDecomposer,
     HttpRetriever,
@@ -14,6 +14,12 @@ from fusekit.clients import (
 )
 
 from conftest import DEEP_JSON, LONG_INT_JSON, StubHandler
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retry after 10 ms, not after the production delay."""
+    monkeypatch.setattr(clients, "BACKOFF", 0.01)
 
 
 def test_http_decomposer_round_trip(stub_server):
@@ -31,7 +37,7 @@ def test_http_retriever_round_trip(stub_server):
 
 def test_http_client_retries_then_succeeds(stub_server):
     StubHandler.failures_left = 2
-    client = HttpTextClient(f"{stub_server}/flaky", retries=3, backoff=0.01)
+    client = HttpTextClient(f"{stub_server}/flaky")
     body = client.request({"query": "x"})
     assert json.loads(body)
     assert StubHandler.failures_left == 0
@@ -39,15 +45,16 @@ def test_http_client_retries_then_succeeds(stub_server):
 
 def test_http_client_gives_up_after_retries(stub_server):
     StubHandler.failures_left = 99
-    client = HttpTextClient(f"{stub_server}/flaky", retries=2, backoff=0.01)
-    with pytest.raises(TransportError):
+    client = HttpTextClient(f"{stub_server}/flaky")
+    with pytest.raises(TransportError, match=f"unreachable after {clients.RETRIES} attempts"):
         client.request({"query": "x"})
+    assert StubHandler.failures_left == 99 - clients.RETRIES
     StubHandler.failures_left = 0
 
 
 def test_http_client_does_not_retry_client_errors(stub_server):
     StubHandler.posts = 0
-    client = HttpTextClient(f"{stub_server}/missing", retries=3, backoff=0.01)
+    client = HttpTextClient(f"{stub_server}/missing")
     with pytest.raises(TransportError, match="404"):
         client.request({"query": "x"})
     assert StubHandler.posts == 1
@@ -55,7 +62,7 @@ def test_http_client_does_not_retry_client_errors(stub_server):
 
 def test_http_client_rejects_a_reply_that_is_not_utf8(stub_server):
     StubHandler.posts = 0
-    client = HttpTextClient(f"{stub_server}/latin1", retries=3, backoff=0.01)
+    client = HttpTextClient(f"{stub_server}/latin1")
     with pytest.raises(TransportError, match="not valid UTF-8"):
         client.request({"query": "x"})
     assert StubHandler.posts == 1
@@ -66,11 +73,11 @@ def test_http_client_rejects_a_reply_that_is_not_utf8(stub_server):
 )
 def test_http_client_rejects_an_endpoint_that_is_not_http(endpoint):
     with pytest.raises(TransportError, match="request failed"):
-        HttpTextClient(endpoint, retries=1).request({})
+        HttpTextClient(endpoint).request({})
 
 
 def test_http_client_unreachable_endpoint():
-    client = HttpTextClient("http://127.0.0.1:9/none", retries=2, backoff=0.01, timeout=0.5)
+    client = HttpTextClient("http://127.0.0.1:9/none")
     with pytest.raises(TransportError):
         client.request({})
 

@@ -577,7 +577,6 @@ def test_atomic_write_failing_midway_keeps_old_file_and_leaves_no_temp_file(tmp_
 
 def _bad_argument_calls():
     from fusekit.ablation import subsample
-    from fusekit.clients import HttpTextClient
     from fusekit.evidence import filter_by_threshold
     from fusekit.fusion import FusionInput, rrf
     from fusekit.memory import MemoryBank
@@ -593,7 +592,6 @@ def _bad_argument_calls():
         "rrf-k": lambda: rrf(FusionInput("q1", (ranking,)), 0),
         "ndcg-cutoff": lambda: ndcg_at_k(ranking, qrels, "q1", 0),
         "evaluate-on-missing": lambda: evaluate(run, qrels, on_missing="drop"),
-        "client-retries": lambda: HttpTextClient("http://127.0.0.1:9/", retries=0),
         "truncate-depth": lambda: truncate(ranking, -1),
         "write-run-depth": lambda: write_run(run, 0),
         "expansion-stats-empty": lambda: expansion_stats(SubQueryMap({})),

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from fusekit import FactEntry, MemoryBank, ParseError, ValidationError, errors
 from fusekit.ablation import fuse_runs
-from fusekit.cli import main
+from fusekit.cli import MEMORY_COMMANDS, main
 from fusekit.clients import ReplayDecomposer
 from fusekit.core import iter_jsonl, parse_qrels, parse_run, parse_subquery_map
 from fusekit.evidence import (
@@ -201,11 +201,12 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def _run_cli(argv: list, stdin: str = "") -> tuple[int, str]:
+def _run_cli(argv: list, stdin: str = "", out: io.StringIO | None = None) -> tuple[int, str]:
+    """Run the CLI in this process; its stdout goes to ``out`` if given."""
     err = io.StringIO()
     old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out or io.StringIO()), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv])
     finally:
         sys.stdin = old_stdin
@@ -220,7 +221,9 @@ def _check_exit(code: int, err: str, out_dir: Path, allow_io_error: bool = False
         for path in outputs:
             text = path.read_text(encoding="utf-8")
             if path.suffix == ".jsonl":
-                for line in text.splitlines():
+                # only "\n" ends a JSON line: str.splitlines would also split inside a string
+                # at a raw U+0085 or U+2028, which JSON lets through unescaped
+                for line in filter(None, text.split("\n")):
                     _strict_json(line)
             elif path.suffix == ".json":
                 _strict_json(text)
@@ -305,6 +308,45 @@ def test_cli_memory_exits_cleanly(raw):
             assert bank.read_bytes() == raw  # a rejected bank is left as it was
             bank.unlink()
         _check_exit(code, err, out_dir)
+
+
+# words a REPL line may carry after its command: numbers, references, the add-fact options,
+# stray quotes, short texts and the lone surrogate stdin makes of a byte it cannot decode
+REPL_WORDS = (
+    st.integers(-2, 3).map(str)
+    | st.builds("{}:{}".format, st.sampled_from(["vidA", "vidB", "v1", ""]), st.integers(-1, 2))
+    | st.sampled_from(["--tool", "--span", "--confidence", "0.5", "nan", "'", '"', "|", "findings", "\udcff"])
+    | st.text(alphabet="ab:|-'\"", min_size=1, max_size=4)
+)
+REPL_LINES = st.builds(
+    lambda command, words: " ".join([command, *words]),
+    st.sampled_from(list(MEMORY_COMMANDS)),
+    st.lists(REPL_WORDS, max_size=5),
+)
+RAW_PYTHON_MESSAGES = ("list index out of range", "invalid literal", "unpack", "has no attribute")
+
+
+@settings(max_examples=50, deadline=None)
+@given(lines=st.lists(REPL_LINES, min_size=1, max_size=8))
+def test_cli_memory_repl_lines_exit_cleanly(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        bank = Path(tmp) / "bank.json"
+        bank.write_bytes(INPUTS["bank"])
+        out = io.StringIO()
+        assert _run_cli(["memory", "--bank", bank], stdin="\n".join(lines) + "\n", out=out) == (0, "")
+        MemoryBank.load(bank.read_bytes())
+        for line in out.getvalue().splitlines():
+            assert not any(message in line for message in RAW_PYTHON_MESSAGES), line
+
+
+def test_cli_memory_help_lists_each_command_once_in_table_order():
+    with tempfile.TemporaryDirectory() as tmp:
+        out = io.StringIO()
+        code, err = _run_cli(["memory", "--bank", Path(tmp) / "bank.json", "--init"], stdin="help\n", out=out)
+    assert (code, err) == (0, "")
+    header, *commands, saved = out.getvalue().splitlines()
+    assert header == "commands:" and saved.startswith("saved ")
+    assert [line.split()[0] for line in commands] == list(MEMORY_COMMANDS)
 
 
 @settings(max_examples=25, deadline=None)

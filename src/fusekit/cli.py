@@ -359,13 +359,14 @@ def _memory_command(bank: MemoryBank, path: Path, line: str) -> bool:
         print(f"unknown command {command!r} (type 'help')")
         return False
     usage, _, action = MEMORY_COMMANDS[command]
+    head, *option_usages = usage.split(" [--")  # a usage declares its options last
+    specs, option_names = head.split()[1:], {option.split()[0] for option in option_usages}
     options, positional, words = {}, [], iter(words)
     for word in words:
-        if word.startswith("--") and f"[{word} <" in usage:
+        if word.startswith("--") and word[2:] in option_names:
             options[word[2:]] = next(words, None)
         else:
             positional.append(word)
-    specs = usage.split(" [--")[0].split()[1:]  # a usage declares its options last
     fewest = sum(spec.startswith("<") for spec in specs)
     most = len(positional) if "..." in usage else len(specs)  # only the last spec may be variadic
     if not fewest <= len(positional) <= most or None in options.values():
@@ -378,7 +379,10 @@ def _memory_command(bank: MemoryBank, path: Path, line: str) -> bool:
         else:
             arguments.append(_typed(command, name, positional[i]) if i < len(positional) else None)
     options = {name: _typed(command, name, word) for name, word in options.items()}
-    return bool(action(bank, path, *arguments, **options))
+    reply = action(bank, path, *arguments, **options)
+    if reply is not None:
+        print(reply)
+    return command == "quit"
 
 
 def _typed(command: str, name: str, word: str):
@@ -394,52 +398,78 @@ def _reference(word: str) -> tuple[str, int]:
     return vid, int(index)
 
 
-def _reply(_, text: str) -> None:
-    """Print ``text``, the answer to the bank call passed first, which has returned by then."""
-    print(text)
-
-
-def _memory_add_fact(bank: MemoryBank, _, vid: str, words: list, tool="repl", span=None, confidence=None):
+def _memory_add_fact(bank: MemoryBank, _, vid: str, words: list, tool="repl", span=None, confidence=None) -> str:
     entry = FactEntry(fact=" ".join(words), source_tool=tool, timestamp=span, confidence=confidence)
-    print(f"added fact {vid}:{bank.add_fact(vid, entry)}")
+    return f"added fact {vid}:{bank.add_fact(vid, entry)}"
 
 
-def _memory_search(bank: MemoryBank, _, keyword: str) -> None:
+def _memory_add_keyword(bank: MemoryBank, _, vid: str, keyword: str) -> str:
+    bank.add_keyword(vid, keyword)
+    return f"tagged {vid} with {keyword!r}"
+
+
+def _memory_search(bank: MemoryBank, _, keyword: str) -> str:
     matches = bank.search_by_keyword(keyword)
     lines = [f"video {vid}" for vid in matches.videos]
     lines += [f"fact {vid}:{idx} {entry.fact}" for vid, idx, entry in matches.facts]
-    print("\n".join(lines or ["no matches"]))
+    return "\n".join(lines or ["no matches"])
+
+
+def _memory_remove_fact(bank: MemoryBank, _, vid: str, index: int) -> str:
+    bank.remove_fact(vid, index)
+    return f"removed fact {vid}:{index}"
+
+
+def _memory_clear(bank: MemoryBank, _, vid: str | None) -> str:
+    bank.clear_facts(vid)
+    return "cleared"
+
+
+def _memory_select(bank: MemoryBank, _, references: list) -> str:
+    bank.select_facts(references)
+    return f"selected {len(references)} facts"
+
+
+def _memory_set_findings(bank: MemoryBank, _, words: list) -> str:
+    bank.set_findings([f for f in map(str.strip, " ".join(words).split("|")) if f])
+    return f"findings: {len(bank.findings)}"
+
+
+def _memory_mark_processed(bank: MemoryBank, _, vid: str, tool: str) -> str:
+    bank.mark_processed(vid, tool)
+    return f"{vid} processed via {tool}"
+
+
+def _memory_save(bank: MemoryBank, path: Path) -> str:
+    atomic_write(path, bank.dump())
+    return f"saved {path}"
+
+
+def _memory_help(*_) -> str:
+    return "\n".join(["commands:", *(f"  {usage:<30} {note}" for usage, note, _ in MEMORY_COMMANDS.values())])
 
 
 _MEMORY_TYPES = {"index": int, "confidence": float, "vid:index": _reference}
 # Each REPL command once: its usage, which is its grammar (<a> takes one word, [a] at most one, <a>...
-# one or more, [a]... any number, [--name <a>] an option anywhere), a help note and its action. Actions
-# call the bank through the instance: a traced benchmark run rebinds MemoryBank's methods on the class.
+# one or more, [a]... any number, [--name <a>] an option anywhere), a help note and its action, which
+# returns the reply to print. Actions call the bank through the instance: a traced benchmark run
+# rebinds MemoryBank's methods on the class.
 MEMORY_COMMANDS = {usage.split()[0]: (usage, note, action) for usage, note, action in [
-    ("summary", "print the compact digest", lambda bank, _: print(bank.memory_summary())),
+    ("summary", "print the compact digest", lambda bank, _: bank.memory_summary()),
     ("dump [slot]", "full JSON dump, or one slot",
-     lambda bank, _, slot: print(bank.dump(slot).decode(), end="")),
+     lambda bank, _, slot: bank.dump(slot).decode().removesuffix("\n")),
     ("add-fact <vid> <text>... [--tool <tool>] [--span <span>] [--confidence <confidence>]",
      "append a fact (source tool 'repl' by default)", _memory_add_fact),
-    ("add-keyword <vid> <keyword>", "tag a video with a keyword",
-     lambda bank, _, vid, kw: _reply(bank.add_keyword(vid, kw), f"tagged {vid} with {kw!r}")),
+    ("add-keyword <vid> <keyword>", "tag a video with a keyword", _memory_add_keyword),
     ("search <keyword>", "tagged videos and facts containing the keyword", _memory_search),
-    ("remove-fact <vid> <index>", "delete one fact; later ones shift down",
-     lambda bank, _, vid, i: _reply(bank.remove_fact(vid, i), f"removed fact {vid}:{i}")),
-    ("clear [vid]", "clear one video's facts, or all",
-     lambda bank, _, vid: _reply(bank.clear_facts(vid), "cleared")),
-    ("select [vid:index]...", "replace selected_facts",
-     lambda bank, _, refs: _reply(bank.select_facts(refs), f"selected {len(refs)} facts")),
-    ("set-findings [text]...", "whole-slot replace, '|'-separated", lambda bank, _, words: _reply(
-        bank.set_findings([f for f in map(str.strip, " ".join(words).split("|")) if f]),
-        f"findings: {len(bank.findings)}")),
-    ("mark-processed <vid> <tool>", "record a tool run; the video is processed",
-     lambda bank, _, vid, tool: _reply(bank.mark_processed(vid, tool), f"{vid} processed via {tool}")),
-    ("save", "write the bank file now",
-     lambda bank, path: _reply(atomic_write(path, bank.dump()), f"saved {path}")),
-    ("quit", "save and leave, as the end of input does", lambda *_: True),  # True ends the session
-    ("help", "print this list", lambda *_: print(
-        "commands:", *(f"  {usage:<30} {note}" for usage, note, _ in MEMORY_COMMANDS.values()), sep="\n")),
+    ("remove-fact <vid> <index>", "delete one fact; later ones shift down", _memory_remove_fact),
+    ("clear [vid]", "clear one video's facts, or all", _memory_clear),
+    ("select [vid:index]...", "replace selected_facts", _memory_select),
+    ("set-findings [text]...", "whole-slot replace, '|'-separated", _memory_set_findings),
+    ("mark-processed <vid> <tool>", "record a tool run; the video is processed", _memory_mark_processed),
+    ("save", "write the bank file now", _memory_save),
+    ("quit", "save and leave, as the end of input does", lambda *_: None),  # _memory_command ends the session
+    ("help", "print this list", _memory_help),
 ]}
 
 

@@ -320,6 +320,16 @@ def test_memory_repl_rejects_a_malformed_line_with_one_error(tmp_path, capsys, m
     assert bank_path.read_bytes() == bank.dump()
 
 
+def test_memory_repl_reads_a_quoted_word_that_spans_usage_text_as_fact_text(tmp_path, capsys, monkeypatch):
+    # only a whole word such as --span is an option, not any text found in the usage string
+    bank_path = tmp_path / "bank.json"
+    monkeypatch.setattr(sys, "stdin", io.StringIO('add-fact v1 x "--span <span>] [--confidence" 1\n'))
+    assert run_cli("memory", "--bank", bank_path, "--init") == 0
+    assert capsys.readouterr().out.splitlines() == ["added fact v1:0", f"saved {bank_path}"]
+    [entry] = MemoryBank.load(bank_path.read_bytes()).fact_table["v1"]
+    assert (entry.fact, entry.source_tool) == ("x --span <span>] [--confidence 1", "repl")
+
+
 # ---------------------------------------------------------------------------
 # pipeline / decompose
 # ---------------------------------------------------------------------------

@@ -222,8 +222,9 @@ def _check_exit(code: int, err: str, out_dir: Path, allow_io_error: bool = False
             text = path.read_text(encoding="utf-8")
             if path.suffix == ".jsonl":
                 # only "\n" ends a JSON line: str.splitlines would also split inside a string
-                # at a raw U+0085 or U+2028, which JSON lets through unescaped
-                for line in filter(None, text.split("\n")):
+                # at a raw U+0085 or U+2028, which JSON lets through unescaped; a blank line
+                # inside the file still fails, as only the final newline is dropped
+                for line in text.removesuffix("\n").split("\n") if text else ():
                     _strict_json(line)
             elif path.suffix == ".json":
                 _strict_json(text)

@@ -6,6 +6,13 @@ its expansion. Ranks are always recomputed from score order: input rank
 columns are never trusted, and score ties are broken by ascending doc id
 so every downstream computation is deterministic.
 
+Inputs are read a chunk at a time, never whole. A run or qrels file of
+at least ``_SPLIT_MIN`` bytes is parsed in two halves at once when the
+process may use two CPUs: this process parses the first half while a
+forked child parses the second and sends its per-query lists back. The
+halves are merged in file order, so the lists, their order, the tag and
+every error, with its line, are those of a sequential parse.
+
 Formats:
   run file:      ``qid Q0 docid rank score tag`` (whitespace-delimited, UTF-8)
   qrels file:    ``qid 0 docid grade``
@@ -59,10 +66,12 @@ def _iter_lines(source: Source) -> Iterator[str]:
     """The lines of the whole input's ``splitlines()``.
 
     Text, already whole in memory, is split at once. Bytes and files are read
-    ``_CHUNK`` bytes at a time, each read completed to the end of its line, so
-    every chunk but the last ends just after a ``\n``: no ``\r\n`` pair is
-    split, and in UTF-8 no multibyte sequence holds the byte ``0x0A``. An
-    invalid byte is reported at its offset in the whole input.
+    up to the next multiple of ``_CHUNK`` bytes at a time, each read completed
+    to the end of its line, so every chunk but the last ends just after a
+    ``\n``: no ``\r\n`` pair is split, and in UTF-8 no multibyte sequence
+    holds the byte ``0x0A``. A chunk therefore starts at the first line start
+    at or after a multiple of ``_CHUNK``, which is where ``_middle`` splits a
+    file. An invalid byte is reported at its offset in the whole input.
     """
     if isinstance(source, str):
         yield from source.splitlines()
@@ -70,7 +79,7 @@ def _iter_lines(source: Source) -> Iterator[str]:
     if isinstance(source, bytes):
         source = io.BytesIO(source)  # shares the bytes' buffer, no copy
     offset = 0  # where the chunk starts in the input
-    while chunk := source.read(_CHUNK):
+    while chunk := source.read(_CHUNK - offset % _CHUNK):
         if not chunk.endswith(b"\n"):
             chunk += source.readline()
         try:
@@ -89,6 +98,140 @@ def _moved(e: UnicodeDecodeError, offset: int) -> str:
     else:
         where = f"bytes in position {start}-{offset + e.end - 1}"
     return f"'{e.encoding}' codec can't decode {where}: {e.reason}"
+
+
+_SPLIT_MIN = 4 << 20  # a regular file of at least this many bytes is parsed in two halves at once
+
+
+def _parse_in_halves(source: Source, parse: Callable, to_records: Callable, merge: Callable):
+    """``parse(_iter_lines(source))``; a large file's second half is parsed at the same time in a forked child.
+
+    ``parse`` is the only line parser. The child runs it on the second half
+    and sends back each of ``to_records(its result)`` as one length-prefixed
+    ``marshal`` record; ``merge(the first half's result, those records)`` joins
+    the halves in file order, or returns None where they overlap. An error in
+    the first half is the file's first error, so it is raised as it is. If
+    the child fails or the halves overlap, the whole file is parsed again in
+    this process, so every result and every error is the sequential parse's.
+
+    The child ends only by ``os._exit``: it never returns into the caller nor
+    flushes the stdio buffers it inherited. It is reaped on every path, and
+    killed first when this process fails; neither it nor a pipe end outlives
+    the call.
+    """
+    halves = _halves(source)
+    if halves is None:
+        return parse(_iter_lines(source))
+    import marshal  # imported on use, like the other modules only this path needs
+
+    fd, start, middle = halves
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return parse(_iter_lines(source))
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for record in to_records(parse(_iter_lines(_file_range(fd, middle)))):
+                    data = marshal.dumps(record)
+                    pipe.write(len(data).to_bytes(4, "little"))
+                    pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+
+    def records(pipe: BinaryIO) -> Iterator:
+        # a record cut short means the child died, which its exit status tells
+        while len(head := pipe.read(4)) == 4:
+            size = int.from_bytes(head, "little")
+            if len(data := pipe.read(size)) < size:
+                return
+            yield marshal.loads(data)
+
+    try:
+        with open(read_fd, "rb") as pipe:
+            merged = merge(parse(_iter_lines(_file_range(fd, start, middle))), records(pipe))
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status or merged is None:
+        return parse(_iter_lines(source))
+    source.seek(0, os.SEEK_END)  # where the sequential parse leaves it
+    return merged
+
+
+def _halves(source: Source) -> tuple[int, int, int] | None:
+    """``(fd, start, middle)`` of a source worth parsing in two halves, else None.
+
+    That is a file opened for binary reading, whose regular file holds at
+    least ``_SPLIT_MIN`` bytes from its position ``start``, in a process that
+    can fork, runs one thread and may run on two CPUs. Bytes, text, pipes and
+    the like are parsed sequentially.
+    """
+    import stat
+    import threading
+
+    raw = getattr(source, "raw", source)  # the FileIO under a buffered file; a gzip file has none
+    if not (isinstance(raw, io.FileIO) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return None
+    fd = raw.fileno()
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode) or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return None
+    start = source.tell()
+    if info.st_size - start < _SPLIT_MIN:
+        return None
+    middle = _middle(fd, start, info.st_size)
+    return (fd, start, middle) if start < middle < info.st_size else None
+
+
+def _middle(fd: int, start: int, end: int) -> int:
+    """Where to split the bytes ``start`` to ``end`` of file ``fd``: a place where ``_iter_lines`` starts a chunk.
+
+    That is the first line start at or after the multiple of ``_CHUNK`` at or
+    below halfway, so the first half is read in the very chunks of a
+    sequential parse, and its first error is the file's.
+    """
+    near = (end - start) // 2 // _CHUNK * _CHUNK
+    if near == 0:
+        return start
+    return start + near - 1 + len(_file_range(fd, start + near - 1).readline())
+
+
+def _file_range(fd: int, start: int, end: int | None = None) -> BinaryIO:
+    """A buffered reader of the open file ``fd`` from byte ``start`` to ``end`` (or to its end).
+
+    It reads with ``os.pread``, which leaves the file offset alone: a forked
+    child shares that offset with its parent.
+    """
+    return io.BufferedReader(_PositionalReader(fd, start, end))
+
+
+class _PositionalReader(io.RawIOBase):
+    """The raw reader under ``_file_range``; it does not own, so never closes, ``fd``."""
+
+    def __init__(self, fd: int, start: int, end: int | None):
+        self._fd, self._pos, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        size = len(buffer) if self._end is None else min(len(buffer), self._end - self._pos)
+        data = os.pread(self._fd, size, self._pos)
+        buffer[: len(data)] = data
+        self._pos += len(data)
+        return len(data)
 
 
 def iter_jsonl(data: Source) -> Iterator[tuple[int, object]]:
@@ -376,12 +519,18 @@ def parse_run(data: Source) -> RunSet:
     score with doc-id ascending tie-break. Duplicate (qid, docid) pairs are
     rejected.
     """
+    lists, tag = _parse_in_halves(data, _run_lines, _run_records, _merge_runs)
+    return RunSet(lists=lists, tag=tag if tag is not None else "run")
+
+
+def _run_lines(lines: Iterable[str]) -> tuple[dict[QueryId, ScoredList], str | None]:
+    """The per-query lists of run-file lines, in order of first appearance, and the first line's tag."""
     # str.split() separates on exactly the characters str.isspace() accepts, so every
     # field is a valid token; with finite scores and unique docs the lists need no re-check
     lists: dict[str, ScoredList] = {}
     current = scores = None  # the query being read and its doc id -> score map
     tag = None
-    for line_no, raw in enumerate(_iter_lines(data), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -406,13 +555,38 @@ def parse_run(data: Source) -> RunSet:
             # a query whose lines come back later is re-opened, so a repeated doc is still caught
             scores = {} if done is None else dict(zip(done._docs, done._scores))
         if docid in scores:
-            raise ValidationError(f"duplicate entry for query {qid!r}, doc {docid!r}")
+            raise ParseError(f"duplicate entry for query {qid!r}, doc {docid!r}", line=line_no)
         scores[docid] = score
         if tag is None:
             tag = line_tag
     if current is not None:
         lists[current] = _ranked(scores)
-    return RunSet(lists=lists, tag=tag if tag is not None else "run")
+    return lists, tag
+
+
+def _run_records(parsed: tuple[dict[QueryId, ScoredList], str | None]) -> Iterator:
+    """The tag, then one ``(qid, doc ids, score bytes)`` per query: what ``_merge_runs`` reads."""
+    lists, tag = parsed
+    yield tag
+    for qid, ranking in lists.items():
+        yield qid, ranking._docs, ranking._scores.tobytes()
+
+
+def _merge_runs(parsed: tuple[dict[QueryId, ScoredList], str | None], records: Iterator):
+    """The first half's lists and tag joined with the second half's records; None if a query repeats a doc."""
+    lists, tag = parsed
+    second_tag = next(records, None)  # none when the child failed
+    for qid, docs, score_bytes in records:
+        ranking = ScoredList._trusted(docs, array("d", score_bytes))
+        done = lists.get(qid)
+        if done is not None:  # re-opened, as the sequential parse re-opens a query
+            scores = dict(zip(done._docs, done._scores))
+            scores.update(ranking)
+            if len(scores) < len(done) + len(ranking):
+                return None
+            ranking = _ranked(scores)
+        lists[qid] = ranking
+    return lists, tag if tag is not None else second_tag
 
 
 def _ranked(scores: dict[DocId, float]) -> ScoredList:
@@ -438,17 +612,26 @@ def write_run(run: RunSet, depth: int) -> bytes:
     # one query's lines at a time, so the only whole-file copy is the output itself
     out = io.BytesIO()
     suffix = f" {run.tag}\n"
-    ranks = range(1, depth + 1)
     for qid in run.queries():
         prefix = f"{qid} Q0 "
         ranking = run.lists[qid]
-        # zip stops at the shorter of the ranks and the list, so at most ``depth`` lines
+        docs = ranking._docs[:depth]
         lines = [
-            f"{prefix}{doc} {rank} {score!r}{suffix}"
-            for rank, doc, score in zip(ranks, ranking._docs, ranking._scores)
+            f"{prefix}{doc}{rank}{score!r}{suffix}"
+            for rank, doc, score in zip(_rank_fields(len(docs)), docs, ranking._scores)
         ]
         out.write("".join(lines).encode("utf-8"))
     return out.getvalue()
+
+
+_RANK_FIELDS: list[str] = []  # " 1 ", " 2 ", ...: made once per process, as far as the longest list written
+
+
+def _rank_fields(count: int) -> list[str]:
+    """The ``" {rank} "`` fields of ranks 1 to at least ``count``, in order."""
+    if len(_RANK_FIELDS) < count:
+        _RANK_FIELDS.extend(f" {rank} " for rank in range(len(_RANK_FIELDS) + 1, count + 1))
+    return _RANK_FIELDS
 
 
 class Qrels:
@@ -508,9 +691,15 @@ class Qrels:
 
 def parse_qrels(data: Source) -> Qrels:
     """Parse ``qid 0 docid grade`` lines; grade-0 lines are retained."""
+    # tokens come from str.split() and grades are checked per line, as Qrels() would
+    return Qrels._trusted(_parse_in_halves(data, _qrels_lines, dict.items, _merge_qrels))
+
+
+def _qrels_lines(lines: Iterable[str]) -> dict[QueryId, dict[DocId, int]]:
+    """The doc id -> grade map of each query of qrels lines, in order of first appearance."""
     by_query: dict[str, dict[str, int]] = {}
     current = grades = None  # the query being read and its doc id -> grade map
-    for line_no, raw in enumerate(_iter_lines(data), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -530,10 +719,19 @@ def parse_qrels(data: Source) -> Qrels:
             current = qid
             grades = by_query.setdefault(qid, {})
         if docid in grades:
-            raise ValidationError(f"duplicate judgment for query {qid!r}, doc {docid!r}")
+            raise ParseError(f"duplicate judgment for query {qid!r}, doc {docid!r}", line=line_no)
         grades[docid] = grade
-    # tokens come from str.split() and grades are checked above, as Qrels() would
-    return Qrels._trusted(by_query)
+    return by_query
+
+
+def _merge_qrels(by_query: dict[QueryId, dict[DocId, int]], records: Iterator):
+    """The first half's judgments joined with the second half's ``(qid, grades)`` records; None if a doc repeats."""
+    for qid, grades in records:
+        done = by_query.setdefault(qid, {})
+        if not done.keys().isdisjoint(grades):
+            return None
+        done.update(grades)
+    return by_query
 
 
 @dataclass(frozen=True)

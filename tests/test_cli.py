@@ -427,14 +427,31 @@ def test_pipeline_cli_rejects_a_stage_with_no_source(tmp_path, capsys, monkeypat
 
 
 def test_exit_code_validation_error(tmp_path, capsys):
-    bad_run = tmp_path / "bad.run"
-    bad_run.write_text("q1 Q0 dA 1 0.9 t\nq1 Q0 dA 2 0.1 t\n")
+    run = tmp_path / "a.run"
+    run.write_text("q1 Q0 dA 1 0.9 t\n")
     qrels = tmp_path / "q.txt"
     qrels.write_text("q1 0 dA 1\n")
-    code = run_cli("eval", "--run", bad_run, "--qrels", qrels)
+    code = run_cli("eval", "--run", run, "--qrels", qrels, "--cutoffs", "10,5")
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize(
+    "run_text, qrels_text",
+    [
+        ("q1 Q0 dA 1 0.9 t\nq1 Q0 dA 2 0.1 t\n", "q1 0 dA 1\n"),
+        ("q1 Q0 dA 1 0.9 t\n", "q1 0 dA 1\nq1 0 dA 0\n"),
+    ],
+    ids=["run", "qrels"],
+)
+def test_duplicate_entry_error_record_names_its_line(tmp_path, capsys, run_text, qrels_text):
+    run, qrels = tmp_path / "a.run", tmp_path / "q.txt"
+    run.write_text(run_text)
+    qrels.write_text(qrels_text)
+    assert run_cli("eval", "--run", run, "--qrels", qrels) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["line"]) == ("ParseError", 2)
 
 
 def test_fuse_cli_rejects_non_finite_score_with_line(tmp_path, capsys):

@@ -131,9 +131,10 @@ def test_parse_run_ignores_rank_column():
 
 
 def test_parse_run_duplicate_doc_is_error():
-    with pytest.raises(ValidationError) as excinfo:
+    with pytest.raises(ParseError) as excinfo:
         parse_run(b"q1 Q0 dA 1 0.9 t\nq1 Q0 dA 2 0.5 t\n")
     assert "q1" in str(excinfo.value) and "dA" in str(excinfo.value)
+    assert excinfo.value.line == 2
 
 
 def test_parse_run_query_that_comes_back_equals_the_contiguous_file():
@@ -145,9 +146,10 @@ def test_parse_run_query_that_comes_back_equals_the_contiguous_file():
 
 
 def test_parse_run_duplicate_doc_across_a_gap_is_error():
-    with pytest.raises(ValidationError) as excinfo:
+    with pytest.raises(ParseError) as excinfo:
         parse_run(b"q1 Q0 dA 1 0.9 t\nq2 Q0 dA 1 0.5 t\nq1 Q0 dA 2 0.5 t\n")
     assert "q1" in str(excinfo.value) and "dA" in str(excinfo.value)
+    assert excinfo.value.line == 3
 
 
 def test_parse_run_wrong_field_count_reports_line():
@@ -279,8 +281,9 @@ def test_parse_qrels_retains_grade_zero():
 
 
 def test_parse_qrels_duplicate_is_error():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ParseError) as excinfo:
         parse_qrels(b"q1 0 dA 1\nq1 0 dA 1\n")
+    assert excinfo.value.line == 2
 
 
 def test_parse_qrels_empty_file():

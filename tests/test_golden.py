@@ -6,14 +6,17 @@ JSON reports are frozen too, so a rework of the metric arithmetic must keep
 every value bit-identical. A fixed ``memory --init`` session freezes the
 bank file and the REPL's stdout. The manifest is left out: it echoes the
 config. The outputs read from run, qrels and JSON-lines inputs are checked
-again with those inputs read a few bytes at a time.
+again with those inputs read a few bytes at a time, and with every run and
+qrels file parsed in two halves, the second in a forked child.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -183,10 +186,9 @@ def test_ablate_json(tmp_path, capsys, strategy):
     assert digest(out) == ABLATE_DIGESTS[strategy]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_digests_hold_across_chunk_boundaries(tmp_path, capsys, monkeypatch, chunk):
+def run_input_checks(tmp_path, capsys) -> None:
+    """Every check above whose outputs are read from run, qrels and JSON-lines inputs, each in its own directory."""
     # the memory session is left out: it reads its bank as one JSON document
-    monkeypatch.setattr(core, "_CHUNK", chunk)
     checks = [
         (test_pipeline_stage_files, ()),
         (test_decompose_replay, ()),
@@ -200,3 +202,29 @@ def test_digests_hold_across_chunk_boundaries(tmp_path, capsys, monkeypatch, chu
         out_dir = tmp_path / str(i)
         out_dir.mkdir()
         check(out_dir, capsys, *args)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_digests_hold_across_chunk_boundaries(tmp_path, capsys, monkeypatch, chunk):
+    monkeypatch.setattr(core, "_CHUNK", chunk)
+    run_input_checks(tmp_path, capsys)
+
+
+def test_digests_hold_when_inputs_are_parsed_in_two_halves(tmp_path, capsys, monkeypatch):
+    # every run and qrels file of 2 bytes or more is split, at any CPU or thread count
+    monkeypatch.setattr(core, "_SPLIT_MIN", 1)
+    monkeypatch.setattr(core, "_CHUNK", 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    run_input_checks(tmp_path, capsys)
+    assert len(forks) >= len(FUSE_DIGESTS) + len(EVAL_DIGESTS) + len(ABLATE_DIGESTS)

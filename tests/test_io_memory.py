@@ -7,12 +7,15 @@ seeded: 100 queries x 1000 docs, 100k lines, ~3.6 MB.
 
 from __future__ import annotations
 
+import os
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 
-from fusekit import parse_run, write_run
+from fusekit import core, parse_run, write_run
 from fusekit.pipeline import write_run_file
 
 QUERIES, DEPTH = 100, 1000
@@ -30,6 +33,34 @@ def seeded_run() -> bytes:
 @pytest.fixture(scope="module")
 def run_bytes() -> bytes:
     return seeded_run()
+
+
+@pytest.fixture(scope="module")
+def run_path(run_bytes, tmp_path_factory):
+    path = tmp_path_factory.mktemp("io") / "seeded.run"
+    path.write_bytes(run_bytes)
+    return path
+
+
+@pytest.fixture(params=["sequential", "two-halves"])
+def parse_path(request, monkeypatch):
+    """Parse a file sequentially, or in two halves, the second in a forked child, at any CPU or thread count."""
+    two_halves = request.param == "two-halves"
+    monkeypatch.setattr(core, "_SPLIT_MIN", 1 << 20 if two_halves else sys.maxsize)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    yield
+    assert len(forks) == two_halves
 
 
 def traced_call(fn, *args):
@@ -54,19 +85,19 @@ def test_parse_run_holds_no_copy_of_the_input_text(run_bytes):
     assert peak - retained < 4_500_000
 
 
-def test_parse_run_from_a_file_holds_no_copy_of_the_input(run_bytes, tmp_path):
-    path = tmp_path / "seeded.run"
-    path.write_bytes(run_bytes)
-    with open(path, "rb") as fh:
+def test_parse_run_from_a_file_holds_no_copy_of_the_input(run_bytes, run_path, parse_path):
+    with open(run_path, "rb") as fh:
         run, retained, peak = traced_call(parse_run, fh)
     assert sum(len(ranking) for ranking in run.lists.values()) == QUERIES * DEPTH
     # below what one whole-input copy (3.6 MB) would add; measured: 0.25 MB, one 64 KiB
-    # read (completed to the end of its line), its text and its lines at a time, as from bytes
+    # read (completed to the end of its line), its text and its lines at a time, as from bytes;
+    # in two halves, one query's record from the child at a time besides
     assert peak - retained < len(run_bytes)
 
 
-def test_parse_run_lists_are_columns(run_bytes):
-    run, retained, peak = traced_call(parse_run, run_bytes)
+def test_parse_run_lists_are_columns(run_path, parse_path):
+    with open(run_path, "rb") as fh:
+        run, retained, peak = traced_call(parse_run, fh)
     # a doc id string, its slot in the doc tuple and one double; measured: 72.5 B/entry
     # as columns, 144 B/entry as a tuple of (doc id, float) tuples
     assert retained <= 80 * QUERIES * DEPTH

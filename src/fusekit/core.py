@@ -28,6 +28,7 @@ import math
 import os
 import secrets
 from array import array
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from operator import neg
 from pathlib import Path
@@ -113,11 +114,7 @@ def _parse_in_halves(source: Source, parse: Callable, to_records: Callable, merg
     the first half is the file's first error, so it is raised as it is. If
     the child fails or the halves overlap, the whole file is parsed again in
     this process, so every result and every error is the sequential parse's.
-
-    The child ends only by ``os._exit``: it never returns into the caller nor
-    flushes the stdio buffers it inherited. It is reaped on every path, and
-    killed first when this process fails; neither it nor a pipe end outlives
-    the call.
+    Neither the child nor a pipe end outlives the call (see ``_forked``).
     """
     halves = _halves(source)
     if halves is None:
@@ -126,25 +123,14 @@ def _parse_in_halves(source: Source, parse: Callable, to_records: Callable, merg
 
     fd, start, middle = halves
     read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
+
+    def send() -> None:
         os.close(read_fd)
-        os.close(write_fd)
-        return parse(_iter_lines(source))
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                for record in to_records(parse(_iter_lines(_file_range(fd, middle)))):
-                    data = marshal.dumps(record)
-                    pipe.write(len(data).to_bytes(4, "little"))
-                    pipe.write(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
+        with open(write_fd, "wb") as pipe:
+            for record in to_records(parse(_iter_lines(_file_range(fd, middle)))):
+                data = marshal.dumps(record)
+                pipe.write(len(data).to_bytes(4, "little"))
+                pipe.write(data)
 
     def records(pipe: BinaryIO) -> Iterator:
         # a record cut short means the child died, which its exit status tells
@@ -154,39 +140,86 @@ def _parse_in_halves(source: Source, parse: Callable, to_records: Callable, merg
                 return
             yield marshal.loads(data)
 
-    try:
+    with _forked(send) as done:
+        os.close(write_fd)
+        if done is None:
+            os.close(read_fd)
+            return parse(_iter_lines(source))
+        # the read end closes before the child is waited for, so a child blocked on a full pipe ends
         with open(read_fd, "rb") as pipe:
             merged = merge(parse(_iter_lines(_file_range(fd, start, middle))), records(pipe))
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    if status or merged is None:
-        return parse(_iter_lines(source))
+        if not done() or merged is None:
+            return parse(_iter_lines(source))
     source.seek(0, os.SEEK_END)  # where the sequential parse leaves it
     return merged
+
+
+@contextmanager
+def _forked(work: Callable[[], object]) -> Iterator[Callable[[], bool] | None]:
+    """Run ``work()`` in a forked child while the ``with`` block runs in this process.
+
+    Yields None, having forked nothing, unless this process can fork, runs
+    one thread and may run on two CPUs, and the fork succeeds; else yields
+    ``done()``, which waits for the child and tells whether ``work`` returned.
+    The child ends only by ``os._exit``: it never returns into the caller nor
+    flushes the stdio buffers it inherited. If the block raises, a child not
+    yet waited for is killed; it is reaped on every path, so it never
+    outlives the block.
+    """
+    import threading
+
+    pid = None
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        if len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1:
+            try:
+                pid = os.fork()
+            except OSError:
+                pass
+    if pid is None:
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            work()
+            status = 0
+        finally:
+            os._exit(status)
+    status = None
+
+    def done() -> bool:
+        nonlocal status
+        if status is None:
+            status = os.waitpid(pid, 0)[1]
+        return status == 0
+
+    try:
+        yield done
+    except BaseException:
+        if status is None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        done()
 
 
 def _halves(source: Source) -> tuple[int, int, int] | None:
     """``(fd, start, middle)`` of a source worth parsing in two halves, else None.
 
-    That is a file opened for binary reading, whose regular file holds at
-    least ``_SPLIT_MIN`` bytes from its position ``start``, in a process that
-    can fork, runs one thread and may run on two CPUs. Bytes, text, pipes and
-    the like are parsed sequentially.
+    That is a file opened for binary reading whose regular file holds at
+    least ``_SPLIT_MIN`` bytes from its position ``start``. Bytes, text,
+    pipes and the like are parsed sequentially.
     """
     import stat
-    import threading
 
     raw = getattr(source, "raw", source)  # the FileIO under a buffered file; a gzip file has none
-    if not (isinstance(raw, io.FileIO) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not isinstance(raw, io.FileIO):
         return None
     fd = raw.fileno()
     info = os.fstat(fd)
-    if not stat.S_ISREG(info.st_mode) or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+    if not stat.S_ISREG(info.st_mode):
         return None
     start = source.tell()
     if info.st_size - start < _SPLIT_MIN:
@@ -529,6 +562,7 @@ def _run_lines(lines: Iterable[str]) -> tuple[dict[QueryId, ScoredList], str | N
     # field is a valid token; with finite scores and unique docs the lists need no re-check
     lists: dict[str, ScoredList] = {}
     current = scores = None  # the query being read and its doc id -> score map
+    reopened: dict[str, dict[str, float]] = {}  # maps of queries whose lines came back, open to the end
     tag = None
     for line_no, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -547,20 +581,24 @@ def _run_lines(lines: Iterable[str]) -> tuple[dict[QueryId, ScoredList], str | N
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {score_str!r}", line=line_no)
         if qid != current:
-            # each query's map becomes columns when its lines end, so only one map is held
-            if current is not None:
+            # each query's map becomes columns when its lines end, so in a ranked file only one map is held
+            if current is not None and current not in reopened:
                 lists[current] = _ranked(scores)
             current = qid
-            done = lists.get(qid)
-            # a query whose lines come back later is re-opened, so a repeated doc is still caught
-            scores = {} if done is None else dict(zip(done._docs, done._scores))
+            scores = reopened.get(qid)
+            if scores is None:
+                done = lists.get(qid)
+                # a query whose lines come back is re-opened once, so a repeated doc is still caught
+                scores = {} if done is None else reopened.setdefault(qid, dict(zip(done._docs, done._scores)))
         if docid in scores:
             raise ParseError(f"duplicate entry for query {qid!r}, doc {docid!r}", line=line_no)
         scores[docid] = score
         if tag is None:
             tag = line_tag
-    if current is not None:
+    if current is not None and current not in reopened:
         lists[current] = _ranked(scores)
+    for qid, scores in reopened.items():
+        lists[qid] = _ranked(scores)
     return lists, tag
 
 

@@ -12,6 +12,14 @@ plus ``manifest.json`` recording the toolkit version, the configuration
 (the endpoints that served the run included), and a sha256 digest of every
 input file, which makes a run reproducible: identical inputs and config
 yield byte-identical outputs. Every output goes through ``core.atomic_write``.
+
+A large ``subqueries.run`` (``_ASIDE_MIN`` entries or more) is formatted in
+a forked child, into an unnamed file in the system temp directory, while
+this process fuses, reads the rerank file and injects its scores, when the
+process may use two CPUs (see ``core._forked``). The files, their bytes and
+every error, with its stage, are those of the sequential run: a failed
+child makes this process write the file itself, and a failed stage kills
+the child, so no ``out_dir`` is left behind.
 """
 
 from __future__ import annotations
@@ -21,8 +29,10 @@ import json
 import logging
 import os
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import __version__
 from .core import (
@@ -32,6 +42,8 @@ from .core import (
     SubQueryMap,
     _check_token,
     _expect,
+    _file_range,
+    _forked,
     _json_value,
     _loads,
     atomic_write,
@@ -302,7 +314,9 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     service at ``config.endpoints``; the config gives it exactly one of the
     two. Any stage failure aborts with the stage name and the query id
     being processed. ``out_dir`` is made only once every stage has run, so
-    a failed run leaves none behind.
+    a failed run leaves none behind. An existing ``manifest.json`` is removed
+    before the first stage file is replaced and the new one is written last,
+    so a directory that holds a manifest holds that one run's stage files.
     """
     inputs = config.inputs
 
@@ -320,33 +334,37 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         retriever = HttpRetriever(config.endpoints["retriever"])
     sub_runs = _retrieve_all(mapping, retriever, config.first_stage_depth)
 
-    # stage 3: fusion
-    fused = _stage(
-        "fuse", None, fuse_runs, mapping, sub_runs, config.strategy, config.first_stage_depth
-    )
+    # subqueries.run is formatted aside while the parent fuses and reranks
+    with _run_file_aside(sub_runs, config.first_stage_depth) as write_sub_runs:
+        # stage 3: fusion
+        fused = _stage(
+            "fuse", None, fuse_runs, mapping, sub_runs, config.strategy, config.first_stage_depth
+        )
 
-    # stage 4: rerank injection (empty scores when no rerank file was given)
-    rerank_scores = (
-        _parse_input("rerank", parse_run, inputs["rerank"])
-        if "rerank" in inputs
-        else RunSet(lists={}, tag="rerank")
-    )
-    reranked = _stage("rerank", None, inject_rerank, fused, rerank_scores, config.rerank_depth)
+        # stage 4: rerank injection (empty scores when no rerank file was given)
+        rerank_scores = (
+            _parse_input("rerank", parse_run, inputs["rerank"])
+            if "rerank" in inputs
+            else RunSet(lists={}, tag="rerank")
+        )
+        reranked = _stage("rerank", None, inject_rerank, fused, rerank_scores, config.rerank_depth)
 
-    manifest = {
-        "toolkit_version": __version__,
-        "config": config.to_dict(),
-        "inputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in sorted(inputs.items())
-        },
-    }
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stage_paths = {name: out_dir / name for name in STAGE_FILES}
-    for name, run in zip(STAGE_FILES, (sub_runs, fused, reranked)):
-        write_run_file(stage_paths[name], run, config.first_stage_depth)
-    manifest_path = out_dir / "manifest.json"
+        manifest = {
+            "toolkit_version": __version__,
+            "config": config.to_dict(),
+            "inputs": {
+                name: {"path": str(path), "sha256": _sha256(path)}
+                for name, path in sorted(inputs.items())
+            },
+        }
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        stage_paths = {name: out_dir / name for name in STAGE_FILES}
+        manifest_path = out_dir / "manifest.json"
+        manifest_path.unlink(missing_ok=True)
+        write_run_file(stage_paths["fused.run"], fused, config.first_stage_depth)
+        write_run_file(stage_paths["reranked.run"], reranked, config.first_stage_depth)
+        write_sub_runs(stage_paths["subqueries.run"])
     atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return PipelineResult(
         final=reranked, stage_paths=stage_paths, manifest_path=manifest_path, manifest=manifest
@@ -361,9 +379,62 @@ def write_run_file(path: str | Path, run: RunSet, depth: int) -> None:
     checked before the file is opened, even for a run with no queries.
     """
     write_run(RunSet(tag=run.tag), depth)
-    atomic_write(
-        path, (write_run(RunSet({qid: run.lists[qid]}, run.tag), depth) for qid in run.queries())
-    )
+    atomic_write(path, _run_chunks(run, depth))
+
+
+def _run_chunks(run: RunSet, depth: int) -> Iterator[bytes]:
+    """The bytes of ``write_run(run, depth)``, one ``write_run`` call per query."""
+    return (write_run(RunSet({qid: run.lists[qid]}, run.tag), depth) for qid in run.queries())
+
+
+# a run of at least this many entries is formatted in a forked child (see _run_file_aside);
+# run_pipeline on perfbench's pipeline inputs, scaled down, on a 2-CPU VM with Python 3.11:
+# the child lost in 23 of 24 alternating pairs at 80,000 entries and 18 of 24 at 100,000,
+# and won in 22 of 24 at 120,000 and 23 of 24 at 140,000 (medians 0.43 -> 0.31 s)
+_ASIDE_MIN = 120_000
+
+
+@contextmanager
+def _run_file_aside(run: RunSet, depth: int) -> Iterator[Callable[[Path], None]]:
+    """Format ``write_run_file``'s bytes of ``run`` in a forked child while the ``with`` block runs.
+
+    Yields ``write(path)``, which writes the run file as ``write_run_file``
+    would. The child writes the chunks to an unnamed temp file, and ``write``
+    copies them to ``path`` if the child wrote them all. If it failed, or
+    none was forked (a run under ``_ASIDE_MIN`` entries, no temp file, or a
+    process that may not fork, see ``core._forked``), ``write`` is
+    ``write_run_file`` itself, which checks the depth and the tag. If the
+    block raises, the child is killed and reaped and the temp file vanishes.
+    """
+
+    def in_process(path: Path) -> None:
+        write_run_file(path, run, depth)
+
+    if sum(map(len, run.lists.values())) < _ASIDE_MIN:
+        yield in_process
+        return
+    import tempfile  # imported on use, like the other modules only this path needs
+
+    try:
+        tmp = tempfile.TemporaryFile()
+    except OSError:
+        yield in_process
+        return
+
+    def format_run() -> None:
+        with open(tmp.fileno(), "wb", closefd=False) as out:
+            out.writelines(_run_chunks(run, depth))
+
+    def copy(path: Path) -> None:
+        if not done():
+            in_process(path)
+            return
+        # read with pread: the child moved the file offset this process shares with it
+        reader = _file_range(tmp.fileno(), 0)
+        atomic_write(path, iter(lambda: reader.read(1 << 20), b""))
+
+    with tmp, _forked(format_run) as done:
+        yield in_process if done is None else copy
 
 
 def _parse_input(stage: str, parse, path: Path):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -117,12 +119,44 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def stub_server():
-    """The base URL of a ``StubHandler`` server on localhost."""
+    """The base URL of a ``StubHandler`` server on localhost.
+
+    Its thread lives only as long as the test module, so the modules after
+    it run in a one-thread process, where a parse may take the forked path.
+    """
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
+    thread.join()
+
+
+@contextlib.contextmanager
+def counted_forks():
+    """Patch ``os.fork`` to record each child it makes; yields the list of their pids."""
+    made: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            made.append(pid)
+        return pid
+
+    with mock.patch.object(os, "fork", fork):
+        yield made
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def assert_nothing_left(fds_before: int) -> None:
+    """No child process is left to reap, and as many file descriptors are open as ``fds_before``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds_before

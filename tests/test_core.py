@@ -152,6 +152,34 @@ def test_parse_run_duplicate_doc_across_a_gap_is_error():
     assert excinfo.value.line == 3
 
 
+INTERLEAVED = [f"q{i % 7} Q0 d{i} 1 {i % 13 / 8} t\n" for i in range(700)]
+
+
+def test_parse_run_ranks_an_interleaved_query_at_most_twice():
+    # a query is ranked when its lines first end, and once more at the end of the input if they came back
+    calls = []
+    real_ranked = core._ranked
+
+    def ranked(scores):
+        calls.append(next(iter(scores)))
+        return real_ranked(scores)
+
+    data = "".join(INTERLEAVED).encode()
+    with mock.patch.object(core, "_ranked", ranked):
+        run = parse_run(data)
+    assert len(calls) == 14
+    assert run == parse_run("".join(sorted(INTERLEAVED, key=lambda line: line.split()[0])))
+    assert list(run.lists) == [f"q{i}" for i in range(7)]
+
+
+def test_parse_run_duplicate_doc_in_a_query_re_opened_twice_names_its_line():
+    lines = INTERLEAVED[:30] + [INTERLEAVED[2]] + INTERLEAVED[30:]
+    with pytest.raises(ParseError) as excinfo:
+        parse_run("".join(lines))
+    assert excinfo.value.line == 31
+    assert "'q2'" in str(excinfo.value) and "'d2'" in str(excinfo.value)
+
+
 def test_parse_run_wrong_field_count_reports_line():
     with pytest.raises(ParseError) as excinfo:
         parse_run(b"q1 Q0 dA 1 0.9 t\nq1 Q0 dA 0.5 t\n")

@@ -3,7 +3,7 @@
 The size and chunk constants are lowered here, so that small files take the
 two-half path. ``os.sched_getaffinity`` reports two CPUs and
 ``threading.active_count`` one thread, so that the tests hold on a one-CPU
-machine and beside the session's stub-server thread. Every result and every
+machine and beside any thread a test left running. Every result and every
 error must be the sequential parse's (the parse of the same bytes, which
 never splits), and no child process or file descriptor may outlive a call.
 """
@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 
 from fusekit import core, parse_qrels, parse_run
 
+from conftest import assert_nothing_left, counted_forks, open_fds
+
 PARSERS = {"run": parse_run, "qrels": parse_qrels}
 
 
@@ -33,34 +35,15 @@ def two_halves(middle: int | None = None):
 
     Yields the list of the children forked.
     """
-    made: list[int] = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            made.append(pid)
-        return pid
-
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(core, "_SPLIT_MIN", 1))
         stack.enter_context(mock.patch.object(core, "_CHUNK", 1))
         stack.enter_context(mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}))
         stack.enter_context(mock.patch.object(threading, "active_count", lambda: 1))
-        stack.enter_context(mock.patch.object(os, "fork", fork))
+        made = stack.enter_context(counted_forks())
         if middle is not None:
             stack.enter_context(mock.patch.object(core, "_middle", lambda fd, start, end: middle))
         yield made
-
-
-def open_fds() -> int:
-    return len(os.listdir("/proc/self/fd"))
-
-
-def assert_nothing_left(fds_before: int) -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert open_fds() == fds_before
 
 
 def outcome(parse, source):
@@ -264,6 +247,21 @@ def test_bytes_text_pipes_one_cpu_and_threads_stay_sequential(tmp_path):
         with open(path, "rb") as fh:  # the same file, with two CPUs and one thread
             assert parse_run(fh) == expected
         assert len(made) == 1
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the two-half path needs two CPUs")
+def test_a_large_file_forks_with_only_the_size_floor_lowered(tmp_path):
+    # no thread count, CPU count or chunk size is patched: no earlier test may leave a thread
+    # running, and the file spans more than two chunks, so that it has a middle
+    lines = [f"q{i // 50} Q0 d{i} 1 0.5 t\n" for i in range(10_000)]
+    path = tmp_path / "in.run"
+    path.write_text("".join(lines))
+    assert path.stat().st_size > 2 * core._CHUNK
+    fds_before = open_fds()
+    with mock.patch.object(core, "_SPLIT_MIN", 1), counted_forks() as made, open(path, "rb") as fh:
+        assert parse_run(fh) == parse_run("".join(lines))
+    assert len(made) == 1
+    assert_nothing_left(fds_before)
 
 
 def test_a_failing_first_half_kills_and_reaps_the_child(tmp_path):

@@ -23,6 +23,7 @@ from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_
 from .clients import HttpDecomposer, ReplayDecomposer
 from .core import (
     RunSet,
+    _parse_in_halves,
     atomic_write,
     parse_qrels,
     parse_run,
@@ -33,6 +34,7 @@ from .core import (
 from .errors import FusekitError, ParseError, PipelineStageError, TransportError, ValidationError
 from .evidence import (
     DEFAULT_BACKEND,
+    _check_threshold,
     attach,
     calibrated_to_dict,
     filter_by_threshold,
@@ -316,17 +318,33 @@ def _cmd_claims_attach(args) -> int:
 
 
 def _cmd_claims_filter(args) -> int:
-    calibrated = _read(load_calibrated, args.in_path, args.backend)
-    kept, dropped = filter_by_threshold(calibrated, args.threshold)
-    atomic_write(args.kept, _lines(serialize_calibrated(c) for c in kept))
+    _check_threshold(args.threshold)  # before the input is opened, so its error comes before any of the file's
+    halves = _read(_parse_in_halves, args.in_path, lambda source: _filtered(source, args), iter, _joined)
+    kept, audit, kept_counts, dropped_counts = zip(*halves)
+    atomic_write(args.kept, kept)
+    if args.dropped is not None:
+        atomic_write(args.dropped, audit)
+    print(f"kept {sum(kept_counts)} / dropped {sum(dropped_counts)} at threshold {args.threshold}")
+    return 0
+
+
+def _filtered(source, args) -> list[tuple[bytes, bytes, int, int]]:
+    """One half of ``claims filter``: the kept lines and audit lines of ``source``, and how many records each holds."""
+    kept, dropped = filter_by_threshold(load_calibrated(source, args.backend), args.threshold)
+    kept_lines = b"".join(_lines(serialize_calibrated(c) for c in kept))
+    audit_lines = b""
     if args.dropped is not None:
         audit = (
             {"prob": c.prob, "threshold": args.threshold, "record": calibrated_to_dict(c)}
             for c in dropped
         )
-        atomic_write(args.dropped, _lines(json.dumps(a, ensure_ascii=False).encode("utf-8") for a in audit))
-    print(f"kept {len(kept)} / dropped {len(dropped)} at threshold {args.threshold}")
-    return 0
+        audit_lines = b"".join(_lines(json.dumps(a, ensure_ascii=False).encode("utf-8") for a in audit))
+    return [(kept_lines, audit_lines, len(kept), len(dropped))]
+
+
+def _joined(first: list, records: Iterator) -> list:
+    """The first half's output and the second half's, in file order."""
+    return first + list(records)
 
 
 def _cmd_memory(args) -> int:

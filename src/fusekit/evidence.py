@@ -62,12 +62,13 @@ def _normalize_timestamp(value, what: str) -> tuple[float, float]:
     return (start, end)
 
 
-def _check_confidence(value, what: str) -> float:
+def _check_confidence(value, what: str, name: str = "confidence") -> float:
+    """``value``, the field ``name`` of ``what``, as a float; it must be a JSON number in [0, 1]."""
     if type(value) not in _JSON_NUMBERS:
-        raise ValidationError(f"{what}: confidence must be a number, got {value!r}")
+        raise ValidationError(f"{what}: {name} must be a number, got {value!r}")
     # compared before float(), which cannot hold an integer like 10**400
     if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{what}: confidence {value} outside [0, 1]")
+        raise ValidationError(f"{what}: {name} {value} outside [0, 1]")
     return float(value)
 
 
@@ -209,7 +210,7 @@ class CalibrationPayload:
     raw_output: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "prob", _check_confidence(self.prob, "calibration"))
+        object.__setattr__(self, "prob", _check_confidence(self.prob, "calibration", "prob"))
         if not self.backend:
             raise ValidationError("calibration backend label must be non-empty")
 
@@ -242,7 +243,7 @@ class Prediction:
     raw_output: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "prob", _check_confidence(self.prob, "prediction"))
+        object.__setattr__(self, "prob", _check_confidence(self.prob, "prediction", "prob"))
         if self.artifact_id is None and (self.video_id is None or self.text is None):
             raise ValidationError(
                 "prediction needs an artifact_id or both video_id and text"
@@ -321,12 +322,16 @@ def filter_by_threshold(
     calibrated: Iterable[CalibratedArtifact], threshold: float
 ) -> tuple[list[CalibratedArtifact], list[CalibratedArtifact]]:
     """Split into (kept, dropped); prob >= threshold is kept (inclusive)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
+    _check_threshold(threshold)
     kept, dropped = [], []
     for item in calibrated:
         (kept if item.prob >= threshold else dropped).append(item)
     return kept, dropped
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValidationError(f"threshold must be in [0, 1], got {threshold}")
 
 
 def calibrated_to_dict(item: CalibratedArtifact) -> dict:

@@ -4,10 +4,13 @@
 ``fusekit.pipeline`` and ``fusekit.ablation`` (``run_pipeline``,
 ``parse_run``, ``report_to_json`` and so on) by ``getattr``, so renaming or
 removing one breaks ``perfbench/run.py --trace 1`` with an AttributeError.
+A traced name must also still be called in the main process, where the
+spans are kept: a span recorded in a forked child dies with it.
 """
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +28,44 @@ _wrap_all(Tracer("t"))
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_a_two_half_claims_filter_calls_its_traced_names_in_the_main_process(tmp_path):
+    # the real size floor, 4 MiB, is lowered, so this small file takes the forked two-half path
+    lines = [
+        json.dumps({"note_id": f"n{i}", "video_id": "v1", "topic": "t", "text": f"note {i}",
+                    "modality": "ocr", "calibration": {"unli": {"prob": i % 10 / 10}}}) + "\n"
+        for i in range(4000)
+    ]
+    (tmp_path / "calibrated.jsonl").write_text("".join(lines))
+    code = f"""
+import collections, os, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, {str(PERFBENCH)!r})
+from spans import Tracer, _wrap_all
+import fusekit.cli
+from fusekit import core
+core._SPLIT_MIN = 1
+os.sched_getaffinity = lambda pid: {{0, 1}}
+forks, real_fork = [], os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
+tracer = Tracer("evidence-memory")
+_wrap_all(tracer)
+code = fusekit.cli.main(["claims", "filter", "--in", "calibrated.jsonl", "--kept", "kept.jsonl",
+                         "--dropped", "dropped.jsonl"])
+names = collections.Counter(span[0] for span in tracer.dump()["spans"])
+print(code, len(forks), names["evidence.load_calibrated"], names["evidence.filter_by_threshold"],
+      names["evidence.serialize"] > 0)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    # one call each, made on the first half: the child's calls, on the second, are not seen here
+    assert result.stdout.splitlines()[-1] == "0 1 1 1 True"
+    assert (tmp_path / "kept.jsonl").read_text().count("\n") == 2000

@@ -816,6 +816,37 @@ def test_claims_attach_rejects_non_string_prediction_fields(tmp_path, capsys, ke
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threshold", ["1.5", "-0.1", "nan"])
+def test_claims_filter_reports_a_bad_threshold_before_a_malformed_file(tmp_path, capsys, threshold):
+    path = tmp_path / "calibrated.jsonl"
+    path.write_text("not json\n")
+    kept = tmp_path / "kept.jsonl"
+    assert run_cli("claims", "filter", "--in", path, "--threshold", threshold, "--kept", kept) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "ValidationError", "message": f"threshold must be in [0, 1], got {float(threshold)}"
+    }
+    assert not kept.exists()
+
+
+@pytest.mark.parametrize("command", [["validate", "--out"], ["filter", "--kept"]], ids=["validate", "filter"])
+def test_claims_reject_a_lone_surrogate_escape_with_its_line(tmp_path, capsys, command):
+    # the escape "\udc00" is valid JSON, but no character, so no UTF-8 output could hold it
+    record = json.loads((EVID / "artifacts.jsonl").read_text().splitlines()[0])
+    record["calibration"] = {"unli": {"prob": 0.9}}
+    paired = json.dumps({**record, "topic": "\U0001f600"})  # written as the escape pair \ud83d\ude00
+    lone = json.dumps({**record, "topic": "\udc00"})
+    path = tmp_path / "calibrated.jsonl"
+    path.write_text(f"{paired}\n{lone}\n")
+    out = tmp_path / "out.jsonl"
+    assert run_cli("claims", command[0], "--in", path, *command[1:], out) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "ParseError", "message": "line 2: invalid JSON: lone surrogate '\\udc00' in a string", "line": 2
+    }
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("raw", [{"raw_output": 7}, "oops"])
 def test_claims_filter_rejects_a_malformed_raw_payload(tmp_path, capsys, raw):
     record = json.loads((EVID / "artifacts.jsonl").read_text().splitlines()[0])

@@ -98,7 +98,7 @@ def test_timestamp_beyond_the_float_range_rejected(fixture):
 
 
 def test_prediction_prob_beyond_the_float_range_rejected():
-    with pytest.raises(ParseError, match="confidence"):
+    with pytest.raises(ParseError, match="prediction: prob 10+ outside"):
         load_predictions(json.dumps({"prob": 10**400, "artifact_id": "a"}))
 
 
@@ -110,7 +110,7 @@ def test_confidence_must_be_a_json_number(confidence):
 
 @pytest.mark.parametrize("prob", [True, "0.5"])
 def test_prediction_prob_must_be_a_json_number(prob):
-    with pytest.raises(ParseError, match="line 1: prediction: confidence must be a number"):
+    with pytest.raises(ParseError, match="line 1: prediction: prob must be a number"):
         load_predictions(json.dumps({"prob": prob, "artifact_id": "a"}))
 
 

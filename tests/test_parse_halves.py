@@ -1,4 +1,4 @@
-"""Large run and qrels files are parsed in two halves at once: the second in a forked child.
+"""Large run, qrels and ``claims filter`` inputs are read in two halves at once: the second in a forked child.
 
 The size and chunk constants are lowered here, so that small files take the
 two-half path. ``os.sched_getaffinity`` reports two CPUs and
@@ -6,11 +6,15 @@ two-half path. ``os.sched_getaffinity`` reports two CPUs and
 machine and beside any thread a test left running. Every result and every
 error must be the sequential parse's (the parse of the same bytes, which
 never splits), and no child process or file descriptor may outlive a call.
+``claims filter`` must write the same files and print the same lines as
+its sequential run.
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -22,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusekit import core, parse_qrels, parse_run
+from fusekit import cli, core, parse_qrels, parse_run
 
 from conftest import assert_nothing_left, counted_forks, open_fds
 
@@ -327,3 +331,122 @@ def test_the_child_never_flushes_what_the_parent_printed(tmp_path, lines, middle
     assert done.returncode == 0, done.stderr
     assert done.stdout == f"printed before the parse\n{result}\nforks 1\n"
     assert done.stderr == ""
+
+
+# ---------------------------------------------------------------------------
+# claims filter: each half loaded, filtered and serialized on its own
+# ---------------------------------------------------------------------------
+
+PROBS = [0.9, 0.1, 0.5, 0.49, 1, 0.75, 0, 0.3, 0.6, 0.2, 0.95, 0.05]
+
+
+def calibrated_line(i: int, prob=None) -> str:
+    """One calibrated artifact, a note or a claim, with prob ``PROBS[i]`` unless ``prob`` is given."""
+    if i % 2:
+        record = {"note_id": f"n{i}", "video_id": f"v{i % 3}", "topic": "t", "text": f"note é {i}",
+                  "modality": "ocr", "timestamp": f"{i}s-{i + 1}s"}
+    else:
+        record = {"claim_id": f"c{i}", "query_id": "q1", "video_id": "v1", "topic": "t", "claim": f"claim {i}"}
+    payload = {"prob": PROBS[i] if prob is None else prob}
+    if i % 3 == 0:
+        payload["raw"] = {"raw_output": f"<answer>{payload['prob']}</answer>"}
+    record["calibration"] = {"unli": payload, "other": {"prob": 0.5}}
+    return json.dumps(record, ensure_ascii=i % 4 == 0) + "\n"
+
+
+FILTER_LINES = [calibrated_line(i) for i in range(len(PROBS))]
+
+
+def filter_outcome(path: Path, out: Path, threshold: str = "0.5"):
+    """The exit code, stdout, stderr and output files of ``claims filter`` on ``path``, writing into ``out``."""
+    out.mkdir()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["claims", "filter", "--in", str(path), "--threshold", threshold,
+                         "--kept", str(out / "kept.jsonl"), "--dropped", str(out / "dropped.jsonl")])
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    return code, stdout.getvalue(), stderr.getvalue(), files
+
+
+def sequential_filter(path: Path, out: Path, threshold: str = "0.5"):
+    with mock.patch.object(core, "_CHUNK", 1):
+        return filter_outcome(path, out, threshold)
+
+
+def split_filter(path: Path, out: Path, middle: int, threshold: str = "0.5"):
+    """``filter_outcome`` through the two-half path; checks that a child ran and nothing is left."""
+    fds_before = open_fds()
+    with two_halves(middle) as made:
+        result = filter_outcome(path, out, threshold)
+    assert len(made) == 1
+    assert_nothing_left(fds_before)
+    return result
+
+
+def write_lines(tmp_path: Path, lines: list[str]) -> tuple[Path, int]:
+    """The path of a file holding ``lines`` and the offset of its line ``SPLIT_AT``."""
+    path = tmp_path / "calibrated.jsonl"
+    path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+    return path, len("".join(lines[:SPLIT_AT]).encode("utf-8", "surrogateescape"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.integers(1, len(FILTER_LINES) - 1), threshold=st.sampled_from(["0", "0.5", "0.75", "1"]))
+def test_filter_output_is_the_sequential_output_at_any_split(tmp_path_factory, at, threshold):
+    tmp = tmp_path_factory.mktemp("filter")
+    path = tmp / "calibrated.jsonl"
+    path.write_text("".join(FILTER_LINES), encoding="utf-8")
+    middle = len("".join(FILTER_LINES[:at]).encode("utf-8"))
+    split = split_filter(path, tmp / "split", middle, threshold)
+    assert split == sequential_filter(path, tmp / "sequential", threshold)
+    assert split[0] == 0 and sorted(split[3]) == ["dropped.jsonl", "kept.jsonl"]
+
+
+FILTER_DEFECTS = {
+    "bad-json": lambda i: '{"note_id": \n',
+    "no-backend": lambda i: calibrated_line(i).replace('"unli"', '"nli"'),
+    "prob-out-of-range": lambda i: calibrated_line(i, prob=1.5),
+    "not-an-object": lambda i: "[1, 2]\n",
+    "lone-surrogate": lambda i: calibrated_line(i).replace('"topic": "t"', '"topic": "t\\udc00"'),
+    "utf8": lambda i: calibrated_line(i).replace('"topic": "t"', '"topic": "t\udcff"'),
+}
+
+
+@pytest.mark.parametrize("place", sorted(PLACES))
+@pytest.mark.parametrize("defect", sorted(FILTER_DEFECTS))
+def test_filter_errors_match_the_sequential_run(tmp_path, defect, place):
+    lines = list(FILTER_LINES)
+    for i in PLACES[place]:
+        lines[i] = FILTER_DEFECTS[defect](i)
+    path, middle = write_lines(tmp_path, lines)
+    sequential = sequential_filter(path, tmp_path / "sequential")
+    assert sequential[0] == 1 and sequential[3] == {}
+    line = None if defect == "utf8" else PLACES[place][0] + 1  # a decoding error names its byte offset
+    assert json.loads(sequential[2]).get("line") == line
+    assert split_filter(path, tmp_path / "split", middle) == sequential
+
+
+def test_invalid_utf8_in_the_second_half_names_its_offset_in_the_whole_file(tmp_path):
+    lines = list(FILTER_LINES)
+    lines[9] = FILTER_DEFECTS["utf8"](9)
+    path, middle = write_lines(tmp_path, lines)
+    offset = path.read_bytes().index(b"\xff")
+    code, _, stderr, files = split_filter(path, tmp_path / "split", middle)
+    assert (code, files) == (1, {})
+    assert f"byte 0xff in position {offset}:" in json.loads(stderr)["message"]
+
+
+def test_a_filter_child_that_exits_1_falls_back_to_the_sequential_run(tmp_path):
+    path, middle = write_lines(tmp_path, FILTER_LINES)
+    parent, real_load = os.getpid(), cli.load_calibrated
+
+    def load_calibrated(source, backend):
+        if os.getpid() != parent:
+            os._exit(1)
+        return real_load(source, backend)
+
+    with mock.patch.object(cli, "load_calibrated", load_calibrated):
+        fallback = split_filter(path, tmp_path / "fallback", middle)
+    assert fallback == sequential_filter(path, tmp_path / "sequential")
+    assert fallback[0] == 0
+

@@ -9,6 +9,17 @@ never perturbs other groups' samples.
 
 The sentinel keep count "all" skips sampling entirely and reports the
 plain fuse-and-evaluate result with std 0.
+
+The (keep, seed) cells are independent. When there are two or more and
+their work (cells times sub-list entries) reaches ``_TWO_CPU_MIN``, and
+the process may use two CPUs (see ``core._forked``), this process
+computes the cells at even positions while a forked child computes those
+at odd positions and sends back each one's aggregate metrics. The report
+is built from the same per-seed values in the same order, so it is the
+one-process report, bit for bit. If a cell of this process raises, or the
+child fails, every cell is computed again here in order, so the first
+error is the one-process run's. The child's memory comes on top of this
+process's (see ``run_ablation``).
 """
 
 from __future__ import annotations
@@ -16,9 +27,10 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .core import Qrels, RunSet, SubQueryMap, _is_json
-from .errors import ValidationError
+from .core import Qrels, RunSet, SubQueryMap, _forked_records, _is_json
+from .errors import FusekitError, ValidationError
 from .fusion import FusionInput, FusionStrategy, fuse
 from .metrics import Cutoffs, evaluate
 
@@ -101,17 +113,67 @@ def run_ablation(
     config: AblationConfig,
     cutoffs: Cutoffs,
 ) -> AblationReport:
-    """Evaluate every cell, "all" over the whole map and any other keep count once per seed."""
+    """Evaluate every cell, "all" over the whole map and any other keep count once per seed.
+
+    The cells are taken in order, keep count by keep count and seed by seed,
+    each drawn, fused and evaluated in turn. Above the floor the cells are
+    split over two processes (see the module docstring). The child then
+    holds the pages it copies from this process on top of this process's
+    memory: on the benchmark's ``ablation`` inputs, 800,000 sub-list entries
+    and 16 cells, 49 MB of private pages (``Private_Dirty``) just before it
+    exits, beside the 85 MB this process holds then.
+    """
     depth = max(cutoffs.values)  # evaluation reads no further down a fused list
+
+    def aggregate(cell: tuple[int | str, int | None]) -> dict[str, float]:
+        # no fused run outlives its evaluation
+        keep, seed = cell
+        drawn = mapping if keep == KEEP_ALL else subsample(mapping, keep, seed)
+        return evaluate(fuse_runs(drawn, sub_query_runs, config.strategy, depth), qrels, cutoffs).aggregate
+
+    cells = [(keep, seed) for keep in config.keep_counts for seed in (config.seeds if keep != KEEP_ALL else (None,))]
+    if len(cells) >= 2 and len(cells) * sum(map(len, sub_query_runs.lists.values())) >= _TWO_CPU_MIN:
+        aggregates = _on_two_cpus(aggregate, cells)
+    else:
+        aggregates = list(map(aggregate, cells))
     rows: dict[int | str, dict[str, tuple[float, float]]] = {}
     for keep in config.keep_counts:
-        # lazy: each cell is drawn, fused and evaluated in turn, and no fused run outlives its evaluation
-        maps = [mapping] if keep == KEEP_ALL else (subsample(mapping, keep, seed) for seed in config.seeds)
-        reports = [
-            evaluate(fuse_runs(m, sub_query_runs, config.strategy, depth), qrels, cutoffs) for m in maps
-        ]
-        rows[keep] = {name: _mean_std([r.aggregate[name] for r in reports]) for name in reports[0].aggregate}
+        per_seed = [values for (cell_keep, _), values in zip(cells, aggregates) if cell_keep == keep]
+        rows[keep] = {name: _mean_std([values[name] for values in per_seed]) for name in per_seed[0]}
     return AblationReport(rows=rows)
+
+
+# cells times sub-list entries from which the cells are split over two processes (see _on_two_cpus);
+# in-process run_ablation on perfbench's ablation inputs scaled down, 2-CPU VM, Python 3.11, alternating
+# pairs, two processes against one. With 16 max_sim cells they lost 0/12 at 8,000 and 16,000 entries,
+# 0/12 and 1/24 at 80,000 (medians 56 -> 69 ms) and 5/24 at 100,000; were mixed at 120,000 (5/12, 17/24
+# and 24/24 in three sets); and won 23/24 at 132,000 and 140,000 (medians 115 -> 90 ms), 24/24 at 152,000
+# and 12/12 at 160,000 and 320,000. With 4 cells they won 11/12 at 320,000 entries, 5/12 at 560,000
+# and 9/12 at 800,000.
+_TWO_CPU_MIN = 16 * 140_000
+
+
+def _on_two_cpus(aggregate: Callable, cells: list) -> list:
+    """``[aggregate(cell) for cell in cells]``, a forked child computing the cells at odd positions meanwhile.
+
+    If a cell here raises a FusekitError or the child fails, the child is
+    killed and every cell is computed again here, in order. Any other
+    exception is a bug, and the child is killed as it propagates.
+    """
+    with _forked_records(lambda: map(aggregate, cells[1::2])) as child:
+        if child is not None:
+            records, done = child
+            try:
+                mine = [aggregate(cell) for cell in cells[0::2]]
+            except FusekitError:
+                pass  # the one-process run below raises the first error
+            else:
+                theirs = list(records)
+                if done() and len(theirs) == len(cells) // 2:
+                    aggregates = cells[:]
+                    aggregates[0::2], aggregates[1::2] = mine, theirs
+                    return aggregates
+    return [aggregate(cell) for cell in cells]
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

@@ -16,6 +16,16 @@ every error, with its line, are those of a sequential parse. The CLI's
 ``_parse_in_halves``: each half is loaded, filtered and serialized on its
 own, and the child sends back its half's output bytes.
 
+The fork plumbing is shared: ``_forked`` runs work in a forked child and
+never lets it outlive the caller's block, and ``_forked_records`` adds
+the pipe through which the child sends its results back, written by
+``_write_records`` and read by ``_read_records`` as length-prefixed
+``marshal`` records. ``ablation.run_ablation`` uses it to compute half
+of its cells in a child.
+
+Every JSON value is read by ``_json_value``, which rejects a string
+holding a lone surrogate escape.
+
 Formats:
   run file:      ``qid Q0 docid rank score tag`` (whitespace-delimited, UTF-8)
   qrels file:    ``qid 0 docid grade``
@@ -112,50 +122,27 @@ def _parse_in_halves(source: Source, parse: Callable, to_records: Callable, merg
 
     ``parse`` takes a source: the whole input, or a ``_file_range`` reader of
     one half. The child runs it on the second half and sends back each of
-    ``to_records(its result)`` as one length-prefixed ``marshal`` record;
-    ``merge(the first half's result, those records)`` joins the halves in
-    file order, or returns None where they overlap. An error in the first
-    half is the file's first error, so it is raised as it is. If the child
-    fails or the halves overlap, the whole file is parsed again in this
-    process, so every result and every error is the sequential parse's.
-    Neither the child nor a pipe end outlives the call (see ``_forked``).
-    The child's memory comes on top of this process's: it holds its half's
-    result until it is sent. For ``claims filter`` on a 12 MB input the
-    child peaked at 45 MB, about 10 MB of it shared with this process,
-    which itself peaked at 51 MB against 58.5 MB for a one-process run.
+    ``to_records(its result)`` (see ``_forked_records``); ``merge(the first
+    half's result, those records)`` joins the halves in file order, or
+    returns None where they overlap. An error in the first half is the
+    file's first error, so it is raised as it is. If the child fails or the
+    halves overlap, the whole file is parsed again in this process, so every
+    result and every error is the sequential parse's. Neither the child nor
+    a pipe end outlives the call. The child's memory comes on top of this
+    process's: it holds its half's result until it is sent. For ``claims
+    filter`` on a 12 MB input the child peaked at 45 MB, about 10 MB of it
+    shared with this process, which itself peaked at 51 MB against 58.5 MB
+    for a one-process run.
     """
     halves = _halves(source)
     if halves is None:
         return parse(source)
-    import marshal  # imported on use, like the other modules only this path needs
-
     fd, start, middle = halves
-    read_fd, write_fd = os.pipe()
-
-    def send() -> None:
-        os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            for record in to_records(parse(_file_range(fd, middle))):
-                data = marshal.dumps(record)
-                pipe.write(len(data).to_bytes(4, "little"))
-                pipe.write(data)
-
-    def records(pipe: BinaryIO) -> Iterator:
-        # a record cut short means the child died, which its exit status tells
-        while len(head := pipe.read(4)) == 4:
-            size = int.from_bytes(head, "little")
-            if len(data := pipe.read(size)) < size:
-                return
-            yield marshal.loads(data)
-
-    with _forked(send) as done:
-        os.close(write_fd)
-        if done is None:
-            os.close(read_fd)
+    with _forked_records(lambda: to_records(parse(_file_range(fd, middle)))) as child:
+        if child is None:
             return parse(source)
-        # the read end closes before the child is waited for, so a child blocked on a full pipe ends
-        with open(read_fd, "rb") as pipe:
-            merged = merge(parse(_file_range(fd, start, middle)), records(pipe))
+        records, done = child
+        merged = merge(parse(_file_range(fd, start, middle)), records)
         if not done() or merged is None:
             return parse(source)
     source.seek(0, os.SEEK_END)  # where the sequential parse leaves it
@@ -170,9 +157,9 @@ def _forked(work: Callable[[], object]) -> Iterator[Callable[[], bool] | None]:
     one thread and may run on two CPUs, and the fork succeeds; else yields
     ``done()``, which waits for the child and tells whether ``work`` returned.
     The child ends only by ``os._exit``: it never returns into the caller nor
-    flushes the stdio buffers it inherited. If the block raises, a child not
-    yet waited for is killed; it is reaped on every path, so it never
-    outlives the block.
+    flushes the stdio buffers it inherited. A child not yet waited for when
+    the block ends, by an exception or not, is killed, as its work is no
+    longer wanted; it is reaped on every path, so it never outlives the block.
     """
     import threading
 
@@ -203,14 +190,68 @@ def _forked(work: Callable[[], object]) -> Iterator[Callable[[], bool] | None]:
 
     try:
         yield done
-    except BaseException:
+    finally:
         if status is None:
             import signal
 
             os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
         done()
+
+
+@contextmanager
+def _forked_records(work: Callable[[], Iterable]) -> Iterator[tuple[Iterator, Callable[[], bool]] | None]:
+    """``_forked``, where the child sends back ``work()``'s records through a pipe.
+
+    Yields None, having forked nothing, as ``_forked`` does; else
+    ``(records, done)``: ``records`` yields the child's records as they
+    arrive, and ``done()`` closes the read end, then waits for the child
+    and tells whether it sent them all. Each record is written as one
+    length-prefixed ``marshal`` record, so it may hold only the types
+    ``marshal`` takes. A child blocked on a full pipe ends when the read end
+    closes, which it does before the child is waited for on every path.
+    """
+    read_fd, write_fd = os.pipe()
+
+    def send() -> None:
+        os.close(read_fd)
+        _write_records(write_fd, work())
+
+    with _forked(send) as done:
+        os.close(write_fd)
+        if done is None:
+            os.close(read_fd)
+            yield None
+            return
+        with open(read_fd, "rb") as pipe:
+
+            def finished() -> bool:
+                pipe.close()
+                return done()
+
+            yield _read_records(pipe), finished
+
+
+def _write_records(fd: int, records: Iterable) -> None:
+    """Write each of ``records`` to the pipe end ``fd`` (4 length bytes, then its ``marshal`` bytes), then close it."""
+    import marshal  # imported on use, like the other modules only the forked paths need
+
+    with open(fd, "wb") as pipe:
+        for record in records:
+            data = marshal.dumps(record)
+            pipe.write(len(data).to_bytes(4, "little"))
+            pipe.write(data)
+
+
+def _read_records(pipe: BinaryIO) -> Iterator:
+    """The records ``_write_records`` wrote to ``pipe``, up to its end or to a record cut short."""
+    import marshal
+
+    # a record cut short means the child died, which its exit status tells
+    while len(head := pipe.read(4)) == 4:
+        size = int.from_bytes(head, "little")
+        if len(data := pipe.read(size)) < size:
+            return
+        yield marshal.loads(data)
 
 
 def _halves(source: Source) -> tuple[int, int, int] | None:
@@ -276,26 +317,11 @@ class _PositionalReader(io.RawIOBase):
 
 
 def iter_jsonl(data: Source) -> Iterator[tuple[int, object]]:
-    """Yield ``(line_no, value)`` per non-blank JSON line; bad JSON raises ParseError(line=...).
-
-    A string holding a lone surrogate escape such as ``"\\ud800"`` is bad JSON
-    here: it is no character, and no UTF-8 output could hold it.
-    """
+    """Yield ``(line_no, value)`` per non-blank JSON line; bad JSON (``_json_value``) raises ParseError(line=...)."""
     for line_no, raw in enumerate(_iter_lines(data), start=1):
         line = raw.strip()
         if line:
-            value = _json_value(line, line_no)
-            # an escape in U+D000-U+DFFF may be a lone surrogate; a one-character search is the cheap first test
-            if "\\" in line and ("\\ud" in line or "\\uD" in line):
-                _check_encodable(value, line_no)
-            yield line_no, value
-
-
-def _check_encodable(value, line_no: int) -> None:
-    try:
-        json.dumps(value, ensure_ascii=False).encode("utf-8")
-    except UnicodeEncodeError as e:
-        raise ParseError(f"invalid JSON: lone surrogate {e.object[e.start]!r} in a string", line=line_no) from None
+            yield line_no, _json_value(line, line_no)
 
 
 def load_records(data: Source, build: Callable[[object], object]) -> list:
@@ -332,12 +358,27 @@ def _loads(data):
 
 
 def _json_value(text: str, line: int | None = None):
+    """The value of the JSON text ``text``; bad JSON raises ParseError(line=line).
+
+    Every JSON reader comes here: the JSON lines of ``iter_jsonl``, the
+    documents of ``_loads`` and the services' replies. A string holding a
+    lone surrogate escape such as ``"\\ud800"`` is bad JSON here: it is no
+    character, and no UTF-8 output could hold it.
+    """
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=line) from None
     except (RecursionError, ValueError) as e:  # nested too deeply, or an integer literal too long
         raise ParseError(f"invalid JSON: {e}", line=line) from None
+    # an escape in U+D000-U+DFFF may be a lone surrogate; a one-character search is the cheap first test
+    if "\\" in text and ("\\ud" in text or "\\uD" in text):
+        try:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as e:
+            lone = e.object[e.start]
+            raise ParseError(f"invalid JSON: lone surrogate {lone!r} in a string", line=line) from None
+    return value
 
 
 _JSON_KINDS = {list: "array", dict: "object", str: "string", int: "integer"}

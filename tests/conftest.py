@@ -151,6 +151,18 @@ def counted_forks():
         yield made
 
 
+@contextlib.contextmanager
+def two_cpus():
+    """Let ``core._forked`` fork on any machine and beside any thread a test left running.
+
+    ``os.sched_getaffinity`` reports two CPUs and ``threading.active_count``
+    one thread. Yields the list of the children forked (see ``counted_forks``).
+    """
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+            mock.patch.object(threading, "active_count", lambda: 1), counted_forks() as made:
+        yield made
+
+
 def open_fds() -> int:
     return len(os.listdir("/proc/self/fd"))
 

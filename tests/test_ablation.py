@@ -1,8 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import sys
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusekit import (
     AblationConfig,
@@ -17,10 +24,12 @@ from fusekit import (
     run_ablation,
     subsample,
 )
+from fusekit import ablation, core
 from fusekit.ablation import render_ablation
+from fusekit.errors import FusekitError
 from fusekit.metrics import evaluate
 
-from conftest import random_scored_list
+from conftest import assert_nothing_left, open_fds, random_scored_list, two_cpus
 
 
 def build_map(sizes: dict[str, int]) -> SubQueryMap:
@@ -246,3 +255,169 @@ def test_render_ablation_row_labels():
     assert "5 random" in text
     assert "All" in text
     assert "±" in text
+
+
+# ---------------------------------------------------------------------------
+# run_ablation on two CPUs: the floor is lowered, so that small inputs fork
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def cells_on_two_cpus(on: bool = True):
+    """Split the cells over two processes (``on``) or keep them in this one; yields the children forked."""
+    with mock.patch.object(ablation, "_TWO_CPU_MIN", 0 if on else sys.maxsize), two_cpus() as made:
+        yield made
+
+
+def ablation_outcome(*args):
+    """``repr(run_ablation(*args))``, exact to the last bit and the order of every key, or the error raised."""
+    try:
+        return repr(run_ablation(*args))
+    except FusekitError as e:
+        return type(e), str(e)
+
+
+def one_and_two_cpu_outcomes(*args, forks: int = 1):
+    """The outcomes of ``run_ablation(*args)`` in one process and on two CPUs; checks the forks and that nothing is left."""
+    with cells_on_two_cpus(False) as made:
+        one = ablation_outcome(*args)
+    assert made == []
+    fds_before = open_fds()
+    with cells_on_two_cpus() as made:
+        two = ablation_outcome(*args)
+    assert len(made) == forks
+    assert_nothing_left(fds_before)
+    return one, two
+
+
+KEEP_CHOICES = st.lists(st.sampled_from([1, 2, 3, 5, KEEP_ALL]), min_size=1, max_size=4, unique=True)
+SEED_CHOICES = st.lists(st.integers(0, 50), min_size=1, max_size=4, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    keep_counts=KEEP_CHOICES,
+    seeds=SEED_CHOICES,
+    kind=st.sampled_from(["max_sim", "rrf", "sum_sim"]),
+    data_seed=st.integers(0, 1000),
+)
+@example(sizes=[3, 5], keep_counts=[KEEP_ALL], seeds=[0], kind="max_sim", data_seed=0)  # one cell: no fork
+@example(sizes=[4], keep_counts=[2], seeds=[7], kind="max_sim", data_seed=1)  # one seed, one cell
+@example(sizes=[4, 2], keep_counts=[2, KEEP_ALL], seeds=[0, 1], kind="rrf", data_seed=2)  # three cells
+@example(sizes=[6, 1], keep_counts=[1, 3], seeds=[0, 1, 2], kind="max_sim", data_seed=3)  # six cells
+def test_the_two_cpu_report_is_the_one_process_report(sizes, keep_counts, seeds, kind, data_seed):
+    mapping = build_map({f"q{i}": n for i, n in enumerate(sizes)})
+    config = AblationConfig(keep_counts=tuple(keep_counts), seeds=tuple(seeds), strategy=FusionStrategy(kind))
+    cells = sum(1 if keep == KEEP_ALL else len(seeds) for keep in keep_counts)
+    args = (mapping, build_runs(mapping, data_seed), build_qrels(mapping, data_seed), config, CUTOFFS)
+    one, two = one_and_two_cpu_outcomes(*args, forks=int(cells >= 2))
+    assert two == one
+
+
+@pytest.mark.parametrize("keep_counts", [(1, KEEP_ALL), (KEEP_ALL, 1)], ids=["child-cell", "main-cell"])
+def test_an_error_in_either_process_is_the_one_process_error(keep_counts):
+    # only the "all" cell reads the missing list, at an odd position (the child's) or an even one (this process's)
+    mapping = build_map({"q1": 4, "q2": 3})
+    drawn = {sub_id for qid in mapping.groups for sub_id in subsample(mapping, 1, 0).sub_query_ids(qid)}
+    runs = build_runs(mapping)
+    missing = next(sub_id for sub_id in runs.lists if sub_id not in drawn)
+    broken = RunSet(lists={k: v for k, v in runs.lists.items() if k != missing}, tag="subq")
+    config = AblationConfig(keep_counts=keep_counts, seeds=(0,), strategy=STRATEGY)
+    one, two = one_and_two_cpu_outcomes(mapping, broken, build_qrels(mapping), config, CUTOFFS)
+    assert one == (ValidationError, f"no ranked list for sub-query {missing!r}")
+    assert two == one
+
+
+def test_when_both_processes_fail_the_error_of_the_first_failing_cell_is_raised():
+    # cells (1, a), (1, b), (1, c) draw sub-queries a, b and c, and the lists of b and c are missing:
+    # this process fails on c, but the child's cell b comes first
+    mapping = build_map({"q1": 6})
+    draws: dict[str, int] = {}
+    for seed in range(100):
+        draws.setdefault(subsample(mapping, 1, seed).sub_query_ids("q1")[0], seed)
+    (_, seed_a), (sub_b, seed_b), (sub_c, seed_c) = list(draws.items())[:3]
+    runs = build_runs(mapping)
+    broken = RunSet(lists={k: v for k, v in runs.lists.items() if k not in (sub_b, sub_c)}, tag="subq")
+    config = AblationConfig(keep_counts=(1,), seeds=(seed_a, seed_b, seed_c), strategy=STRATEGY)
+    one, two = one_and_two_cpu_outcomes(mapping, broken, build_qrels(mapping), config, CUTOFFS)
+    assert one == (ValidationError, f"no ranked list for sub-query {sub_b!r}")
+    assert two == one
+
+
+def test_a_failed_cell_here_kills_the_child_at_once(monkeypatch):
+    parent, real_evaluate = os.getpid(), ablation.evaluate
+
+    def evaluate(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(ablation, "evaluate", evaluate)
+    # this process's "all" cell fails on a list the child's (1, 0) cell does not draw, so the child sleeps
+    mapping = build_map({"q1": 3})
+    [drawn] = subsample(mapping, 1, 0).sub_query_ids("q1")
+    runs = build_runs(mapping)
+    broken = RunSet(lists={drawn: runs.lists[drawn]}, tag="subq")
+    config = AblationConfig(keep_counts=(KEEP_ALL, 1), seeds=(0,), strategy=STRATEGY)
+    fds_before = open_fds()
+    start = time.monotonic()
+    with cells_on_two_cpus() as made, pytest.raises(ValidationError):
+        run_ablation(mapping, broken, build_qrels(mapping), config, CUTOFFS)
+    assert time.monotonic() - start < 30
+    assert len(made) == 1
+    assert_nothing_left(fds_before)
+
+
+@pytest.mark.parametrize("sent", [False, True], ids=["before-sending", "after-sending"])
+def test_a_child_that_exits_1_falls_back_to_the_one_process_run(monkeypatch, sent):
+    parent, real_evaluate, real_write = os.getpid(), ablation.evaluate, core._write_records
+    evaluated = []  # the cells this process evaluates
+
+    def evaluate(*args):
+        if os.getpid() != parent and not sent:
+            os._exit(1)
+        evaluated.append(args)
+        return real_evaluate(*args)
+
+    def write_records(fd, records):
+        real_write(fd, records)
+        os._exit(1)
+
+    monkeypatch.setattr(ablation, "evaluate", evaluate)
+    monkeypatch.setattr(core, "_write_records", write_records)
+    mapping = build_map({"q1": 6, "q2": 3})
+    config = AblationConfig(keep_counts=(KEEP_ALL, 2), seeds=(0, 1, 2), strategy=STRATEGY)
+    one, two = one_and_two_cpu_outcomes(mapping, build_runs(mapping), build_qrels(mapping), config, CUTOFFS)
+    assert two == one
+    assert len(evaluated) == 4 + 2 + 4  # one process; then its 2 cells of 4, and all 4 again
+
+
+def test_a_record_cut_short_falls_back_to_the_one_process_run(monkeypatch):
+    def write_records(fd, records):
+        with open(fd, "wb") as pipe:
+            pipe.write((100).to_bytes(4, "little") + b"abc")  # a record of 100 bytes, cut off after 3
+
+    monkeypatch.setattr(core, "_write_records", write_records)
+    mapping = build_map({"q1": 6, "q2": 3})
+    config = AblationConfig(keep_counts=(KEEP_ALL, 2), seeds=(0, 1, 2), strategy=STRATEGY)
+    one, two = one_and_two_cpu_outcomes(mapping, build_runs(mapping), build_qrels(mapping), config, CUTOFFS)
+    assert two == one
+
+
+def test_on_two_cpus_this_process_draws_fuses_and_evaluates_its_own_cells_in_turn(monkeypatch):
+    calls = []
+    for name in ("subsample", "fuse_runs", "evaluate"):
+        def traced(*args, _name=name, _fn=getattr(ablation, name), **kwargs):
+            calls.append(_name)  # the child appends to its own copy of the list
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(ablation, name, traced)
+    mapping = build_map({"q1": 6, "q2": 3})
+    config = AblationConfig(keep_counts=(KEEP_ALL, 2), seeds=(0, 1, 2), strategy=STRATEGY)
+    with cells_on_two_cpus() as made:
+        run_ablation(mapping, build_runs(mapping), build_qrels(mapping), config, CUTOFFS)
+    assert len(made) == 1
+    # cells ("all"), (2, 0), (2, 1), (2, 2): this process computes "all" and (2, 1)
+    cell = ["subsample", "fuse_runs", "evaluate"]
+    assert calls == cell[1:] + cell

@@ -69,3 +69,41 @@ print(code, len(forks), names["evidence.load_calibrated"], names["evidence.filte
     # one call each, made on the first half: the child's calls, on the second, are not seen here
     assert result.stdout.splitlines()[-1] == "0 1 1 1 True"
     assert (tmp_path / "kept.jsonl").read_text().count("\n") == 2000
+
+
+def test_a_two_cpu_ablate_calls_its_traced_names_in_the_main_process(tmp_path):
+    # the real floor is lowered, so the fixtures' 11 cells are split over two processes
+    fixtures = Path(__file__).resolve().parent / "fixtures" / "pipeline"
+    code = f"""
+import collections, os, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, {str(PERFBENCH)!r})
+from spans import Tracer, _wrap_all
+import fusekit.cli
+from fusekit import ablation
+os.sched_getaffinity = lambda pid: {{0, 1}}
+forks, real_fork = [], os.fork
+def fork():
+    pid = real_fork()
+    if pid:
+        forks.append(pid)
+    return pid
+os.fork = fork
+argv = ["ablate", "--map", {str(fixtures / "subquery_map.jsonl")!r}, "--runs", {str(fixtures / "subqueries.run")!r},
+        "--qrels", {str(fixtures / "qrels.txt")!r}, "--strategy", "max_sim", "--keep", "1,2,all", "--json"]
+ablation._TWO_CPU_MIN = 1
+tracer = Tracer("ablation")
+_wrap_all(tracer)
+code = fusekit.cli.main(argv + ["two.json"])
+names = collections.Counter(span[0] for span in tracer.dump()["spans"])
+ablation._TWO_CPU_MIN = sys.maxsize
+one = fusekit.cli.main(argv + ["one.json"])
+print(code, one, len(forks), *(names[name] > 0 for name in
+      ("ablation.subsample", "fusion.fuse_runs", "fusion.fuse", "metrics.evaluate")))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 0 1 True True True True"
+    assert (tmp_path / "two.json").read_bytes() == (tmp_path / "one.json").read_bytes()

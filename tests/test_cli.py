@@ -890,6 +890,58 @@ def test_pipeline_cli_rejects_a_config_that_is_not_json(tmp_path, capsys):
     assert json.loads(line)["error"] == "ParseError"
 
 
+def _bank_with_a_lone_surrogate(tmp_path: Path) -> tuple[list, Path]:
+    bank = json.loads(MemoryBank().dump())
+    bank["findings"] = ["\udc00"]
+    path = tmp_path / "bank.json"
+    path.write_text(json.dumps(bank))
+    return ["memory", "--bank", path], path
+
+
+def _config_with_a_lone_surrogate(tmp_path: Path) -> tuple[list, Path]:
+    config = json.loads((PIPE / "config.json").read_text())
+    config["strategy"]["kind"] = "rrf\udc00"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return ["pipeline", "--config", path, "--out-dir", tmp_path / "out"], tmp_path / "out"
+
+
+def _report_with_a_lone_surrogate(tmp_path: Path) -> tuple[list, Path]:
+    baseline = _report_file(tmp_path, "base.json", {"nDCG@10": 0.5})
+    candidate = tmp_path / "cand.json"
+    candidate.write_text(json.dumps({"tag": "cand\udc00", "aggregate": {"nDCG@10": 0.5}, "per_query": {}}))
+    out = tmp_path / "delta.json"
+    return ["delta", "--baseline", baseline, "--candidate", candidate, "--json", out], out
+
+
+@pytest.mark.parametrize(
+    "make", [_bank_with_a_lone_surrogate, _config_with_a_lone_surrogate, _report_with_a_lone_surrogate],
+    ids=["bank", "config", "report"],
+)
+def test_cli_rejects_a_json_document_holding_a_lone_surrogate_escape(tmp_path, capsys, monkeypatch, make):
+    # json.dumps writes "\udc00" as its escape, which json.loads reads back as no character
+    argv, written = make(tmp_path)
+    before = written.read_bytes() if written.exists() else None
+    monkeypatch.setattr(sys, "stdin", io.StringIO("add-keyword v1 k\n"))
+    assert run_cli(*argv) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ParseError", "message": "invalid JSON: lone surrogate '\\udc00' in a string"}
+    assert (written.read_bytes() if written.exists() else None) == before
+
+
+def test_decompose_cli_falls_back_on_a_reply_holding_a_lone_surrogate_escape(tmp_path, capsys, caplog):
+    replay = tmp_path / "replay.jsonl"
+    replay.write_text(json.dumps({"query_id": "1", "response": '["ok \\ud800 sub"]'}) + "\n")
+    queries = tmp_path / "queries.jsonl"
+    queries.write_text(json.dumps({"query_id": "1", "query": "storm damage"}) + "\n")
+    out = tmp_path / "map.jsonl"
+    code = run_cli("decompose", "--queries", queries, "--replay", replay, "--out", out)
+    assert code == 0
+    assert "decomposed 1 queries (1 fallbacks)" in capsys.readouterr().out
+    assert "query 1: malformed decomposition output, falling back" in caplog.text
+    assert parse_subquery_map(out.read_bytes()).groups == {"1": (("1-s000", "storm damage"),)}
+
+
 def test_a_failed_pipeline_run_leaves_no_out_dir(tmp_path, capsys):
     map_path = tmp_path / "map.jsonl"
     map_path.write_text('{"query_id": "1", "sub_queries": []}\n')

@@ -90,6 +90,13 @@ def test_http_retriever_rejects_garbage(stub_server):
             client.retrieve("s1", "anything", 3)
 
 
+def test_http_retriever_rejects_a_reply_holding_a_lone_surrogate_escape():
+    client = HttpRetriever("http://127.0.0.1:9/unused")
+    client._client.request = lambda payload: '[{"doc_id": "v\\ud800", "score": 0.5}]'
+    with pytest.raises(TransportError, match="retriever returned invalid JSON: lone surrogate"):
+        client.retrieve("s1", "anything", 3)
+
+
 @pytest.mark.parametrize(
     "body", ['[{"doc_id": "v0", "score": NaN}]', '[{"doc_id": "v0", "score": -Infinity}]',
              '[{"doc_id": "v0", "score": "high"}]', '[{"doc_id": "v0", "score": null}]']

@@ -21,8 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from fusekit import core
+from fusekit import ablation, core
 from fusekit.cli import main
+
+from conftest import two_cpus
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PIPE = FIXTURES / "pipeline"
@@ -228,3 +230,11 @@ def test_digests_hold_when_inputs_are_parsed_in_two_halves(tmp_path, capsys, mon
     monkeypatch.setattr(os, "fork", fork)
     run_input_checks(tmp_path, capsys)
     assert len(forks) >= len(FUSE_DIGESTS) + len(EVAL_DIGESTS) + len(ABLATE_DIGESTS)
+
+
+@pytest.mark.parametrize("strategy", sorted(ABLATE_DIGESTS))
+def test_ablate_digests_hold_when_the_cells_run_on_two_cpus(tmp_path, capsys, monkeypatch, strategy):
+    monkeypatch.setattr(ablation, "_TWO_CPU_MIN", 0)
+    with two_cpus() as made:
+        test_ablate_json(tmp_path, capsys, strategy)
+    assert len(made) == 1

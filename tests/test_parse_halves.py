@@ -1,8 +1,7 @@
 """Large run, qrels and ``claims filter`` inputs are read in two halves at once: the second in a forked child.
 
 The size and chunk constants are lowered here, so that small files take the
-two-half path. ``os.sched_getaffinity`` reports two CPUs and
-``threading.active_count`` one thread, so that the tests hold on a one-CPU
+two-half path. ``conftest.two_cpus`` lets the child be forked on a one-CPU
 machine and beside any thread a test left running. Every result and every
 error must be the sequential parse's (the parse of the same bytes, which
 never splits), and no child process or file descriptor may outlive a call.
@@ -28,7 +27,7 @@ from hypothesis import strategies as st
 
 from fusekit import cli, core, parse_qrels, parse_run
 
-from conftest import assert_nothing_left, counted_forks, open_fds
+from conftest import assert_nothing_left, counted_forks, open_fds, two_cpus
 
 PARSERS = {"run": parse_run, "qrels": parse_qrels}
 
@@ -42,9 +41,7 @@ def two_halves(middle: int | None = None):
     with contextlib.ExitStack() as stack:
         stack.enter_context(mock.patch.object(core, "_SPLIT_MIN", 1))
         stack.enter_context(mock.patch.object(core, "_CHUNK", 1))
-        stack.enter_context(mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}))
-        stack.enter_context(mock.patch.object(threading, "active_count", lambda: 1))
-        made = stack.enter_context(counted_forks())
+        made = stack.enter_context(two_cpus())
         if middle is not None:
             stack.enter_context(mock.patch.object(core, "_middle", lambda fd, start, end: middle))
         yield made

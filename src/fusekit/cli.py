@@ -23,6 +23,7 @@ from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_
 from .clients import HttpDecomposer, ReplayDecomposer
 from .core import (
     RunSet,
+    _iter_lines,
     _parse_in_halves,
     atomic_write,
     parse_qrels,
@@ -36,7 +37,7 @@ from .evidence import (
     DEFAULT_BACKEND,
     _check_threshold,
     attach,
-    calibrated_to_dict,
+    calibrated_to_dict,  # unused here, but perfbench's traced mode rebinds fusekit.cli.calibrated_to_dict
     filter_by_threshold,
     load_calibrated,
     load_evidence,
@@ -329,16 +330,27 @@ def _cmd_claims_filter(args) -> int:
 
 
 def _filtered(source, args) -> list[tuple[bytes, bytes, int, int]]:
-    """One half of ``claims filter``: the kept lines and audit lines of ``source``, and how many records each holds."""
-    kept, dropped = filter_by_threshold(load_calibrated(source, args.backend), args.threshold)
-    kept_lines = b"".join(_lines(serialize_calibrated(c) for c in kept))
+    """One half of ``claims filter``: the kept lines and audit lines of ``source``, and how many records each holds.
+
+    Every record is checked as ``load_calibrated`` reads it, and is written
+    as the stripped line it was read from: a kept record as that line, a
+    dropped one as the ``record`` of its audit line. So a record keeps its
+    other backends' payloads and any keys the library does not know.
+    """
+    data = source.read()
+    items = load_calibrated(data, args.backend)
+    # the lines load_calibrated read, one per record; it found them valid UTF-8 and JSON
+    line_of = dict(zip(map(id, items), (line for line in map(str.strip, _iter_lines(data)) if line)))
+    kept, dropped = filter_by_threshold(items, args.threshold)
+    kept_lines = "".join(line_of[id(c)] + "\n" for c in kept).encode("utf-8")
     audit_lines = b""
     if args.dropped is not None:
-        audit = (
-            {"prob": c.prob, "threshold": args.threshold, "record": calibrated_to_dict(c)}
+        # json.dumps({"prob": ..., "threshold": ..., "record": ...}, ensure_ascii=False), the record as read
+        threshold = json.dumps(args.threshold)
+        audit_lines = "".join(
+            f'{{"prob": {json.dumps(c.prob)}, "threshold": {threshold}, "record": {line_of[id(c)]}}}\n'
             for c in dropped
-        )
-        audit_lines = b"".join(_lines(json.dumps(a, ensure_ascii=False).encode("utf-8") for a in audit))
+        ).encode("utf-8")
     return [(kept_lines, audit_lines, len(kept), len(dropped))]
 
 

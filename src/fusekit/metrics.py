@@ -17,10 +17,25 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
-from .core import Qrels, QueryId, RunSet, ScoredList, _expect, _is_json, _loads, from_json_object, json_record
+from .core import (
+    _JSON_NUMBERS,
+    Qrels,
+    QueryId,
+    RunSet,
+    ScoredList,
+    _expect,
+    _is_json,
+    _loads,
+    from_json_object,
+    json_record,
+)
 from .errors import ValidationError
 
 logger = logging.getLogger(__name__)
@@ -67,6 +82,8 @@ def recall_at_k(ranking: ScoredList, qrels: Qrels, query: QueryId, k: int) -> fl
 
 
 def _check_cutoff(k: int) -> None:
+    if not _is_json(k, int):
+        raise ValidationError(f"cutoff must be an integer, got {k!r}")
     if k < 1:
         raise ValidationError(f"cutoff must be >= 1, got {k}")
 
@@ -74,36 +91,62 @@ def _check_cutoff(k: int) -> None:
 def _query_metrics(
     query: QueryId, ranking: ScoredList, judged: dict[str, int], cutoffs: tuple[int, ...]
 ) -> tuple[list[float], list[float]]:
-    """nDCG and recall at each cutoff from one pass over the judgments and top ranks.
+    """nDCG and recall at each cutoff from the relevant documents alone.
 
-    The DCG terms are built once up to the largest cutoff; each cutoff sums
-    its prefix with ``math.fsum``, the same terms a per-cutoff sum would use.
-    Grades whose gains exceed the float range are a ValidationError naming the query.
+    Grades are never negative, so an unjudged or grade-0 document adds a
+    term of exactly 0.0, and ``math.fsum``, being correctly rounded, gives
+    the same sum without those terms: only the relevant documents in the top
+    ranks and the positive grades of the ideal ranking are summed, each term
+    ``(2.0**g - 1) / log2(rank + 2)``. Grades whose gains exceed the float
+    range are a ValidationError naming the query.
     """
     depth = max(cutoffs)
+    top = ranking._docs[:depth]
+    relevant = sorted([grade for grade in judged.values() if grade > 0], reverse=True)
+    # (rank, grade) of each relevant document in the top ranks, best rank first
+    found = sorted([(top.index(doc), grade) for doc in judged.keys() & top if (grade := judged[doc]) > 0])
+    ranks = [rank for rank, _ in found]
     try:
-        ideal = _dcg_terms(sorted(judged.values(), reverse=True)[:depth])
-        top = ranking._docs[:depth]
-        gains = _dcg_terms([judged.get(doc, 0) for doc in top])
-        relevant = {doc for doc, grade in judged.items() if grade > 0}
-        # hits[k] = relevant docs among the top k
-        hits = [0]
-        for doc in top:
-            hits.append(hits[-1] + (doc in relevant))
+        idcgs = _ideal_dcgs(tuple(relevant[:depth]), cutoffs)
+        log2 = _log2_table(ranks[-1] + 1 if ranks else 0)
+        gains = [(2.0**g - 1) / log2[i] for i, g in found]
         ndcg, recall = [], []
-        for k in cutoffs:
-            idcg = math.fsum(ideal[:k])
-            ndcg.append(0.0 if idcg == 0.0 else math.fsum(gains[:k]) / idcg)
-            recall.append(hits[min(k, len(top))] / len(relevant) if relevant else 0.0)
+        for k, idcg in zip(cutoffs, idcgs):
+            hits = bisect_left(ranks, k)
+            ndcg.append(0.0 if idcg == 0.0 else math.fsum(gains[:hits]) / idcg)
+            recall.append(hits / len(relevant) if relevant else 0.0)
         return ndcg, recall
     except OverflowError:
         raise ValidationError(f"query {query!r}: its DCG exceeds the float range") from None
 
 
-def _dcg_terms(grades: list[int]) -> list[float]:
+@lru_cache(maxsize=1024)
+def _ideal_dcgs(grades: tuple[int, ...], cutoffs: tuple[int, ...]) -> tuple[float, ...]:
+    """The ideal DCG at each cutoff of the positive ``grades``, best first.
+
+    Cached, because judgments on a small grade scale repeat across queries:
+    10,000 synthetic queries with 20 relevant documents graded 1 to 3 have 18
+    distinct ideal rankings, and an ablation evaluates the same queries once per cell.
+    """
+    log2 = _log2_table(len(grades))
     # a float power overflows at once for g >= 1024, where the exact 2**g would be built first;
     # below that the two give the same double
-    return [(2.0**g - 1) / math.log2(i + 2) for i, g in enumerate(grades)]
+    ideal = [(2.0**g - 1) / log2[i] for i, g in enumerate(grades)]
+    return tuple(math.fsum(ideal[:k]) for k in cutoffs)
+
+
+_LOG2: list[float] = []  # _LOG2[i] is math.log2(i + 2), the discount at 0-based rank i
+
+
+def _log2_table(size: int) -> list[float]:
+    """``_LOG2``, grown to at least ``size`` entries.
+
+    The discounts are kept, never their reciprocals: a product with a
+    reciprocal may differ from the quotient in its last bit.
+    """
+    if len(_LOG2) < size:
+        _LOG2.extend(math.log2(i + 2) for i in range(len(_LOG2), size))
+    return _LOG2
 
 
 @json_record
@@ -138,6 +181,17 @@ class EvalReport:
                         f"aggregate {name}={value} is not the per-query mean {mean}"
                     )
 
+    @classmethod
+    def _trusted(
+        cls, per_query: dict[QueryId, dict[str, float]], aggregate: dict[str, float], tag: str
+    ) -> "EvalReport":
+        """Wrap values that already meet every invariant: ``evaluate``'s, just computed."""
+        report = object.__new__(cls)
+        object.__setattr__(report, "per_query", per_query)
+        object.__setattr__(report, "aggregate", aggregate)
+        object.__setattr__(report, "tag", tag)
+        return report
+
 
 def evaluate(
     run: RunSet,
@@ -157,16 +211,16 @@ def evaluate(
         raise ValidationError(f"on_missing must be 'error' or 'skip', got {on_missing!r}")
     if not run.lists:
         raise ValidationError("cannot evaluate an empty run")
-    judged_queries = qrels.queries()
+    judgments = qrels._by_query  # read only
     names = cutoffs.metric_names()
     per_query: dict[str, dict[str, float]] = {}
     for qid in run.queries():
-        if qid not in judged_queries:
+        judged = judgments.get(qid)
+        if judged is None:
             if on_missing == "error":
                 raise ValidationError(f"run query {qid!r} has no relevance judgments")
             logger.warning("skipping query %r: no relevance judgments", qid)
             continue
-        judged = qrels.for_query(qid)
         if exclude_no_relevant and not any(grade > 0 for grade in judged.values()):
             continue
         ndcg, recall = _query_metrics(qid, run.lists[qid], judged, cutoffs.values)
@@ -176,7 +230,7 @@ def evaluate(
     aggregate = {
         name: sum(row[name] for row in per_query.values()) / len(per_query) for name in names
     }
-    return EvalReport(per_query=per_query, aggregate=aggregate, tag=run.tag)
+    return EvalReport._trusted(per_query, aggregate, run.tag)
 
 
 @dataclass(frozen=True)
@@ -260,29 +314,75 @@ def report_records(report: EvalReport) -> list[dict]:
 
 
 _REPORT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)  # what json.dumps(indent=2, sort_keys=True) uses
-_BATCH = 1 << 16  # characters of encoder output joined into one chunk
+_BATCH = 1 << 16  # characters of report text joined into one chunk
 
 
 def report_json_chunks(report: EvalReport) -> Iterator[bytes]:
     """``report_to_json(report)`` as UTF-8 chunks of about 64 KiB, made as they are written.
 
-    The encoder's own pieces are a few characters each; joining them into
-    batches keeps the writes few without ever holding the whole report text.
+    The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
+    written from templates (``_report_pieces``) where the report's names are
+    strings and its values plain ints and floats, as ``evaluate`` and
+    ``report_from_json`` make them; any other report goes through the
+    indenting encoder. The pieces are joined into batches, so the writes
+    are few and the whole report text is never held.
     """
-    payload = {
-        "tag": report.tag,
-        "aggregate": report.aggregate,
-        "per_query": report.per_query,
-    }
+    if _templated(report):
+        pieces = _report_pieces(report)
+    else:
+        payload = {"tag": report.tag, "aggregate": report.aggregate, "per_query": report.per_query}
+        pieces = chain(_REPORT_ENCODER.iterencode(payload), "\n")
     batch, size = [], 0
-    for piece in _REPORT_ENCODER.iterencode(payload):
+    for piece in pieces:
         batch.append(piece)
         size += len(piece)
         if size >= _BATCH:
             yield "".join(batch).encode("utf-8")
             batch, size = [], 0
-    batch.append("\n")
     yield "".join(batch).encode("utf-8")
+
+
+def _templated(report: EvalReport) -> bool:
+    """Whether ``_report_pieces`` writes ``report`` as ``json.dumps`` does: str names, int and float values.
+
+    A name of another type, or a number whose ``repr`` is not its JSON,
+    can come only from a report built directly.
+    """
+    if not all(type(name) is str for name in chain(report.aggregate, report.per_query)):
+        return False
+    rows = chain((report.aggregate,), report.per_query.values())
+    return {type(value) for row in rows for value in row.values()} <= _JSON_NUMBERS
+
+
+def _report_pieces(report: EvalReport) -> Iterator[str]:
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, a piece per query.
+
+    Every per-query row has the aggregate's metrics, so one row template,
+    made once from the sorted metric names, is filled per query in sorted
+    query order. ``%r`` writes an int or a float as ``json.dumps`` does.
+    """
+    names = sorted(report.aggregate)
+    aggregate = _object_template(names, "  ") % tuple(map(report.aggregate.__getitem__, names))
+    yield f'{{\n  "aggregate": {aggregate},\n  "per_query": '
+    per_query = report.per_query
+    if per_query:
+        row = "%s    %s: " + _object_template(names, "    ")  # a separator, the query id, the values
+        separator = "{\n"
+        for qid in sorted(per_query):
+            yield row % (separator, encode_basestring_ascii(qid), *map(per_query[qid].__getitem__, names))
+            separator = ",\n"
+        yield "\n  }"
+    else:
+        yield "{}"
+    yield f',\n  "tag": {encode_basestring_ascii(report.tag)}\n}}\n'
+
+
+def _object_template(names: list[str], indent: str) -> str:
+    """An indented JSON object of ``names`` with ``%r`` fields for values; ``indent`` is that of its own line."""
+    if not names:
+        return "{}"
+    keys = (encode_basestring_ascii(name).replace("%", "%%") for name in names)  # a literal % is written %%
+    return "{\n" + ",\n".join(f"{indent}  {key}: %r" for key in keys) + f"\n{indent}}}"
 
 
 def report_to_json(report: EvalReport) -> bytes:

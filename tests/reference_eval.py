@@ -30,6 +30,37 @@ def ref_recall(ranked_docs: list[str], judged: dict[str, int], k: int) -> float:
     return len(set(ranked_docs[:k]) & relevant) / len(relevant)
 
 
+def dense_fsum_metrics(
+    ranked_docs: list[str], judged: dict[str, int], cutoffs: tuple[int, ...]
+) -> tuple[list[float], list[float]]:
+    """nDCG and recall at each cutoff as the library once computed them: one term per rank.
+
+    Every document in the top ranks, and every grade of the ideal ranking,
+    zeros included, gets its term ``(2.0**g - 1) / math.log2(i + 2)``, and
+    each cutoff sums its prefix with ``math.fsum``. The library's sparse
+    computation must give the same doubles. A gain beyond the float range
+    raises OverflowError.
+    """
+    depth = max(cutoffs)
+
+    def terms(grades: list[int]) -> list[float]:
+        return [(2.0**g - 1) / math.log2(i + 2) for i, g in enumerate(grades)]
+
+    ideal = terms(sorted(judged.values(), reverse=True)[:depth])
+    top = ranked_docs[:depth]
+    gains = terms([judged.get(doc, 0) for doc in top])
+    relevant = {doc for doc, grade in judged.items() if grade > 0}
+    hits = [0]
+    for doc in top:
+        hits.append(hits[-1] + (doc in relevant))
+    ndcg, recall = [], []
+    for k in cutoffs:
+        idcg = math.fsum(ideal[:k])
+        ndcg.append(0.0 if idcg == 0.0 else math.fsum(gains[:k]) / idcg)
+        recall.append(hits[min(k, len(top))] / len(relevant) if relevant else 0.0)
+    return ndcg, recall
+
+
 # ---------------------------------------------------------------------------
 # Five-query graded fixture. q1..q3 are short enough to verify by hand;
 # q4/q5 run 25 deep so the 10/20/100 cutoffs actually differ.

@@ -9,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusekit import parse_run, write_run
 from fusekit.ablation import fuse_runs
@@ -686,6 +688,75 @@ def test_claims_filter_rejects_non_object_calibration(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseError"
     assert err["line"] == 1
+
+
+NOTE = {"note_id": "n1", "video_id": "v1", "topic": "t", "text": "a note", "modality": "ocr"}
+
+
+def run_filter(tmp_path, text: str, threshold: str = "0.5") -> tuple[int, list[str], list[dict]]:
+    """``claims filter`` of ``text`` at ``threshold``: its exit code, kept lines and dropped audit records."""
+    path, kept, dropped = tmp_path / "in.jsonl", tmp_path / "kept.jsonl", tmp_path / "dropped.jsonl"
+    path.write_text(text, encoding="utf-8")
+    code = run_cli("claims", "filter", "--in", path, "--threshold", threshold, "--kept", kept, "--dropped", dropped)
+    if code:
+        return code, [], []
+    audit = [json.loads(line) for line in dropped.read_text(encoding="utf-8").splitlines()]
+    return code, kept.read_text(encoding="utf-8").splitlines(), audit
+
+
+def test_claims_filter_writes_each_kept_record_as_it_read_it(tmp_path, capsys):
+    two_backends = dict(NOTE, calibration={"unli": {"prob": 0.9}, "nli2": {"prob": 0.1, "raw": {"x": 1}}}, extra=7)
+    unknown_key = dict(NOTE, note_id="n2", calibration={"unli": {"prob": 0.6, "seen": "é"}}, annotator={"id": 3})
+    dropped = dict(NOTE, note_id="n3", calibration={"unli": {"prob": 0.2}, "nli2": {"prob": 0.99}}, extra=[1])
+    lines = [
+        json.dumps(two_backends),
+        "  " + json.dumps(unknown_key, ensure_ascii=False, separators=(",", ":")) + "\t",
+        json.dumps(dropped),
+    ]
+    code, kept, audit = run_filter(tmp_path, "\n".join(lines[:2]) + "\n\n" + lines[2] + "\n")
+    assert code == 0
+    assert kept == [line.strip() for line in lines[:2]]
+    assert audit == [{"prob": 0.2, "threshold": 0.5, "record": dropped}]
+
+
+def test_claims_filter_bad_payload_still_fails_with_its_line(tmp_path, capsys):
+    good = json.dumps(dict(NOTE, calibration={"unli": {"prob": 0.9}, "nli2": {"prob": 0.1}}))
+    bad = json.dumps(dict(NOTE, note_id="n2", calibration={"unli": {"prob": 1.5}}))
+    code, _, _ = run_filter(tmp_path, f"{good}\n\n{bad}\n")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["line"]) == ("ParseError", 3)
+    assert not (tmp_path / "kept.jsonl").exists()
+
+
+EXTRA_VALUES = st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp")), max_size=5) | st.integers()
+
+
+@st.composite
+def calibrated_lines(draw) -> str:
+    """One calibrated note as a JSON line, written in one of several styles, with extra keys and backends."""
+    record = dict(NOTE, note_id=draw(st.sampled_from(["n1", "n2", "n3"])))
+    record.update(draw(st.dictionaries(st.sampled_from(["x", "y", "z"]), EXTRA_VALUES, max_size=2)))
+    record["calibration"] = {"unli": {"prob": draw(st.floats(0.0, 1.0))}}
+    if draw(st.booleans()):
+        record["calibration"]["nli2"] = {"prob": draw(st.floats(0.0, 1.0))}
+    separators = draw(st.sampled_from([(", ", ": "), (",", ":")]))
+    text = json.dumps(record, ensure_ascii=draw(st.booleans()), separators=separators)
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "  ", "\r"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lines=st.lists(calibrated_lines() | st.sampled_from(["", "   "]), max_size=8),
+    threshold=st.sampled_from(["0", "0.5", "1"]),
+)
+def test_claims_filter_kept_and_dropped_are_the_input_lines_in_order(tmp_path_factory, lines, threshold):
+    code, kept, audit = run_filter(tmp_path_factory.mktemp("filter"), "\n".join(lines) + "\n", threshold)
+    assert code == 0
+    records = [line.strip() for line in lines if line.strip()]
+    keeps = [json.loads(line)["calibration"]["unli"]["prob"] >= float(threshold) for line in records]
+    assert kept == [line for line, keep in zip(records, keeps) if keep]
+    assert [a["record"] for a in audit] == [json.loads(line) for line, keep in zip(records, keeps) if not keep]
 
 
 def test_memory_cli_rejects_bank_slot_of_the_wrong_type(tmp_path, capsys, monkeypatch):

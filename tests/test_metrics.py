@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusekit import (
     Cutoffs,
@@ -19,6 +22,7 @@ from fusekit import (
     recall_at_k,
 )
 from fusekit.metrics import (
+    _query_metrics,
     format_delta,
     render_delta,
     render_report,
@@ -33,6 +37,7 @@ from reference_eval import (
     CUTOFF_VALUES,
     FIXTURE_JUDGMENTS,
     FIXTURE_RANKINGS,
+    dense_fsum_metrics,
     ref_ndcg,
     ref_recall,
 )
@@ -89,8 +94,10 @@ def test_ndcg_unjudged_docs_count_as_grade_zero():
 
 def test_ndcg_rejects_bad_cutoff():
     qrels = qrels_from({"q": {"dA": 1}})
-    with pytest.raises(ValueError):
-        ndcg_at_k(make_list(("dA", 1.0)), qrels, "q", 0)
+    for k in [0, -1, 2.5, "3", None, True, False]:  # as Cutoffs does: a bool is no integer here
+        for metric in (ndcg_at_k, recall_at_k):
+            with pytest.raises(ValidationError, match="cutoff must be"):
+                metric(make_list(("dA", 1.0)), qrels, "q", k)
 
 
 def test_recall_fractions():
@@ -359,3 +366,84 @@ def test_gains_beyond_the_float_range_name_the_query(grades):
         evaluate(RunSet(lists={"q1": ranking}), qrels, Cutoffs((10,)))
     with pytest.raises(ValidationError, match="query 'q1'"):
         ndcg_at_k(ranking, qrels, "q1", 10)
+
+
+# ---------------------------------------------------------------------------
+# the sparse per-query metrics and the templated report give the old bytes
+# ---------------------------------------------------------------------------
+
+DOC_POOL = [f"d{i}" for i in range(30)]
+GRADES = st.one_of(st.integers(0, 4), st.integers(1020, 1030))  # 1023 is the largest finite gain
+CUTOFF_TUPLES = st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True).map(sorted).map(tuple)
+
+
+def bits(values: list[float]) -> list[bytes]:
+    return [struct.pack("d", value) for value in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ranked=st.lists(st.sampled_from(DOC_POOL), max_size=25, unique=True),
+    judged=st.dictionaries(st.sampled_from(DOC_POOL), GRADES, max_size=20),
+    cutoffs=CUTOFF_TUPLES,
+)
+@example(ranked=["d0", "d1", "d2"], judged={"d0": 0, "d1": 2, "d9": 1}, cutoffs=(1,))  # grade 0 ranked, d9 unretrieved
+@example(ranked=["d0"], judged={"d0": 0}, cutoffs=(5, 10))  # nothing relevant, list shorter than the cutoffs
+@example(ranked=["d0", "d1"], judged={"d0": 1023, "d1": 1023}, cutoffs=(2,))  # fsum overflows
+@example(ranked=[], judged={"d0": 3}, cutoffs=(1, 40))
+def test_sparse_query_metrics_are_the_dense_sums_bit_for_bit(ranked, judged, cutoffs):
+    ranking = make_list(*((doc, 1.0 - i / 100) for i, doc in enumerate(ranked)))
+    try:
+        expected = dense_fsum_metrics(ranked, judged, cutoffs)
+    except OverflowError:
+        with pytest.raises(ValidationError, match="exceeds the float range"):
+            _query_metrics("q", ranking, judged, cutoffs)
+        return
+    ndcg, recall = _query_metrics("q", ranking, judged, cutoffs)
+    assert (bits(ndcg), bits(recall)) == (bits(expected[0]), bits(expected[1]))
+
+
+NAMES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\n\t", "%r", "%s%%", "é", "\U0001f600", "nDCG@10", "R@10"]
+)
+TEXTS = st.text(max_size=8) | st.sampled_from(['a"b', "\\", "\x1f\x7f", "ü€", "\U0001d11e"])
+VALUES = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
+
+
+@st.composite
+def reports(draw) -> EvalReport:
+    names = draw(st.lists(NAMES, max_size=4, unique=True))
+    if draw(st.booleans()):  # a summary report, as report_from_json reads one, with no per-query rows
+        aggregate = {name: draw(VALUES) for name in names}
+        return report_from_json(json.dumps({"aggregate": aggregate, "tag": draw(TEXTS)}))
+    qids = draw(st.lists(TEXTS, min_size=1, max_size=5, unique=True))
+    per_query = {qid: {name: draw(VALUES) for name in draw(st.permutations(names))} for qid in qids}
+    aggregate = {name: sum(row[name] for row in per_query.values()) / len(per_query) for name in names}
+    return EvalReport(per_query=per_query, aggregate=aggregate, tag=draw(TEXTS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=reports())
+def test_report_json_is_the_indented_sorted_dump(report):
+    payload = {"tag": report.tag, "aggregate": report.aggregate, "per_query": report.per_query}
+    assert report_to_json(report) == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+class Share(float):
+    def __repr__(self):
+        return f"Share({float(self)!r})"
+
+
+def test_report_json_of_other_names_and_number_types_is_still_the_dump():
+    # names that are not strings, or numbers whose repr is not JSON, go through the indenting encoder
+    for report in [
+        EvalReport(per_query={2: {"R@1": 0.5}, 1: {"R@1": 1}}, aggregate={"R@1": 0.75}),
+        EvalReport(per_query={"q1": {"R@1": Share(0.25)}}, aggregate={"R@1": Share(0.25)}),
+    ]:
+        payload = {"tag": report.tag, "aggregate": report.aggregate, "per_query": report.per_query}
+        assert report_to_json(report) == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def test_evaluate_builds_the_report_the_checked_constructor_accepts():
+    report = evaluate(run_from(FIXTURE_RANKINGS), qrels_from(FIXTURE_JUDGMENTS), Cutoffs(CUTOFF_VALUES))
+    assert EvalReport(per_query=report.per_query, aggregate=report.aggregate, tag=report.tag) == report

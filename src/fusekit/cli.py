@@ -25,6 +25,7 @@ from .core import (
     RunSet,
     _iter_lines,
     _parse_in_halves,
+    _plain_int,
     atomic_write,
     parse_qrels,
     parse_run,
@@ -186,7 +187,7 @@ def _int_list(text: str, option: str, words: tuple[str, ...] = ()) -> tuple:
     """The comma-separated integers (or ``words``) of ``option``; any other item is a ValidationError."""
     items = [item.strip() for item in text.split(",") if item.strip()]
     try:
-        return tuple(item if item in words else int(item) for item in items)
+        return tuple(item if item in words else _plain_int(item) for item in items)
     except ValueError:
         allowed = " or ".join(("integers", *map(repr, words)))
         raise ValidationError(f"{option} takes comma-separated {allowed}, got {text!r}") from None

@@ -116,6 +116,8 @@ def _moved(e: UnicodeDecodeError, offset: int) -> str:
 
 _SPLIT_MIN = 4 << 20  # a regular file of at least this many bytes is parsed in two halves at once
 
+_POOL_MAX = 1 << 15  # doc ids a run parse keeps to share (see _trim_pool), about 1 MB of dict at most
+
 
 def _parse_in_halves(source: Source, parse: Callable, to_records: Callable, merge: Callable):
     """``parse(source)``; a large file's second half is parsed at the same time in a forked child.
@@ -614,14 +616,51 @@ def parse_run(data: Source) -> RunSet:
 
     The rank column is ignored; per-query lists are rebuilt by descending
     score with doc-id ascending tie-break. Duplicate (qid, docid) pairs are
-    rejected.
+    rejected. Equal doc ids of different queries are mostly one string
+    object, as the sub-query lists of one query share most of their docs
+    (see ``_trim_pool``).
     """
-    lists, tag = _parse_in_halves(data, _run_lines, _run_records, _merge_runs)
+    pool: dict[DocId, DocId] = {}
+    lists, tag = _parse_in_halves(
+        data,
+        lambda source: _run_lines(source, pool),
+        _run_records,
+        lambda parsed, records: _merge_runs(parsed, records, pool),
+    )
     return RunSet(lists=lists, tag=tag if tag is not None else "run")
 
 
-def _run_lines(source: Source) -> tuple[dict[QueryId, ScoredList], str | None]:
-    """The per-query lists of a run file's lines, in order of first appearance, and the first line's tag."""
+def _trim_pool(pool: dict[DocId, DocId]) -> None:
+    """Empty ``pool`` if it holds ``_POOL_MAX`` doc ids; a parse calls this at each query's start.
+
+    The parse maps each doc id through ``pool.setdefault(docid, docid)``, so
+    an id seen before is the string object already held, not a copy. That
+    makes the parsed run smaller, and a forked child that bumps the ids'
+    reference counts copies fewer pages. Emptying the pool at a query's start
+    bounds its own memory while keeping the ids of neighbouring queries, the
+    sub-queries of one query, shared.
+    """
+    if len(pool) >= _POOL_MAX:
+        pool.clear()
+
+
+def _plain_int(text: str) -> int:
+    """``int(text)`` of a plain ASCII integer; anything else is a ValueError.
+
+    ``int()`` and ``float()`` also take underscores between digits and
+    non-ASCII digits, such as ``"1_0"`` and ``"١.٥"``, which no run, qrels
+    file or option may hold; the parse loops make the same check inline.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return int(text)
+
+
+def _run_lines(source: Source, pool: dict[DocId, DocId]) -> tuple[dict[QueryId, ScoredList], str | None]:
+    """The per-query lists of a run file's lines, in order of first appearance, and the first line's tag.
+
+    Doc ids go through ``pool`` (see ``_trim_pool``).
+    """
     # str.split() separates on exactly the characters str.isspace() accepts, so every
     # field is a valid token; with finite scores and unique docs the lists need no re-check
     lists: dict[str, ScoredList] = {}
@@ -639,6 +678,8 @@ def _run_lines(source: Source) -> tuple[dict[QueryId, ScoredList], str | None]:
             )
         qid, _, docid, _, score_str, line_tag = parts
         try:
+            if not score_str.isascii() or "_" in score_str:  # as _plain_int checks
+                raise ValueError
             score = float(score_str)
         except ValueError:
             raise ParseError(f"non-numeric score {score_str!r}", line=line_no) from None
@@ -649,6 +690,7 @@ def _run_lines(source: Source) -> tuple[dict[QueryId, ScoredList], str | None]:
             if current is not None and current not in reopened:
                 lists[current] = _ranked(scores)
             current = qid
+            _trim_pool(pool)
             scores = reopened.get(qid)
             if scores is None:
                 done = lists.get(qid)
@@ -656,7 +698,7 @@ def _run_lines(source: Source) -> tuple[dict[QueryId, ScoredList], str | None]:
                 scores = {} if done is None else reopened.setdefault(qid, dict(zip(done._docs, done._scores)))
         if docid in scores:
             raise ParseError(f"duplicate entry for query {qid!r}, doc {docid!r}", line=line_no)
-        scores[docid] = score
+        scores[pool.setdefault(docid, docid)] = score
         if tag is None:
             tag = line_tag
     if current is not None and current not in reopened:
@@ -674,12 +716,17 @@ def _run_records(parsed: tuple[dict[QueryId, ScoredList], str | None]) -> Iterat
         yield qid, ranking._docs, ranking._scores.tobytes()
 
 
-def _merge_runs(parsed: tuple[dict[QueryId, ScoredList], str | None], records: Iterator):
-    """The first half's lists and tag joined with the second half's records; None if a query repeats a doc."""
+def _merge_runs(parsed: tuple[dict[QueryId, ScoredList], str | None], records: Iterator, pool: dict[DocId, DocId]):
+    """The first half's lists and tag joined with the second half's records; None if a query repeats a doc.
+
+    Each record's doc ids are new strings, as ``marshal`` made them, so they
+    go through the first half's ``pool`` (see ``_trim_pool``).
+    """
     lists, tag = parsed
     second_tag = next(records, None)  # none when the child failed
     for qid, docs, score_bytes in records:
-        ranking = ScoredList._trusted(docs, array("d", score_bytes))
+        _trim_pool(pool)
+        ranking = ScoredList._trusted(tuple(map(pool.setdefault, docs, docs)), array("d", score_bytes))
         done = lists.get(qid)
         if done is not None:  # re-opened, as the sequential parse re-opens a query
             scores = dict(zip(done._docs, done._scores))
@@ -754,7 +801,7 @@ class Qrels:
         for (qid, docid), grade in (judgments or {}).items():
             _check_token(qid, "query id")
             _check_token(docid, "doc id")
-            if not isinstance(grade, int) or grade < 0:
+            if not _is_json(grade, int) or grade < 0:
                 raise ValidationError(
                     f"relevance grade must be a non-negative integer, got {grade!r}"
                 )
@@ -812,6 +859,8 @@ def _qrels_lines(source: Source) -> dict[QueryId, dict[DocId, int]]:
             )
         qid, _, docid, grade_str = parts
         try:
+            if not grade_str.isascii() or "_" in grade_str:  # as _plain_int checks
+                raise ValueError
             grade = int(grade_str)
         except ValueError:
             raise ParseError(f"non-integer grade {grade_str!r}", line=line_no) from None

@@ -456,6 +456,25 @@ def test_duplicate_entry_error_record_names_its_line(tmp_path, capsys, run_text,
     assert (err["error"], err["line"]) == ("ParseError", 2)
 
 
+@pytest.mark.parametrize(
+    "run_text, qrels_text, message",
+    [
+        ("q Q0 d 1 0.5 t\nq Q0 e 2 1_0 t\n", "q 0 d 1\n", "line 2: non-numeric score '1_0'"),
+        ("q Q0 d 1 1.5 t\nq Q0 e 2 \u0661.\u0665 t\n", "q 0 d 1\n", "line 2: non-numeric score '\u0661.\u0665'"),
+        ("q Q0 d 1 0.5 t\n", "q 0 c 1\nq 0 d \u0663\n", "line 2: non-integer grade '\u0663'"),
+    ],
+    ids=["score-underscore", "score-non-ascii-digits", "grade-non-ascii-digit"],
+)
+def test_eval_cli_rejects_numbers_python_reads_but_no_file_may_hold(tmp_path, capsys, run_text, qrels_text, message):
+    run, qrels = tmp_path / "a.run", tmp_path / "q.txt"
+    run.write_text(run_text, encoding="utf-8")
+    qrels.write_text(qrels_text, encoding="utf-8")
+    assert run_cli("eval", "--run", run, "--qrels", qrels, "--json", tmp_path / "report.json") == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {"error": "ParseError", "message": message, "line": 2}
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_fuse_cli_rejects_non_finite_score_with_line(tmp_path, capsys):
     runs = tmp_path / "subq.run"
     runs.write_text("1-s000 Q0 vA 1 0.5 t\n1-s000 Q0 vB 2 nan t\n")
@@ -1068,8 +1087,12 @@ ABLATE = ["ablate", "--map", PIPE / "subquery_map.jsonl", "--runs", PIPE / "subq
          "--cutoffs takes comma-separated integers, got '10,a'"),
         (ABLATE + ["--seeds", "x"], "--seeds takes comma-separated integers, got 'x'"),
         (ABLATE + ["--keep", "1,y"], "--keep takes comma-separated integers or 'all', got '1,y'"),
+        (["eval", "--run", PIPE / "rerank.run", "--qrels", PIPE / "qrels.txt", "--cutoffs", "1_0"],
+         "--cutoffs takes comma-separated integers, got '1_0'"),
+        (ABLATE + ["--seeds", "0,١"], "--seeds takes comma-separated integers, got '0,١'"),
     ],
-    ids=["fuse-depth", "fuse-k", "eval-cutoffs", "ablate-seeds", "ablate-keep"],
+    ids=["fuse-depth", "fuse-k", "eval-cutoffs", "ablate-seeds", "ablate-keep", "eval-cutoffs-underscore",
+         "ablate-seeds-non-ascii-digit"],
 )
 def test_bad_argument_values_exit_1_with_one_validation_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

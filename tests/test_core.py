@@ -200,6 +200,14 @@ def test_parse_run_rejects_non_finite_score(score):
     assert excinfo.value.line == 2
 
 
+@pytest.mark.parametrize("score", ["1_0", "0.2_5", "١.٥", "٣", "\uff11"])
+def test_parse_run_rejects_a_score_that_is_no_plain_ascii_number(score):
+    # float() takes each of these: underscores between digits, Arabic-Indic and full-width digits
+    with pytest.raises(ParseError) as excinfo:
+        parse_run(f"q Q0 d 1 0.5 t\nq Q0 e 2 {score} t\n")
+    assert (str(excinfo.value), excinfo.value.line) == (f"line 2: non-numeric score {score!r}", 2)
+
+
 def test_parse_run_skips_blank_lines():
     run = parse_run(b"\nq1 Q0 dA 1 0.9 t\n\n")
     assert len(run.lists["q1"]) == 1
@@ -322,6 +330,20 @@ def test_parse_qrels_malformed_line_number():
     with pytest.raises(ParseError) as excinfo:
         parse_qrels(b"q1 0 dA 1\nq1 0 dB x\n")
     assert excinfo.value.line == 2
+
+
+@pytest.mark.parametrize("grade", ["1_0", "٣", "\uff11"])
+def test_parse_qrels_rejects_a_grade_that_is_no_plain_ascii_number(grade):
+    with pytest.raises(ParseError) as excinfo:
+        parse_qrels(f"q 0 c 1\nq 0 d {grade}\n")
+    assert (str(excinfo.value), excinfo.value.line) == (f"line 2: non-integer grade {grade!r}", 2)
+
+
+@pytest.mark.parametrize("grade", [True, False, 1.0])
+def test_qrels_rejects_a_grade_that_is_no_int(grade):
+    # bool is a subclass of int, but True is no relevance grade
+    with pytest.raises(ValidationError, match="relevance grade must be a non-negative integer"):
+        Qrels({("q", "d"): grade})
 
 
 def test_parse_qrels_negative_grade_rejected():

@@ -127,6 +127,40 @@ def test_a_split_at_any_line_gives_the_sequential_result(tmp_path_factory, data,
     check_split_at(PARSERS[kind], lines, at, tmp_path_factory.mktemp("split"))
 
 
+def reference_lists(text: str) -> dict[str, list[tuple[str, float]]]:
+    """A run text's lists, in order of first appearance: score descending, doc id ascending on ties."""
+    pairs: dict[str, list[tuple[str, float]]] = {}
+    for line in text.splitlines():
+        if fields := line.split():
+            qid, _, doc, _, score, _ = fields
+            pairs.setdefault(qid, []).append((doc, float(score)))
+    return {qid: sorted(entries, key=lambda p: (-p[1], p[0])) for qid, entries in pairs.items()}
+
+
+def assert_ids_shared(run: core.RunSet) -> None:
+    """Equal doc ids of different queries are one string object."""
+    first: dict[str, str] = {}
+    for ranking in run.lists.values():
+        for doc in ranking._docs:
+            assert first.setdefault(doc, doc) is doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_text_bytes_and_two_halves_share_each_doc_id_and_match_a_reference_parse(tmp_path_factory, data):
+    lines = data.draw(texts("run"))
+    at = data.draw(st.integers(1, len(lines) - 1))
+    text = "".join(lines)
+    path = tmp_path_factory.mktemp("shared") / "in.txt"
+    path.write_bytes(text.encode("utf-8"))
+    expected = reference_lists(text)
+    split = split_outcome(parse_run, path, len("".join(lines[:at]).encode("utf-8")))
+    for run in (parse_run(text), parse_run(text.encode("utf-8")), split):
+        assert {qid: list(ranking.entries) for qid, ranking in run.lists.items()} == expected
+        assert list(run.lists) == list(expected)
+        assert_ids_shared(run)
+
+
 def test_a_query_in_both_halves_is_merged_in_first_appearance_order(tmp_path):
     lines = [
         "q2 Q0 d1 1 0.5 first\n", "q1 Q0 d1 1 0.25 first\n", "q2 Q0 d2 2 0.75 first\n",
@@ -182,6 +216,8 @@ DEFECTS = {
     "run": {
         "field-count": lambda i: f"q1 Q0 d{i} 0.5 t\n",
         "non-numeric": lambda i: f"q1 Q0 x{i} 1 high t\n",
+        "underscore": lambda i: f"q1 Q0 x{i} 1 1_0 t\n",
+        "non-ascii-digits": lambda i: f"q1 Q0 x{i} 1 \u0661.\u0665 t\n",
         "inf": lambda i: f"q1 Q0 x{i} 1 inf t\n",
         "duplicate": lambda i: RUN_LINES[i - 3],  # three lines back: the same query and doc
         "utf8": lambda i: f"q1 Q0 x{i}\udcff 1 0.5 t\n",
@@ -189,6 +225,8 @@ DEFECTS = {
     "qrels": {
         "field-count": lambda i: f"q1 0 d{i}\n",
         "non-integer": lambda i: f"q1 0 x{i} high\n",
+        "underscore": lambda i: f"q1 0 x{i} 1_0\n",
+        "non-ascii-digit": lambda i: f"q1 0 x{i} \u0663\n",
         "negative": lambda i: f"q1 0 x{i} -1\n",
         "duplicate": lambda i: QRELS_LINES[i - 3],
         "utf8": lambda i: f"q1 0 x{i}\udcff 1\n",

@@ -16,10 +16,10 @@ the process may use two CPUs (see ``core._forked``), this process
 computes the cells at even positions while a forked child computes those
 at odd positions and sends back each one's aggregate metrics. The report
 is built from the same per-seed values in the same order, so it is the
-one-process report, bit for bit. If a cell of this process raises, or the
-child fails, every cell is computed again here in order, so the first
-error is the one-process run's. The child's memory comes on top of this
-process's (see ``run_ablation``).
+one-process report, bit for bit. A split that fails computes every cell
+again here in order (see ``core._in_two``), so the first error is the
+one-process run's. The child's memory comes on top of this process's
+(see ``run_ablation``).
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
-from .core import Qrels, RunSet, SubQueryMap, _forked_records, _is_json
-from .errors import FusekitError, ValidationError
+from .core import Qrels, RunSet, SubQueryMap, _in_two, _is_json
+from .errors import ValidationError
 from .fusion import FusionInput, FusionStrategy, fuse
 from .metrics import Cutoffs, evaluate
 
@@ -154,26 +154,22 @@ _TWO_CPU_MIN = 16 * 140_000
 
 
 def _on_two_cpus(aggregate: Callable, cells: list) -> list:
-    """``[aggregate(cell) for cell in cells]``, a forked child computing the cells at odd positions meanwhile.
+    """``[aggregate(cell) for cell in cells]``, a forked child computing the cells at odd positions meanwhile."""
 
-    If a cell here raises a FusekitError or the child fails, the child is
-    killed and every cell is computed again here, in order. Any other
-    exception is a bug, and the child is killed as it propagates.
-    """
-    with _forked_records(lambda: map(aggregate, cells[1::2])) as child:
-        if child is not None:
-            records, done = child
-            try:
-                mine = [aggregate(cell) for cell in cells[0::2]]
-            except FusekitError:
-                pass  # the one-process run below raises the first error
-            else:
-                theirs = list(records)
-                if done() and len(theirs) == len(cells) // 2:
-                    aggregates = cells[:]
-                    aggregates[0::2], aggregates[1::2] = mine, theirs
-                    return aggregates
-    return [aggregate(cell) for cell in cells]
+    def join(mine: list, theirs: Iterator) -> list | None:
+        theirs = list(theirs)
+        if len(theirs) != len(cells) // 2:  # a record cut short
+            return None
+        aggregates = cells[:]
+        aggregates[0::2], aggregates[1::2] = mine, theirs
+        return aggregates
+
+    return _in_two(
+        lambda: [aggregate(cell) for cell in cells[0::2]],
+        lambda: map(aggregate, cells[1::2]),
+        join,
+        lambda: [aggregate(cell) for cell in cells],
+    )
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:

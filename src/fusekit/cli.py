@@ -25,7 +25,7 @@ from .core import (
     RunSet,
     _iter_lines,
     _parse_in_halves,
-    _plain_int,
+    _plain_number,
     atomic_write,
     parse_qrels,
     parse_run,
@@ -93,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", required=True, type=Path, help="per-sub-query run file")
     p.add_argument("--map", dest="map_path", required=True, type=Path, help="sub-query map (JSONL)")
     p.add_argument("--strategy", required=True, choices=STRATEGY_KINDS)
-    p.add_argument("--k", type=int, default=60, help="rrf smoothing constant (default 60)")
-    p.add_argument("--depth", type=int, default=1000, help="fused output depth (default 1000)")
+    p.add_argument("--k", default="60", help="rrf smoothing constant (default 60)")
+    p.add_argument("--depth", default="1000", help="fused output depth (default 1000)")
     p.add_argument("--tag", default=None, help="run tag (default: strategy label)")
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(handler=_cmd_fuse)
@@ -102,8 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rerank-inject", help="reorder each fused head by external scores")
     p.add_argument("--fused", required=True, type=Path)
     p.add_argument("--scores", required=True, type=Path, help="external rerank scores (run file)")
-    p.add_argument("--depth", type=int, default=100, help="rerank head depth (default 100)")
-    p.add_argument("--out-depth", type=int, default=1000, help="entries per query to write")
+    p.add_argument("--depth", default="100", help="rerank head depth (default 100)")
+    p.add_argument("--out-depth", default="1000", help="entries per query to write")
     p.add_argument("--out", required=True, type=Path)
     p.set_defaults(handler=_cmd_rerank_inject)
 
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", required=True, type=Path)
     p.add_argument("--qrels", required=True, type=Path)
     p.add_argument("--strategy", required=True, choices=STRATEGY_KINDS)
-    p.add_argument("--k", type=int, default=60)
+    p.add_argument("--k", default="60")
     p.add_argument("--keep", default="1,5,10,all", help="keep counts, e.g. '1,5,10,all'")
     p.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     p.add_argument("--cutoffs", default="10,20,100")
@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = claims_sub.add_parser("filter", help="threshold-filter calibrated artifacts")
     p.add_argument("--in", dest="in_path", required=True, type=Path)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", default="0.5")
     p.add_argument("--backend", default=DEFAULT_BACKEND)
     p.add_argument("--kept", required=True, type=Path)
     p.add_argument("--dropped", type=Path, default=None, help="audit file of dropped records")
@@ -183,11 +183,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(text: str, option: str, kind: type = int):
+    """The plain ASCII number (see ``core._plain_number``) ``text`` given to ``option``; else a ValidationError."""
+    try:
+        return _plain_number(text, kind)
+    except ValueError:
+        raise ValidationError(f"{option} takes {'an integer' if kind is int else 'a number'}, got {text!r}") from None
+
+
 def _int_list(text: str, option: str, words: tuple[str, ...] = ()) -> tuple:
     """The comma-separated integers (or ``words``) of ``option``; any other item is a ValidationError."""
     items = [item.strip() for item in text.split(",") if item.strip()]
     try:
-        return tuple(item if item in words else _plain_int(item) for item in items)
+        return tuple(item if item in words else _plain_number(item) for item in items)
     except ValueError:
         allowed = " or ".join(("integers", *map(repr, words)))
         raise ValidationError(f"{option} takes comma-separated {allowed}, got {text!r}") from None
@@ -210,22 +218,24 @@ def _lines(items) -> Iterator[bytes]:
 
 
 def _cmd_fuse(args) -> int:
+    k, depth = _number(args.k, "--k"), _number(args.depth, "--depth")
     runs = _read(parse_run, args.runs)
     mapping = _read(parse_subquery_map, args.map_path)
-    strategy = FusionStrategy(kind=args.strategy, k_constant=args.k)
-    fused = fuse_runs(mapping, runs, strategy, args.depth)
+    strategy = FusionStrategy(kind=args.strategy, k_constant=k)
+    fused = fuse_runs(mapping, runs, strategy, depth)
     if args.tag is not None:
         fused = RunSet(lists=fused.lists, tag=args.tag)
-    write_run_file(args.out, fused, args.depth)
+    write_run_file(args.out, fused, depth)
     print(f"fused {len(fused.lists)} queries -> {args.out}")
     return 0
 
 
 def _cmd_rerank_inject(args) -> int:
+    depth, out_depth = _number(args.depth, "--depth"), _number(args.out_depth, "--out-depth")
     fused = _read(parse_run, args.fused)
     scores = _read(parse_run, args.scores)
-    reranked = inject_rerank(fused, scores, args.depth)
-    write_run_file(args.out, reranked, args.out_depth)
+    reranked = inject_rerank(fused, scores, depth)
+    write_run_file(args.out, reranked, out_depth)
     print(f"reranked {len(reranked.lists)} queries -> {args.out}")
     return 0
 
@@ -264,13 +274,14 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    k = _number(args.k, "--k")
     mapping = _read(parse_subquery_map, args.map_path)
     runs = _read(parse_run, args.runs)
     qrels = _read(parse_qrels, args.qrels)
     config = AblationConfig(
         keep_counts=_int_list(args.keep, "--keep", (KEEP_ALL,)),
         seeds=_int_list(args.seeds, "--seeds"),
-        strategy=FusionStrategy(kind=args.strategy, k_constant=args.k),
+        strategy=FusionStrategy(kind=args.strategy, k_constant=k),
     )
     report = run_ablation(mapping, runs, qrels, config, Cutoffs(_int_list(args.cutoffs, "--cutoffs")))
     print(render_ablation(report))
@@ -320,17 +331,18 @@ def _cmd_claims_attach(args) -> int:
 
 
 def _cmd_claims_filter(args) -> int:
-    _check_threshold(args.threshold)  # before the input is opened, so its error comes before any of the file's
-    halves = _read(_parse_in_halves, args.in_path, lambda source: _filtered(source, args), iter, _joined)
+    threshold = _number(args.threshold, "--threshold", float)
+    _check_threshold(threshold)  # before the input is opened, so its error comes before any of the file's
+    halves = _read(_parse_in_halves, args.in_path, lambda source: _filtered(source, args, threshold), iter, _joined)
     kept, audit, kept_counts, dropped_counts = zip(*halves)
     atomic_write(args.kept, kept)
     if args.dropped is not None:
         atomic_write(args.dropped, audit)
-    print(f"kept {sum(kept_counts)} / dropped {sum(dropped_counts)} at threshold {args.threshold}")
+    print(f"kept {sum(kept_counts)} / dropped {sum(dropped_counts)} at threshold {threshold}")
     return 0
 
 
-def _filtered(source, args) -> list[tuple[bytes, bytes, int, int]]:
+def _filtered(source, args, threshold: float) -> list[tuple[bytes, bytes, int, int]]:
     """One half of ``claims filter``: the kept lines and audit lines of ``source``, and how many records each holds.
 
     Every record is checked as ``load_calibrated`` reads it, and is written
@@ -342,14 +354,14 @@ def _filtered(source, args) -> list[tuple[bytes, bytes, int, int]]:
     items = load_calibrated(data, args.backend)
     # the lines load_calibrated read, one per record; it found them valid UTF-8 and JSON
     line_of = dict(zip(map(id, items), (line for line in map(str.strip, _iter_lines(data)) if line)))
-    kept, dropped = filter_by_threshold(items, args.threshold)
+    kept, dropped = filter_by_threshold(items, threshold)
     kept_lines = "".join(line_of[id(c)] + "\n" for c in kept).encode("utf-8")
     audit_lines = b""
     if args.dropped is not None:
         # json.dumps({"prob": ..., "threshold": ..., "record": ...}, ensure_ascii=False), the record as read
-        threshold = json.dumps(args.threshold)
+        threshold_json = json.dumps(threshold)
         audit_lines = "".join(
-            f'{{"prob": {json.dumps(c.prob)}, "threshold": {threshold}, "record": {line_of[id(c)]}}}\n'
+            f'{{"prob": {json.dumps(c.prob)}, "threshold": {threshold_json}, "record": {line_of[id(c)]}}}\n'
             for c in dropped
         ).encode("utf-8")
     return [(kept_lines, audit_lines, len(kept), len(dropped))]
@@ -426,7 +438,7 @@ def _typed(command: str, name: str, word: str):
 
 def _reference(word: str) -> tuple[str, int]:
     vid, index = word.rsplit(":", 1)
-    return vid, int(index)
+    return vid, _plain_number(index)
 
 
 def _memory_add_fact(bank: MemoryBank, _, vid: str, words: list, tool="repl", span=None, confidence=None) -> str:
@@ -480,7 +492,7 @@ def _memory_help(*_) -> str:
     return "\n".join(["commands:", *(f"  {usage:<30} {note}" for usage, note, _ in MEMORY_COMMANDS.values())])
 
 
-_MEMORY_TYPES = {"index": int, "confidence": float, "vid:index": _reference}
+_MEMORY_TYPES = {"index": _plain_number, "confidence": lambda word: _plain_number(word, float), "vid:index": _reference}
 # Each REPL command once: its usage, which is its grammar (<a> takes one word, [a] at most one, <a>...
 # one or more, [a]... any number, [--name <a>] an option anywhere), a help note and its action, which
 # returns the reply to print. Actions call the bank through the instance: a traced benchmark run

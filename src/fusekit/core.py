@@ -17,11 +17,12 @@ every error, with its line, are those of a sequential parse. The CLI's
 own, and the child sends back its half's output bytes.
 
 The fork plumbing is shared: ``_forked`` runs work in a forked child and
-never lets it outlive the caller's block, and ``_forked_records`` adds
-the pipe through which the child sends its results back, written by
-``_write_records`` and read by ``_read_records`` as length-prefixed
-``marshal`` records. ``ablation.run_ablation`` uses it to compute half
-of its cells in a child.
+never lets it outlive the caller's block, and ``_in_two`` splits a job
+between this process and such a child, which sends its results back
+through a pipe, written by ``_write_records`` and read by
+``_read_records``. ``_in_two`` states the one rule for a split that
+fails. ``ablation.run_ablation`` uses it to compute half of its cells in
+a child.
 
 Every JSON value is read by ``_json_value``, which rejects a string
 holding a lone surrogate escape.
@@ -47,7 +48,7 @@ from operator import neg
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, get_type_hints
 
-from .errors import ParseError, ValidationError
+from .errors import FusekitError, ParseError, ValidationError
 
 QueryId = str
 DocId = str
@@ -124,29 +125,22 @@ def _parse_in_halves(source: Source, parse: Callable, to_records: Callable, merg
 
     ``parse`` takes a source: the whole input, or a ``_file_range`` reader of
     one half. The child runs it on the second half and sends back each of
-    ``to_records(its result)`` (see ``_forked_records``); ``merge(the first
-    half's result, those records)`` joins the halves in file order, or
-    returns None where they overlap. An error in the first half is the
-    file's first error, so it is raised as it is. If the child fails or the
-    halves overlap, the whole file is parsed again in this process, so every
-    result and every error is the sequential parse's. Neither the child nor
-    a pipe end outlives the call. The child's memory comes on top of this
-    process's: it holds its half's result until it is sent. For ``claims
-    filter`` on a 12 MB input the child peaked at 45 MB, about 10 MB of it
-    shared with this process, which itself peaked at 51 MB against 58.5 MB
-    for a one-process run.
+    ``to_records(its result)``; ``merge(the first half's result, those
+    records)`` joins the halves in file order, or returns None where they
+    overlap. Where the split fails, the whole file is parsed here, as
+    ``_in_two`` says. The child's memory comes on top of this process's: it
+    holds its half's result until it is sent.
     """
     halves = _halves(source)
     if halves is None:
         return parse(source)
     fd, start, middle = halves
-    with _forked_records(lambda: to_records(parse(_file_range(fd, middle)))) as child:
-        if child is None:
-            return parse(source)
-        records, done = child
-        merged = merge(parse(_file_range(fd, start, middle)), records)
-        if not done() or merged is None:
-            return parse(source)
+    merged = _in_two(
+        lambda: parse(_file_range(fd, start, middle)),
+        lambda: to_records(parse(_file_range(fd, middle))),
+        merge,
+        lambda: parse(source),
+    )
     source.seek(0, os.SEEK_END)  # where the sequential parse leaves it
     return merged
 
@@ -200,37 +194,40 @@ def _forked(work: Callable[[], object]) -> Iterator[Callable[[], bool] | None]:
         done()
 
 
-@contextmanager
-def _forked_records(work: Callable[[], Iterable]) -> Iterator[tuple[Iterator, Callable[[], bool]] | None]:
-    """``_forked``, where the child sends back ``work()``'s records through a pipe.
+def _in_two(mine: Callable[[], object], theirs: Callable[[], Iterable], join: Callable, alone: Callable[[], object]):
+    """``join(mine(), the records of theirs())``, ``theirs`` run meanwhile in a forked child (see ``_forked``).
 
-    Yields None, having forked nothing, as ``_forked`` does; else
-    ``(records, done)``: ``records`` yields the child's records as they
-    arrive, and ``done()`` closes the read end, then waits for the child
-    and tells whether it sent them all. Each record is written as one
-    length-prefixed ``marshal`` record, so it may hold only the types
-    ``marshal`` takes. A child blocked on a full pipe ends when the read end
-    closes, which it does before the child is waited for on every path.
+    This is the one failure rule of every job split over two processes:
+    ``alone()``, the job in this process only, is returned instead where no
+    child was forked, where ``mine()`` or ``join`` raises a FusekitError,
+    where ``join`` returns None, or where the child fails. So every result
+    and every error is the one-process job's. Any other exception is a bug
+    and propagates. The child sends each of ``theirs()`` through a pipe as
+    one length-prefixed ``marshal`` record, so a record may hold only the
+    types ``marshal`` takes; ``join`` gets them as they arrive. Before
+    ``alone()`` runs or an exception propagates, the read end is closed,
+    which ends a child blocked on a full pipe, and the child is killed and
+    reaped.
     """
     read_fd, write_fd = os.pipe()
 
     def send() -> None:
         os.close(read_fd)
-        _write_records(write_fd, work())
+        _write_records(write_fd, theirs())
 
     with _forked(send) as done:
         os.close(write_fd)
-        if done is None:
-            os.close(read_fd)
-            yield None
-            return
         with open(read_fd, "rb") as pipe:
-
-            def finished() -> bool:
-                pipe.close()
-                return done()
-
-            yield _read_records(pipe), finished
+            if done is not None:
+                try:
+                    joined = join(mine(), _read_records(pipe))
+                except FusekitError:
+                    joined = None
+                if joined is not None:
+                    pipe.close()
+                    if done():
+                        return joined
+    return alone()
 
 
 def _write_records(fd: int, records: Iterable) -> None:
@@ -519,7 +516,7 @@ class ScoredList:
     __slots__ = ("_docs", "_scores")
 
     def __init__(self, entries: Iterable[tuple[DocId, float]] = ()):
-        entries = tuple((doc, float(score)) for doc, score in entries)
+        entries = tuple((doc, _score(doc, score)) for doc, score in entries)
         seen: set[str] = set()
         prev = None
         for doc, score in entries:
@@ -540,7 +537,7 @@ class ScoredList:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[DocId, float]]) -> "ScoredList":
         """Build the canonical list: score descending, doc id ascending on ties."""
-        ordered = sorted(pairs, key=lambda p: (-float(p[1]), p[0]))
+        ordered = sorted(((doc, _score(doc, score)) for doc, score in pairs), key=lambda p: (-p[1], p[0]))
         return cls(tuple(ordered))
 
     @classmethod
@@ -585,6 +582,17 @@ class ScoredList:
 
     def scores(self) -> dict[DocId, float]:
         return dict(zip(self._docs, self._scores))
+
+
+def _score(doc: DocId, score) -> float:
+    """``float(score)`` of a scored list's ``int`` or ``float`` score; anything else is a ValidationError naming ``doc``."""
+    try:
+        return _json_float(score)
+    except TypeError:
+        raise ValidationError(f"score must be an int or float, got {score!r} for doc {doc!r}") from None
+    except OverflowError:
+        # no repr: an int too large for a float may be too long for str() as well
+        raise ValidationError(f"score beyond the float range for doc {doc!r}") from None
 
 
 def truncate(ranking: ScoredList, depth: int) -> ScoredList:
@@ -644,16 +652,17 @@ def _trim_pool(pool: dict[DocId, DocId]) -> None:
         pool.clear()
 
 
-def _plain_int(text: str) -> int:
-    """``int(text)`` of a plain ASCII integer; anything else is a ValueError.
+def _plain_number(text: str, kind: type = int):
+    """``kind(text)``, ``kind`` being ``int`` or ``float``, of a plain ASCII number; anything else is a ValueError.
 
     ``int()`` and ``float()`` also take underscores between digits and
     non-ASCII digits, such as ``"1_0"`` and ``"١.٥"``, which no run, qrels
-    file or option may hold; the parse loops make the same check inline.
+    file, option or REPL argument may hold; the parse loops make the same
+    check inline.
     """
     if not text.isascii() or "_" in text:
         raise ValueError(f"not a plain ASCII number: {text!r}")
-    return int(text)
+    return kind(text)
 
 
 def _run_lines(source: Source, pool: dict[DocId, DocId]) -> tuple[dict[QueryId, ScoredList], str | None]:
@@ -678,7 +687,7 @@ def _run_lines(source: Source, pool: dict[DocId, DocId]) -> tuple[dict[QueryId, 
             )
         qid, _, docid, _, score_str, line_tag = parts
         try:
-            if not score_str.isascii() or "_" in score_str:  # as _plain_int checks
+            if not score_str.isascii() or "_" in score_str:  # as _plain_number checks
                 raise ValueError
             score = float(score_str)
         except ValueError:
@@ -859,7 +868,7 @@ def _qrels_lines(source: Source) -> dict[QueryId, dict[DocId, int]]:
             )
         qid, _, docid, grade_str = parts
         try:
-            if not grade_str.isascii() or "_" in grade_str:  # as _plain_int checks
+            if not grade_str.isascii() or "_" in grade_str:  # as _plain_number checks
                 raise ValueError
             grade = int(grade_str)
         except ValueError:

@@ -301,6 +301,11 @@ def test_memory_repl_reports_an_unknown_video_without_quotes(tmp_path, capsys, m
     ("add-fact v1 hi --confidence", "add-fact"),
     ("add-fact v1 hi --confidence q", "add-fact"),
     ("remove-fact v1 x", "remove-fact"),
+    ("remove-fact v1 \u0661", "remove-fact"),  # int() reads the Arabic-Indic digit as fact 1
+    ("remove-fact v1 0_0", "remove-fact"),
+    ("add-fact v1 hi --confidence 0_5", "add-fact"),
+    ("add-fact v1 hi --confidence \u0660.\u0665", "add-fact"),
+    ("select v1:\u0660", "select"),
     ("select v1", "select"),
     ("add-keyword v1 a b", "add-keyword"),
     ("mark-processed v1 t extra", "mark-processed"),
@@ -1074,6 +1079,10 @@ def test_a_bug_in_a_command_propagates(tmp_path, monkeypatch):
 
 ABLATE = ["ablate", "--map", PIPE / "subquery_map.jsonl", "--runs", PIPE / "subqueries.run",
           "--qrels", PIPE / "qrels.txt", "--strategy", "rrf"]
+FUSE = ["fuse", "--runs", PIPE / "subqueries.run", "--map", PIPE / "subquery_map.jsonl", "--strategy", "rrf"]
+RERANK = ["rerank-inject", "--fused", PIPE / "rerank.run", "--scores", PIPE / "rerank.run"]
+FILTER = ["claims", "filter", "--in", EVID / "artifacts.jsonl"]
+OUT_OPTION = {"fuse": "--out", "rerank-inject": "--out", "claims": "--kept"}  # "--json" for the rest
 
 
 @pytest.mark.parametrize(
@@ -1090,13 +1099,26 @@ ABLATE = ["ablate", "--map", PIPE / "subquery_map.jsonl", "--runs", PIPE / "subq
         (["eval", "--run", PIPE / "rerank.run", "--qrels", PIPE / "qrels.txt", "--cutoffs", "1_0"],
          "--cutoffs takes comma-separated integers, got '1_0'"),
         (ABLATE + ["--seeds", "0,١"], "--seeds takes comma-separated integers, got '0,١'"),
+        # int() and float() take each of these; argparse's type=int and type=float did
+        (FUSE + ["--k", "1_0"], "--k takes an integer, got '1_0'"),
+        (ABLATE + ["--k", "١"], "--k takes an integer, got '١'"),
+        (FUSE + ["--depth", "٣"], "--depth takes an integer, got '٣'"),
+        (RERANK + ["--depth", "1_0"], "--depth takes an integer, got '1_0'"),
+        (RERANK + ["--out-depth", "\uff11"], "--out-depth takes an integer, got '\uff11'"),
+        (FILTER + ["--threshold", "٠.٥"], "--threshold takes a number, got '٠.٥'"),
+        (FILTER + ["--threshold", "0_5"], "--threshold takes a number, got '0_5'"),
+        # argparse exited 2 with its usage on these
+        (FUSE + ["--k", "abc"], "--k takes an integer, got 'abc'"),
+        (FILTER + ["--threshold", "high"], "--threshold takes a number, got 'high'"),
     ],
     ids=["fuse-depth", "fuse-k", "eval-cutoffs", "ablate-seeds", "ablate-keep", "eval-cutoffs-underscore",
-         "ablate-seeds-non-ascii-digit"],
+         "ablate-seeds-non-ascii-digit", "fuse-k-underscore", "ablate-k-non-ascii-digit",
+         "fuse-depth-non-ascii-digit", "rerank-depth-underscore", "rerank-out-depth-full-width-digit",
+         "filter-threshold-non-ascii-digits", "filter-threshold-underscore", "fuse-k-word", "filter-threshold-word"],
 )
 def test_bad_argument_values_exit_1_with_one_validation_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
-    assert run_cli(*argv, *(["--out", out] if argv[0] == "fuse" else ["--json", out])) == 1
+    assert run_cli(*argv, OUT_OPTION.get(argv[0], "--json"), out) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert json.loads(line) == {"error": "ValidationError", "message": message}
     assert not out.exists()

@@ -57,6 +57,27 @@ def test_scored_list_rejects_non_finite_scores_naming_the_doc(build, score):
         build((("dA", 0.9), ("dB", score)))
 
 
+@pytest.mark.parametrize(
+    "score, message",
+    [
+        (True, "score must be an int or float, got True for doc 'dB'"),
+        ("0.5", "score must be an int or float, got '0.5' for doc 'dB'"),
+        (None, "score must be an int or float, got None for doc 'dB'"),
+        ("abc", "score must be an int or float, got 'abc' for doc 'dB'"),
+        (10**400, "score beyond the float range for doc 'dB'"),
+        (-(10**5000), "score beyond the float range for doc 'dB'"),  # too long for str() as well
+    ],
+    ids=["bool", "numeric-string", "none", "string", "huge-int", "huger-int"],
+)
+@pytest.mark.parametrize("build", [ScoredList, ScoredList.from_pairs], ids=["init", "from_pairs"])
+def test_scored_list_takes_only_int_and_float_scores(build, score, message):
+    # a JSON number's rule (core._json_float): never a bool, never a string
+    with pytest.raises(ValidationError) as excinfo:
+        build((("dA", 0.9), ("dB", score)))
+    assert str(excinfo.value) == message
+    assert build((("dA", 2), ("dB", 0.5))).entries == (("dA", 2.0), ("dB", 0.5))
+
+
 @pytest.mark.parametrize("value", [" ", "d A", "dA\t", "\u3000dA", "d\x1cA", "dA\u2028"])
 def test_check_token_rejects_whitespace(value):
     with pytest.raises(ValidationError, match="must not contain whitespace"):

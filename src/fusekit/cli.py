@@ -23,6 +23,7 @@ from .ablation import KEEP_ALL, AblationConfig, fuse_runs, render_ablation, run_
 from .clients import HttpDecomposer, ReplayDecomposer
 from .core import (
     RunSet,
+    _check_depth,
     _iter_lines,
     _parse_in_halves,
     _plain_number,
@@ -62,6 +63,7 @@ from .metrics import (
 )
 from .pipeline import (
     PipelineConfig,
+    _check_rerank_depth,
     decompose_all,
     inject_rerank,
     read_query_records,
@@ -219,9 +221,10 @@ def _lines(items) -> Iterator[bytes]:
 
 def _cmd_fuse(args) -> int:
     k, depth = _number(args.k, "--k"), _number(args.depth, "--depth")
+    _check_depth(depth)  # the options first, so their errors come before any of the files'
+    strategy = FusionStrategy(kind=args.strategy, k_constant=k)
     runs = _read(parse_run, args.runs)
     mapping = _read(parse_subquery_map, args.map_path)
-    strategy = FusionStrategy(kind=args.strategy, k_constant=k)
     fused = fuse_runs(mapping, runs, strategy, depth)
     if args.tag is not None:
         fused = RunSet(lists=fused.lists, tag=args.tag)
@@ -232,6 +235,8 @@ def _cmd_fuse(args) -> int:
 
 def _cmd_rerank_inject(args) -> int:
     depth, out_depth = _number(args.depth, "--depth"), _number(args.out_depth, "--out-depth")
+    _check_rerank_depth(depth)  # the options first, so their errors come before any of the files'
+    _check_depth(out_depth)
     fused = _read(parse_run, args.fused)
     scores = _read(parse_run, args.scores)
     reranked = inject_rerank(fused, scores, depth)

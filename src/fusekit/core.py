@@ -84,9 +84,9 @@ def _iter_lines(source: Source) -> Iterator[str]:
     up to the next multiple of ``_CHUNK`` bytes at a time, each read completed
     to the end of its line, so every chunk but the last ends just after a
     ``\n``: no ``\r\n`` pair is split, and in UTF-8 no multibyte sequence
-    holds the byte ``0x0A``. A chunk therefore starts at the first line start
-    at or after a multiple of ``_CHUNK``, which is where ``_middle`` splits a
-    file. An invalid byte is reported at its offset in the whole input.
+    holds the byte ``0x0A``. A chunk is decoded before its lines are parsed,
+    so these fixed chunks decide which of two defects in one chunk is
+    reported. An invalid byte is reported at its offset in the whole input.
     """
     if isinstance(source, str):
         yield from source.splitlines()
@@ -277,16 +277,13 @@ def _halves(source: Source) -> tuple[int, int, int] | None:
 
 
 def _middle(fd: int, start: int, end: int) -> int:
-    """Where to split the bytes ``start`` to ``end`` of file ``fd``: a place where ``_iter_lines`` starts a chunk.
+    """Where to split the bytes ``start`` to ``end`` of file ``fd``: the first line start after halfway, or ``end``.
 
-    That is the first line start at or after the multiple of ``_CHUNK`` at or
-    below halfway, so the first half is read in the very chunks of a
-    sequential parse, and its first error is the file's.
+    Any line start will do: where either half fails, ``_in_two`` parses the
+    whole file again, so every error is the sequential parse's.
     """
-    near = (end - start) // 2 // _CHUNK * _CHUNK
-    if near == 0:
-        return start
-    return start + near - 1 + len(_file_range(fd, start + near - 1).readline())
+    halfway = start + (end - start) // 2
+    return halfway + len(_file_range(fd, halfway).readline())
 
 
 def _file_range(fd: int, start: int, end: int | None = None) -> BinaryIO:
@@ -537,8 +534,12 @@ class ScoredList:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[DocId, float]]) -> "ScoredList":
         """Build the canonical list: score descending, doc id ascending on ties."""
-        ordered = sorted(((doc, _score(doc, score)) for doc, score in pairs), key=lambda p: (-p[1], p[0]))
-        return cls(tuple(ordered))
+        entries = []
+        for doc, score in pairs:  # each pair checked as ScoredList(entries) checks it, before the sort compares ids
+            score = _score(doc, score)
+            entries.append((_check_token(doc, "doc id"), score))
+        entries.sort(key=lambda p: (-p[1], p[0]))
+        return cls(tuple(entries))
 
     @classmethod
     def _trusted(cls, docs: tuple[DocId, ...], scores: array) -> "ScoredList":
@@ -758,14 +759,19 @@ def _ranked(scores: dict[DocId, float]) -> ScoredList:
     return ScoredList._trusted(docs, array("d", map(neg, neg_scores)))
 
 
+def _check_depth(depth: int) -> None:
+    """A ValidationError unless ``depth``, the entries per query a run file is written with, is at least 1."""
+    if depth < 1:
+        raise ValidationError(f"depth must be a positive integer, got {depth}")
+
+
 def write_run(run: RunSet, depth: int) -> bytes:
     """Serialize a run, at most ``depth`` entries per query, in rank order.
 
     Scores are written with ``repr`` so a parse round-trip reproduces them
     exactly. Queries are emitted in ascending id order.
     """
-    if depth < 1:
-        raise ValidationError(f"depth must be a positive integer, got {depth}")
+    _check_depth(depth)
     _check_token(run.tag, "run tag")
     # one query's lines at a time, so the only whole-file copy is the output itself
     out = io.BytesIO()

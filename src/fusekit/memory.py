@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import _check_token, _expect, _loads, from_json_object, json_record, to_json_object
+from .core import _check_token, _expect, _is_json, _loads, from_json_object, json_record, to_json_object
 from .errors import ValidationError
 from .evidence import _check_confidence
 
@@ -71,6 +71,14 @@ class VideoStatus:
             raise ValidationError("a processed video must record at least one tool")
 
 
+def _check_name(value, what: str) -> None:
+    """A ValidationError naming ``what`` unless ``value`` is a non-empty str."""
+    if not value:
+        raise ValidationError(f"{what} must be non-empty")
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+
+
 @dataclass(frozen=True)
 class KeywordMatches:
     """Search results: videos tagged with the keyword, facts mentioning it."""
@@ -107,6 +115,7 @@ class MemoryBank:
         }
 
     # -- mutation operators -------------------------------------------------
+    # each checks every argument before it changes any slot, so a bad call leaves the bank as it was
 
     def _register_video(self, video_id: str) -> None:
         _check_token(video_id, "video id")
@@ -115,6 +124,8 @@ class MemoryBank:
 
     def add_fact(self, video_id: str, entry: FactEntry) -> int:
         """Append to the video's fact list; returns the new 0-based index."""
+        if not isinstance(entry, FactEntry):
+            raise ValidationError(f"fact entry must be a FactEntry, got {entry!r}")
         self._register_video(video_id)
         self.fact_table.setdefault(video_id, []).append(entry)
         self._lower_facts.setdefault(video_id, []).append(entry.fact.lower())
@@ -122,8 +133,7 @@ class MemoryBank:
 
     def add_keyword(self, video_id: str, keyword: str) -> None:
         """Tag a video with a keyword (idempotent)."""
-        if not keyword:
-            raise ValidationError("keyword must be non-empty")
+        _check_name(keyword, "keyword")
         self._register_video(video_id)
         self.keywords.setdefault(video_id, set()).add(keyword)
         self._videos_by_keyword.setdefault(keyword.lower(), set()).add(video_id)
@@ -133,7 +143,11 @@ class MemoryBank:
         if video_id not in self.fact_table:
             raise ValidationError(f"no facts recorded for video {video_id!r}")
         facts = self.fact_table[video_id]
-        if index is not None and not 0 <= index < len(facts):
+        if index is None:
+            return facts
+        if not _is_json(index, int):
+            raise ValidationError(f"fact index must be an integer, got {index!r}")
+        if not 0 <= index < len(facts):
             raise ValidationError(
                 f"fact index {index} out of range for video {video_id!r} ({len(facts)} facts)"
             )
@@ -162,14 +176,16 @@ class MemoryBank:
 
     def set_findings(self, findings: list[str]) -> None:
         """Whole-slot replace; findings have no finer-grained editor."""
-        self.findings = [str(f) for f in findings]
+        self.findings = _expect(list(findings), list, "findings", item=str)
 
     def mark_processed(
         self, video_id: str, tool: str, path: str | None = None, caption: str | None = None
     ) -> None:
         """Record a tool run against a video and flip it to processed."""
-        if not tool:
-            raise ValidationError("tool name must be non-empty")
+        _check_name(tool, "tool name")
+        for name, value in (("path", path), ("caption", caption)):
+            if value is not None and not isinstance(value, str):
+                raise ValidationError(f"{name} must be a string, got {value!r}")
         self._register_video(video_id)
         status = self.videos[video_id]
         status.tools_used.add(tool)

@@ -14,13 +14,11 @@ non-positive.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
@@ -156,7 +154,10 @@ class EvalReport:
 
     ``per_query`` may be empty for externally supplied summary reports
     (e.g. result tables from other systems); when it is non-empty the aggregate must
-    equal the per-query mean exactly.
+    equal the per-query mean exactly, summed in sorted query order. Query
+    ids, metric names and the tag are strings UTF-8 can encode, and values
+    are ``int`` or ``float`` by exact type: what ``report_to_json`` writes
+    ``report_from_json`` reads back equal.
     """
 
     per_query: dict[QueryId, dict[str, float]] = field(default_factory=dict)
@@ -165,17 +166,24 @@ class EvalReport:
 
     def __post_init__(self):
         per_query = _expect(self.per_query, dict, "per_query", item=dict)
+        _check_text(self.tag, "tag")
+        for qid in per_query:
+            _check_text(qid, "query id")
         for metrics in list(per_query.values()) + [_expect(self.aggregate, dict, "aggregate")]:
             for name, value in metrics.items():
+                _check_text(name, "metric name")
                 if isinstance(value, bool) or not (isinstance(value, (int, float)) and 0.0 <= value <= 1.0):
                     raise ValidationError(f"metric {name} value {value!r} is not a number in [0, 1]")
+                if (kind := type(value)) not in _JSON_NUMBERS:
+                    raise ValidationError(f"metric {name} value {value!r} is a {kind.__name__}, not int or float")
             if per_query and metrics.keys() != self.aggregate.keys():
                 raise ValidationError(
                     f"per-query metrics {sorted(metrics)} differ from the aggregate's {sorted(self.aggregate)}"
                 )
         if per_query:
+            rows = [per_query[qid] for qid in sorted(per_query)]  # the file's order, and evaluate's
             for name, value in self.aggregate.items():
-                mean = sum(m[name] for m in self.per_query.values()) / len(self.per_query)
+                mean = sum(row[name] for row in rows) / len(rows)
                 if value != mean:
                     raise ValidationError(
                         f"aggregate {name}={value} is not the per-query mean {mean}"
@@ -191,6 +199,16 @@ class EvalReport:
         object.__setattr__(report, "aggregate", aggregate)
         object.__setattr__(report, "tag", tag)
         return report
+
+
+def _check_text(value, what: str) -> None:
+    """A ValidationError naming ``what`` unless ``value`` is a str that UTF-8 encodes, as every JSON string read is."""
+    if type(value) is not str:
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{what} {value!r} holds a lone surrogate") from None
 
 
 def evaluate(
@@ -313,7 +331,6 @@ def report_records(report: EvalReport) -> list[dict]:
     return records
 
 
-_REPORT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)  # what json.dumps(indent=2, sort_keys=True) uses
 _BATCH = 1 << 16  # characters of report text joined into one chunk
 
 
@@ -321,37 +338,17 @@ def report_json_chunks(report: EvalReport) -> Iterator[bytes]:
     """``report_to_json(report)`` as UTF-8 chunks of about 64 KiB, made as they are written.
 
     The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
-    written from templates (``_report_pieces``) where the report's names are
-    strings and its values plain ints and floats, as ``evaluate`` and
-    ``report_from_json`` make them; any other report goes through the
-    indenting encoder. The pieces are joined into batches, so the writes
-    are few and the whole report text is never held.
+    written from templates (``_report_pieces``) in batches of pieces, so
+    the writes are few and the whole report text is never held.
     """
-    if _templated(report):
-        pieces = _report_pieces(report)
-    else:
-        payload = {"tag": report.tag, "aggregate": report.aggregate, "per_query": report.per_query}
-        pieces = chain(_REPORT_ENCODER.iterencode(payload), "\n")
     batch, size = [], 0
-    for piece in pieces:
+    for piece in _report_pieces(report):
         batch.append(piece)
         size += len(piece)
         if size >= _BATCH:
             yield "".join(batch).encode("utf-8")
             batch, size = [], 0
     yield "".join(batch).encode("utf-8")
-
-
-def _templated(report: EvalReport) -> bool:
-    """Whether ``_report_pieces`` writes ``report`` as ``json.dumps`` does: str names, int and float values.
-
-    A name of another type, or a number whose ``repr`` is not its JSON,
-    can come only from a report built directly.
-    """
-    if not all(type(name) is str for name in chain(report.aggregate, report.per_query)):
-        return False
-    rows = chain((report.aggregate,), report.per_query.values())
-    return {type(value) for row in rows for value in row.values()} <= _JSON_NUMBERS
 
 
 def _report_pieces(report: EvalReport) -> Iterator[str]:

@@ -257,6 +257,11 @@ def decompose_all(records: list[dict], decomposer) -> tuple[SubQueryMap, list[De
     return SubQueryMap(groups), results
 
 
+def _check_rerank_depth(rerank_depth: int) -> None:
+    if rerank_depth < 0:
+        raise ValidationError("rerank_depth must be >= 0")
+
+
 def inject_rerank(fused: RunSet, rerank: RunSet, rerank_depth: int) -> RunSet:
     """Reorder each query's top ``rerank_depth`` by external scores.
 
@@ -268,8 +273,7 @@ def inject_rerank(fused: RunSet, rerank: RunSet, rerank_depth: int) -> RunSet:
     queries without any external score are passed through unchanged. The
     output tag gains a ``-reranked`` suffix.
     """
-    if rerank_depth < 0:
-        raise ValidationError("rerank_depth must be >= 0")
+    _check_rerank_depth(rerank_depth)
     lists = {}
     for qid, fused_list in fused.lists.items():
         external = rerank.lists.get(qid)

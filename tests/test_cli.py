@@ -1110,11 +1110,25 @@ OUT_OPTION = {"fuse": "--out", "rerank-inject": "--out", "claims": "--kept"}  # 
         # argparse exited 2 with its usage on these
         (FUSE + ["--k", "abc"], "--k takes an integer, got 'abc'"),
         (FILTER + ["--threshold", "high"], "--threshold takes a number, got 'high'"),
+        # checked before any input is read: truncate and inject_rerank said otherwise
+        (FUSE + ["--depth", "-1"], "depth must be a positive integer, got -1"),
+        (RERANK + ["--out-depth", "0"], "depth must be a positive integer, got 0"),
+        (RERANK + ["--out-depth", "-2"], "depth must be a positive integer, got -2"),
+        (RERANK + ["--depth", "-1"], "rerank_depth must be >= 0"),
+        (["fuse", "--runs", PIPE / "qrels.txt", "--map", PIPE / "subquery_map.jsonl", "--strategy", "rrf",
+          "--depth", "0"], "depth must be a positive integer, got 0"),
+        (["rerank-inject", "--fused", PIPE / "qrels.txt", "--scores", PIPE / "qrels.txt", "--depth", "-1"],
+         "rerank_depth must be >= 0"),
+        (["rerank-inject", "--fused", PIPE / "qrels.txt", "--scores", PIPE / "qrels.txt", "--out-depth", "0"],
+         "depth must be a positive integer, got 0"),
     ],
     ids=["fuse-depth", "fuse-k", "eval-cutoffs", "ablate-seeds", "ablate-keep", "eval-cutoffs-underscore",
          "ablate-seeds-non-ascii-digit", "fuse-k-underscore", "ablate-k-non-ascii-digit",
          "fuse-depth-non-ascii-digit", "rerank-depth-underscore", "rerank-out-depth-full-width-digit",
-         "filter-threshold-non-ascii-digits", "filter-threshold-underscore", "fuse-k-word", "filter-threshold-word"],
+         "filter-threshold-non-ascii-digits", "filter-threshold-underscore", "fuse-k-word", "filter-threshold-word",
+         "fuse-depth-negative", "rerank-out-depth-zero", "rerank-out-depth-negative", "rerank-depth-negative",
+         "fuse-depth-malformed-runs", "rerank-depth-malformed-fused",
+         "rerank-out-depth-malformed-fused"],
 )
 def test_bad_argument_values_exit_1_with_one_validation_error(tmp_path, capsys, argv, message):
     out = tmp_path / "out"

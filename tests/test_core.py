@@ -78,6 +78,24 @@ def test_scored_list_takes_only_int_and_float_scores(build, score, message):
     assert build((("dA", 2), ("dB", 0.5))).entries == (("dA", 2.0), ("dB", 0.5))
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (((None, 0.5), ("a", 0.5)), "doc id must be a non-empty string, got None"),
+        ((("a", 0.5), (3, 0.5)), "doc id must be a non-empty string, got 3"),
+        ((("a", 0.5), ("", 0.5)), "doc id must be a non-empty string, got ''"),
+        (((None, "x"), ("a", 0.5)), "score must be an int or float, got 'x' for doc None"),
+    ],
+    ids=["none-tied", "int-tied", "empty", "score-before-doc-id"],
+)
+@pytest.mark.parametrize("build", [ScoredList, ScoredList.from_pairs], ids=["init", "from_pairs"])
+def test_scored_list_checks_doc_ids_before_from_pairs_sorts(build, pairs, message):
+    # the sort compares tied doc ids, which a None or an int id made a raw TypeError
+    with pytest.raises(ValidationError) as excinfo:
+        build(pairs)
+    assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize("value", [" ", "d A", "dA\t", "\u3000dA", "d\x1cA", "dA\u2028"])
 def test_check_token_rejects_whitespace(value):
     with pytest.raises(ValidationError, match="must not contain whitespace"):

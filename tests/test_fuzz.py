@@ -382,5 +382,6 @@ def test_cli_fuse_negative_depth_is_one_validation_error(kind, depth):
             "--strategy", kind, "--depth", depth, "--out", out_dir / "fused.run",
         ])
         assert code == 1
-        assert json.loads(err) == {"error": "ValidationError", "message": f"depth must be >= 0, got {depth}"}
+        message = f"depth must be a positive integer, got {depth}"
+        assert json.loads(err) == {"error": "ValidationError", "message": message}
         assert list(out_dir.iterdir()) == []

@@ -408,6 +408,42 @@ def test_set_findings_touches_only_findings():
     assert _changed_slots(before, _slots(bank)) == {"findings"}
 
 
+@pytest.mark.parametrize(
+    "operate, message",
+    [
+        (lambda bank: bank.add_fact("vidA", "text"), "fact entry must be a FactEntry, got 'text'"),
+        (lambda bank: bank.add_fact("vidNew", None), "fact entry must be a FactEntry, got None"),
+        (lambda bank: bank.add_keyword("vidA", 5), "keyword must be a string, got 5"),
+        (lambda bank: bank.add_keyword("vidNew", ""), "keyword must be non-empty"),
+        (lambda bank: bank.mark_processed("vidB", 7), "tool name must be a string, got 7"),
+        (lambda bank: bank.mark_processed("vidNew", None), "tool name must be non-empty"),
+        (lambda bank: bank.mark_processed("vidB", "ocr", path=3), "path must be a string, got 3"),
+        (lambda bank: bank.mark_processed("vidB", "ocr", caption=b"x"), "caption must be a string, got b'x'"),
+        (lambda bank: bank.set_findings([1, None]), "findings must hold only JSON strings, got 1"),
+        (lambda bank: bank.set_findings(["ok", None]), "findings must hold only JSON strings, got None"),
+        (lambda bank: bank.remove_fact("vidA", True), "fact index must be an integer, got True"),
+        (lambda bank: bank.remove_fact("vidA", 1.0), "fact index must be an integer, got 1.0"),
+        (lambda bank: bank.remove_fact("vidA", 2), r"fact index 2 out of range for video 'vidA' \(2 facts\)"),
+        (lambda bank: bank.select_facts([("vidA", 0), ("vidB", False)]), "fact index must be an integer, got False"),
+    ],
+    ids=[
+        "add-fact-text", "add-fact-new-video", "keyword-int", "keyword-empty", "tool-int", "tool-none",
+        "path-int", "caption-bytes", "findings-int", "findings-none", "remove-bool", "remove-float",
+        "remove-out-of-range", "select-bool",
+    ],
+)
+def test_bad_operator_arguments_leave_the_bank_as_it_was(operate, message):
+    bank = seeded_bank()
+    before = bank.to_dict()
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        operate(bank)
+    assert bank.to_dict() == before
+    reloaded = MemoryBank.load(bank.dump())
+    assert reloaded == bank
+    assert bank._videos_by_keyword == reloaded._videos_by_keyword  # the search index too
+    assert bank._lower_facts == reloaded._lower_facts
+
+
 # ---------------------------------------------------------------------------
 # randomized operator sequences (smaller twin of the acceptance suite)
 # ---------------------------------------------------------------------------

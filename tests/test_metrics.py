@@ -418,7 +418,7 @@ def reports(draw) -> EvalReport:
         return report_from_json(json.dumps({"aggregate": aggregate, "tag": draw(TEXTS)}))
     qids = draw(st.lists(TEXTS, min_size=1, max_size=5, unique=True))
     per_query = {qid: {name: draw(VALUES) for name in draw(st.permutations(names))} for qid in qids}
-    aggregate = {name: sum(row[name] for row in per_query.values()) / len(per_query) for name in names}
+    aggregate = {name: sum(per_query[qid][name] for qid in sorted(qids)) / len(qids) for name in names}
     return EvalReport(per_query=per_query, aggregate=aggregate, tag=draw(TEXTS))
 
 
@@ -434,14 +434,70 @@ class Share(float):
         return f"Share({float(self)!r})"
 
 
-def test_report_json_of_other_names_and_number_types_is_still_the_dump():
-    # names that are not strings, or numbers whose repr is not JSON, go through the indenting encoder
-    for report in [
-        EvalReport(per_query={2: {"R@1": 0.5}, 1: {"R@1": 1}}, aggregate={"R@1": 0.75}),
-        EvalReport(per_query={"q1": {"R@1": Share(0.25)}}, aggregate={"R@1": Share(0.25)}),
+# summed in this order the values make 0.6; in sorted query order, as the file holds them, 0.6000000000000001
+SHUFFLED = {"b": {"R@1": 0.2}, "c": {"R@1": 0.3}, "a": {"R@1": 0.1}}
+
+
+def test_reports_their_json_cannot_hold_are_rejected():
+    # each would be written as another report, or as a file that does not read back
+    for per_query, aggregate, message in [
+        ({2: {"R@1": 0.5}, "q1": {"R@1": 1}}, {"R@1": 0.75}, "query id must be a string, got 2"),
+        ({}, {1: 0.5}, "metric name must be a string, got 1"),
+        ({"q1": {("R", 1): 0.5}}, {("R", 1): 0.5}, r"metric name must be a string, got \('R', 1\)"),
+        ({}, {"R@1": True}, r"metric R@1 value True is not a number in \[0, 1\]"),
+        ({"q1": {"R@1": Share(0.25)}}, {"R@1": 0.25}, r"metric R@1 value Share\(0.25\) is a Share, not int or float"),
+        ({}, {"R@1": Share(0.25)}, r"metric R@1 value Share\(0.25\) is a Share, not int or float"),
+        (SHUFFLED, {"R@1": 0.6 / 3},
+         "aggregate R@1=0.19999999999999998 is not the per-query mean 0.20000000000000004"),
+        ({"\ud800": {"R@1": 0.5}}, {"R@1": 0.5}, r"query id '\\ud800' holds a lone surrogate"),
+        ({}, {"\udfff": 0.5}, r"metric name '\\udfff' holds a lone surrogate"),
     ]:
-        payload = {"tag": report.tag, "aggregate": report.aggregate, "per_query": report.per_query}
-        assert report_to_json(report) == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        with pytest.raises(ValidationError, match=message):
+            EvalReport(per_query=per_query, aggregate=aggregate)
+    with pytest.raises(ValidationError, match=r"tag '\\ud800' holds a lone surrogate"):
+        EvalReport(tag="\ud800")
+    # the mean in sorted query order is accepted
+    assert EvalReport(per_query=SHUFFLED, aggregate={"R@1": 0.20000000000000004}).per_query == SHUFFLED
+
+
+LOOSE_KEYS = TEXTS | st.integers(0, 2) | st.sampled_from(["\ud800", ("a",)])
+LOOSE_VALUES = VALUES | st.booleans() | st.floats(0.0, 1.0).map(Share) | st.floats()
+
+
+@st.composite
+def report_parts(draw) -> tuple[dict, dict, str]:
+    """Fields for ``EvalReport``, some of which it rejects: other key and value types, a mean out of sorted order."""
+    loose = draw(st.booleans())
+    names = draw(st.lists(LOOSE_KEYS if loose else NAMES, max_size=3, unique=True))
+    qids = draw(st.lists(LOOSE_KEYS if loose else TEXTS, max_size=5, unique=True))
+    per_query = {qid: {name: draw(LOOSE_VALUES if loose else VALUES) for name in names} for qid in qids}
+    if draw(st.booleans()) and all(type(qid) is str for qid in qids):
+        qids = sorted(qids)
+    if qids:
+        aggregate = {name: sum(per_query[qid][name] for qid in qids) / len(qids) for name in names}
+    else:
+        aggregate = {name: draw(LOOSE_VALUES if loose else VALUES) for name in names}
+    return per_query, aggregate, draw(TEXTS | st.just("\ud800") if loose else TEXTS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(parts=report_parts())
+@example(parts=({2: {"R@1": 0.5}, "q1": {"R@1": 1}}, {"R@1": 0.75}, "run"))
+@example(parts=({"q1": {"R@1": Share(0.25)}}, {"R@1": Share(0.25)}, "run"))
+@example(parts=(SHUFFLED, {"R@1": 0.6 / 3}, "run"))
+@example(parts=({}, {1: 0.5}, "run"))
+def test_every_report_the_constructor_accepts_is_written_and_read_back_equal(parts):
+    per_query, aggregate, tag = parts
+    try:
+        report = EvalReport(per_query=per_query, aggregate=aggregate, tag=tag)
+    except ValidationError:
+        return
+    payload = {"tag": tag, "aggregate": aggregate, "per_query": per_query}
+    data = report_to_json(report)
+    assert data == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    assert report_from_json(data) == report
+    render_report(report, per_query=True)
+    render_delta(delta_report(report, report))
 
 
 def test_evaluate_builds_the_report_the_checked_constructor_accepts():

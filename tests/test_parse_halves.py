@@ -179,29 +179,33 @@ def test_a_first_half_of_blank_lines_takes_the_second_halfs_tag(tmp_path):
     check_split_at(parse_run, ["\n", " \n", "q1 Q0 d1 1 0.5 late\n"], 2, tmp_path)
 
 
-@pytest.mark.parametrize("chunk", [16, 64, 100])
-def test_the_first_half_ends_where_a_sequential_read_ends_a_chunk(tmp_path, chunk):
-    # a sequential read decodes a whole chunk before it parses its lines, so were the first
-    # half to end inside a chunk, the second half's invalid byte would be the first error
-    lines = [b"q1 Q0 d%02d 1 0.5 t\n" % i for i in range(40)]
+LONG = [b"q1 Q0 d%d 1 0.5 %s" % (i, b"t" * (i * 37 % 500)) for i in range(30)]
+
+
+@pytest.mark.parametrize("start", [0, 7])
+@pytest.mark.parametrize(
+    "data",
+    [b"".join(line + b"\n" for line in LONG), b"".join(line + b"\r\n" for line in LONG), b"\n".join(LONG)],
+    ids=["long-lines", "crlf", "unterminated-last-line"],
+)
+def test_the_middle_is_the_first_line_start_past_halfway(tmp_path, data, start):
     path = tmp_path / "in.txt"
-    path.write_bytes(b"".join(lines))
-    with mock.patch.object(core, "_CHUNK", chunk), open(path, "rb") as fh:
-        middle = core._middle(fh.fileno(), 0, path.stat().st_size)
-    at = middle // len(lines[0])  # the first line of the second half
-    assert middle == at * len(lines[0])
-    lines[at - 1] = b"q1 Q0 d%02d 1 0.5tt\n" % (at - 1)  # five fields, in the same length
-    lines[at] = b"q1 Q0 d\xff%d 1 0.5 t\n" % (at % 10)
-    data = b"".join(lines)
     path.write_bytes(data)
-    with mock.patch.object(core, "_CHUNK", chunk):
-        sequential = outcome(parse_run, data)
-    fds_before = open_fds()
-    with two_halves() as made, mock.patch.object(core, "_CHUNK", chunk), open(path, "rb") as fh:
-        assert outcome(parse_run, fh) == sequential
-    assert sequential[::2] == (core.ParseError, at)
-    assert len(made) == 1
-    assert_nothing_left(fds_before)
+    halfway = start + (len(data) - start) // 2
+    with open(path, "rb") as fh:
+        middle = core._middle(fh.fileno(), start, len(data))
+    assert halfway < middle < len(data)
+    assert data[middle - 1 : middle] == b"\n" and b"\n" not in data[halfway : middle - 1]
+
+
+@pytest.mark.parametrize(
+    "data", [b"q1 Q0 d1 1 0.5 t\n" + b"x" * 40, b"q1 Q0 d1 1 0.5 t" * 3 + b"\n"], ids=["unterminated", "one-line"]
+)
+def test_a_file_with_no_line_start_past_halfway_stays_whole(tmp_path, data):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    with mock.patch.object(core, "_SPLIT_MIN", 1), open(path, "rb") as fh:
+        assert core._halves(fh) is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,13 @@ plain fuse-and-evaluate result with std 0.
 
 The (keep, seed) cells are independent. When there are two or more and
 their work (cells times sub-list entries) reaches ``_TWO_CPU_MIN``, and
-the process may use two CPUs (see ``core._forked``), this process
+the process may use two CPUs (see ``core._in_two``), this process
 computes the cells at even positions while a forked child computes those
 at odd positions and sends back each one's aggregate metrics. The report
 is built from the same per-seed values in the same order, so it is the
 one-process report, bit for bit. A split that fails computes every cell
-again here in order (see ``core._in_two``), so the first error is the
-one-process run's. The child's memory comes on top of this process's
-(see ``run_ablation``).
+again here in order, so the first error is the one-process run's. The
+child's memory comes on top of this process's (see ``run_ablation``).
 """
 
 from __future__ import annotations
@@ -119,9 +118,8 @@ def run_ablation(
     each drawn, fused and evaluated in turn. Above the floor the cells are
     split over two processes (see the module docstring). The child then
     holds the pages it copies from this process on top of this process's
-    memory: on the benchmark's ``ablation`` inputs, 800,000 sub-list entries
-    and 16 cells, 49 MB of private pages (``Private_Dirty``) just before it
-    exits, beside the 85 MB this process holds then.
+    memory; README gives the figures measured on the benchmark's
+    ``ablation`` inputs.
     """
     depth = max(cutoffs.values)  # evaluation reads no further down a fused list
 

@@ -16,13 +16,13 @@ every error, with its line, are those of a sequential parse. The CLI's
 ``_parse_in_halves``: each half is loaded, filtered and serialized on its
 own, and the child sends back its half's output bytes.
 
-The fork plumbing is shared: ``_forked`` runs work in a forked child and
-never lets it outlive the caller's block, and ``_in_two`` splits a job
-between this process and such a child, which sends its results back
-through a pipe, written by ``_write_records`` and read by
+The fork plumbing is shared: ``_in_two``, the only place that forks,
+splits a job between this process and a forked child, which sends its
+results back through a pipe, written by ``_write_records`` and read by
 ``_read_records``. ``_in_two`` states the one rule for a split that
 fails. ``ablation.run_ablation`` uses it to compute half of its cells in
-a child.
+a child, and ``pipeline.run_pipeline`` to format ``subqueries.run`` in
+one.
 
 Every JSON value is read by ``_json_value``, which rejects a string
 holding a lone surrogate escape.
@@ -42,7 +42,6 @@ import math
 import os
 import secrets
 from array import array
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from operator import neg
 from pathlib import Path
@@ -145,88 +144,63 @@ def _parse_in_halves(source: Source, parse: Callable, to_records: Callable, merg
     return merged
 
 
-@contextmanager
-def _forked(work: Callable[[], object]) -> Iterator[Callable[[], bool] | None]:
-    """Run ``work()`` in a forked child while the ``with`` block runs in this process.
+def _in_two(mine: Callable[[], object], theirs: Callable[[], Iterable], join: Callable, alone: Callable[[], object]):
+    """``join(mine(), the records of theirs())``, ``theirs`` run meanwhile in a forked child.
 
-    Yields None, having forked nothing, unless this process can fork, runs
-    one thread and may run on two CPUs, and the fork succeeds; else yields
-    ``done()``, which waits for the child and tells whether ``work`` returned.
-    The child ends only by ``os._exit``: it never returns into the caller nor
-    flushes the stdio buffers it inherited. A child not yet waited for when
-    the block ends, by an exception or not, is killed, as its work is no
-    longer wanted; it is reaped on every path, so it never outlives the block.
+    This is the only place fusekit forks, and the one failure rule of every
+    job split over two processes: ``alone()``, the job in this process only,
+    is returned instead where no child was forked, where ``mine()`` or
+    ``join`` raises a FusekitError, where ``join`` returns None, or where the
+    child fails. So every result and every error is the one-process job's.
+    Any other exception is a bug and propagates. A child is forked only where
+    this process can fork, runs one thread and may run on two CPUs, and the
+    fork succeeds. The child sends each of ``theirs()`` through a pipe as one
+    length-prefixed ``marshal`` record, so a record may hold only the types
+    ``marshal`` takes; ``join`` gets them as they arrive. The child ends only
+    by ``os._exit``: it never returns into the caller nor flushes the stdio
+    buffers it inherited. Before ``alone()`` runs or an exception
+    propagates, the read end is closed, which ends a child blocked on a full
+    pipe, and the child is killed and reaped, so it never outlives the call.
     """
     import threading
 
-    pid = None
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
-        if len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1:
-            try:
-                pid = os.fork()
-            except OSError:
-                pass
-    if pid is None:
-        yield None
-        return
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return alone()
+    if len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1:
+        return alone()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return alone()
     if pid == 0:
         status = 1
         try:
-            work()
+            os.close(read_fd)
+            _write_records(write_fd, theirs())
             status = 0
         finally:
             os._exit(status)
+    os.close(write_fd)
     status = None
-
-    def done() -> bool:
-        nonlocal status
-        if status is None:
-            status = os.waitpid(pid, 0)[1]
-        return status == 0
-
     try:
-        yield done
+        with open(read_fd, "rb") as pipe:
+            try:
+                joined = join(mine(), _read_records(pipe))
+            except FusekitError:
+                joined = None
+        if joined is not None:
+            status = os.waitpid(pid, 0)[1]
+            if status == 0:
+                return joined
     finally:
-        if status is None:
+        if status is None:  # the child's work is no longer wanted
             import signal
 
             os.kill(pid, signal.SIGKILL)
-        done()
-
-
-def _in_two(mine: Callable[[], object], theirs: Callable[[], Iterable], join: Callable, alone: Callable[[], object]):
-    """``join(mine(), the records of theirs())``, ``theirs`` run meanwhile in a forked child (see ``_forked``).
-
-    This is the one failure rule of every job split over two processes:
-    ``alone()``, the job in this process only, is returned instead where no
-    child was forked, where ``mine()`` or ``join`` raises a FusekitError,
-    where ``join`` returns None, or where the child fails. So every result
-    and every error is the one-process job's. Any other exception is a bug
-    and propagates. The child sends each of ``theirs()`` through a pipe as
-    one length-prefixed ``marshal`` record, so a record may hold only the
-    types ``marshal`` takes; ``join`` gets them as they arrive. Before
-    ``alone()`` runs or an exception propagates, the read end is closed,
-    which ends a child blocked on a full pipe, and the child is killed and
-    reaped.
-    """
-    read_fd, write_fd = os.pipe()
-
-    def send() -> None:
-        os.close(read_fd)
-        _write_records(write_fd, theirs())
-
-    with _forked(send) as done:
-        os.close(write_fd)
-        with open(read_fd, "rb") as pipe:
-            if done is not None:
-                try:
-                    joined = join(mine(), _read_records(pipe))
-                except FusekitError:
-                    joined = None
-                if joined is not None:
-                    pipe.close()
-                    if done():
-                        return joined
+            os.waitpid(pid, 0)
     return alone()
 
 

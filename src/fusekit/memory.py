@@ -140,6 +140,7 @@ class MemoryBank:
 
     def _facts(self, video_id: str, index: int | None = None) -> list[FactEntry]:
         """The video's fact list; a ValidationError if it has none or ``index`` is not in it."""
+        _check_token(video_id, "video id")
         if video_id not in self.fact_table:
             raise ValidationError(f"no facts recorded for video {video_id!r}")
         facts = self.fact_table[video_id]
@@ -171,8 +172,14 @@ class MemoryBank:
         self._lower_facts[video_id] = []
 
     def select_facts(self, references: list[tuple[str, int]]) -> None:
-        """Replace selected_facts with the referenced facts' texts, in order."""
-        self.selected_facts = [self._facts(video_id, index)[index].fact for video_id, index in references]
+        """Replace selected_facts with the texts of the facts each (video id, index) pair names, in order."""
+        texts = []
+        for reference in references:
+            if not isinstance(reference, tuple) or len(reference) != 2:
+                raise ValidationError(f"fact reference must be a (video id, index) pair, got {reference!r}")
+            video_id, index = reference
+            texts.append(self._facts(video_id, index)[index].fact)
+        self.selected_facts = texts
 
     def set_findings(self, findings: list[str]) -> None:
         """Whole-slot replace; findings have no finer-grained editor."""
@@ -198,7 +205,9 @@ class MemoryBank:
     # -- queries --------------------------------------------------------------
 
     def search_by_keyword(self, keyword: str) -> KeywordMatches:
-        """Videos tagged with the keyword plus facts containing it (case-insensitive)."""
+        """Videos tagged with the keyword plus facts containing it (case-insensitive); "" matches every fact."""
+        if not isinstance(keyword, str):
+            raise ValidationError(f"keyword must be a string, got {keyword!r}")
         needle = keyword.lower()
         facts = tuple(
             (vid, idx, self.fact_table[vid][idx])
@@ -220,7 +229,12 @@ class MemoryBank:
         return sum(len(facts) for facts in self.fact_table.values())
 
     def memory_summary(self, cap: int = SUMMARY_CAP) -> str:
-        """Compact deterministic digest, never longer than ``cap`` characters."""
+        """Compact deterministic digest, never longer than ``cap`` characters.
+
+        ``cap`` is an int no shorter than the truncation mark.
+        """
+        if not _is_json(cap, int) or cap < len(_TRUNCATION_MARK):
+            raise ValidationError(f"summary cap must be an integer of at least {len(_TRUNCATION_MARK)}, got {cap!r}")
         head = (
             f"memory: {len(self.findings)} findings | {len(self.videos)} videos | "
             f"{self.total_facts()} facts | {len(self.selected_facts)} selected"

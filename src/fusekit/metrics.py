@@ -256,24 +256,36 @@ class DeltaReport:
     """Percentage change of each metric relative to a baseline report.
 
     ``deltas[name]`` is None where the change is undefined: metric value
-    unchanged, or baseline non-positive.
+    unchanged, or baseline non-positive. Both reports name the same
+    metrics, and ``deltas`` holds one int, float or None for each of them.
     """
 
     baseline: EvalReport
     candidate: EvalReport
     deltas: dict[str, float | None] = field(default_factory=dict)
 
+    def __post_init__(self):
+        for report in (self.baseline, self.candidate):
+            if not isinstance(report, EvalReport):
+                raise ValidationError(f"a delta report compares EvalReports, got {report!r}")
+        names = set(self.baseline.aggregate)
+        if names != set(self.candidate.aggregate):
+            raise ValidationError(
+                "reports disagree on metrics: "
+                f"{sorted(self.baseline.aggregate)} vs {sorted(self.candidate.aggregate)}"
+            )
+        if set(self.deltas) != names:
+            raise ValidationError(f"deltas must name the metrics {sorted(names)}, got {list(self.deltas)}")
+        for name, delta in self.deltas.items():
+            if delta is not None and type(delta) not in _JSON_NUMBERS:
+                raise ValidationError(f"delta of {name} must be an int, a float or None, got {delta!r}")
+
 
 def delta_report(baseline: EvalReport, candidate: EvalReport) -> DeltaReport:
-    """Compare two reports metric by metric on their aggregates."""
-    if set(baseline.aggregate) != set(candidate.aggregate):
-        raise ValidationError(
-            "reports disagree on metrics: "
-            f"{sorted(baseline.aggregate)} vs {sorted(candidate.aggregate)}"
-        )
+    """Compare two reports metric by metric on their aggregates; reports on other metrics are a ValidationError."""
     deltas: dict[str, float | None] = {}
     for name, base in baseline.aggregate.items():
-        cand = candidate.aggregate[name]
+        cand = candidate.aggregate.get(name, base)  # DeltaReport rejects a metric the candidate lacks
         if cand == base or base <= 0.0:
             deltas[name] = None
         else:

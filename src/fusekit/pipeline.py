@@ -16,10 +16,11 @@ yield byte-identical outputs. Every output goes through ``core.atomic_write``.
 A large ``subqueries.run`` (``_ASIDE_MIN`` entries or more) is formatted in
 a forked child, into an unnamed file in the system temp directory, while
 this process fuses, reads the rerank file and injects its scores, when the
-process may use two CPUs (see ``core._forked``). The files, their bytes and
-every error, with its stage, are those of the sequential run: a failed
-child makes this process write the file itself, and a failed stage kills
-the child, so no ``out_dir`` is left behind.
+process may use two CPUs (see ``core._in_two``). The files, their bytes
+and every error, with its stage, are those of the sequential run: a failed
+child makes this process write the file itself, without running a stage
+again, and a failed stage kills the child, so no ``out_dir`` is left
+behind.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ import json
 import logging
 import os
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import __version__
 from .core import (
@@ -43,7 +43,7 @@ from .core import (
     _check_token,
     _expect,
     _file_range,
-    _forked,
+    _in_two,
     _json_value,
     _loads,
     atomic_write,
@@ -323,6 +323,7 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
     so a directory that holds a manifest holds that one run's stage files.
     """
     inputs = config.inputs
+    depth = config.first_stage_depth
 
     # stage 1: sub-query map
     if "subquery_map" in inputs:
@@ -336,14 +337,16 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         retriever = ReplayRetriever(_parse_input("retrieve", parse_run, inputs["subquery_runs"]))
     else:
         retriever = HttpRetriever(config.endpoints["retriever"])
-    sub_runs = _retrieve_all(mapping, retriever, config.first_stage_depth)
+    sub_runs = _retrieve_all(mapping, retriever, depth)
 
-    # subqueries.run is formatted aside while the parent fuses and reranks
-    with _run_file_aside(sub_runs, config.first_stage_depth) as write_sub_runs:
+    out_dir = Path(out_dir)
+    stage_paths = {name: out_dir / name for name in STAGE_FILES}
+    manifest_path = out_dir / "manifest.json"
+    done = []  # mine()'s result, which alone() reuses where the child failed after mine() returned
+
+    def mine() -> tuple[RunSet, dict]:
         # stage 3: fusion
-        fused = _stage(
-            "fuse", None, fuse_runs, mapping, sub_runs, config.strategy, config.first_stage_depth
-        )
+        fused = _stage("fuse", None, fuse_runs, mapping, sub_runs, config.strategy, depth)
 
         # stage 4: rerank injection (empty scores when no rerank file was given)
         rerank_scores = (
@@ -361,14 +364,38 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
                 for name, path in sorted(inputs.items())
             },
         }
-        out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        stage_paths = {name: out_dir / name for name in STAGE_FILES}
-        manifest_path = out_dir / "manifest.json"
         manifest_path.unlink(missing_ok=True)
-        write_run_file(stage_paths["fused.run"], fused, config.first_stage_depth)
-        write_run_file(stage_paths["reranked.run"], reranked, config.first_stage_depth)
-        write_sub_runs(stage_paths["subqueries.run"])
+        write_run_file(stage_paths["fused.run"], fused, depth)
+        write_run_file(stage_paths["reranked.run"], reranked, depth)
+        done.append((reranked, manifest))
+        return done[0]
+
+    def alone() -> tuple[RunSet, dict]:
+        result = done[0] if done else mine()
+        write_run_file(stage_paths["subqueries.run"], sub_runs, depth)
+        return result
+
+    def theirs() -> Iterator[bool]:
+        with open(tmp.fileno(), "wb", closefd=False) as out:
+            out.writelines(_run_chunks(sub_runs, depth))
+        yield True
+
+    def join(result: tuple[RunSet, dict], records: Iterator) -> tuple[RunSet, dict] | None:
+        if next(records, None) is None:  # the child failed
+            return None
+        # read with pread: the child moved the file offset this process shares with it
+        reader = _file_range(tmp.fileno(), 0)
+        atomic_write(stage_paths["subqueries.run"], iter(lambda: reader.read(1 << 20), b""))
+        return result
+
+    # a large subqueries.run is formatted in a forked child while this process fuses and reranks
+    tmp = _aside_file(sub_runs)
+    if tmp is None:
+        reranked, manifest = alone()
+    else:
+        with tmp:
+            reranked, manifest = _in_two(mine, theirs, join, alone)
     atomic_write(manifest_path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
     return PipelineResult(
         final=reranked, stage_paths=stage_paths, manifest_path=manifest_path, manifest=manifest
@@ -391,54 +418,23 @@ def _run_chunks(run: RunSet, depth: int) -> Iterator[bytes]:
     return (write_run(RunSet({qid: run.lists[qid]}, run.tag), depth) for qid in run.queries())
 
 
-# a run of at least this many entries is formatted in a forked child (see _run_file_aside);
+# a run of at least this many entries is formatted in a forked child (see run_pipeline);
 # run_pipeline on perfbench's pipeline inputs, scaled down, on a 2-CPU VM with Python 3.11:
 # the child lost in 23 of 24 alternating pairs at 80,000 entries and 18 of 24 at 100,000,
 # and won in 22 of 24 at 120,000 and 23 of 24 at 140,000 (medians 0.43 -> 0.31 s)
 _ASIDE_MIN = 120_000
 
 
-@contextmanager
-def _run_file_aside(run: RunSet, depth: int) -> Iterator[Callable[[Path], None]]:
-    """Format ``write_run_file``'s bytes of ``run`` in a forked child while the ``with`` block runs.
-
-    Yields ``write(path)``, which writes the run file as ``write_run_file``
-    would. The child writes the chunks to an unnamed temp file, and ``write``
-    copies them to ``path`` if the child wrote them all. If it failed, or
-    none was forked (a run under ``_ASIDE_MIN`` entries, no temp file, or a
-    process that may not fork, see ``core._forked``), ``write`` is
-    ``write_run_file`` itself, which checks the depth and the tag. If the
-    block raises, the child is killed and reaped and the temp file vanishes.
-    """
-
-    def in_process(path: Path) -> None:
-        write_run_file(path, run, depth)
-
+def _aside_file(run: RunSet):
+    """An unnamed temp file for the child to format ``run`` into, or None for a run under ``_ASIDE_MIN`` entries."""
     if sum(map(len, run.lists.values())) < _ASIDE_MIN:
-        yield in_process
-        return
+        return None
     import tempfile  # imported on use, like the other modules only this path needs
 
     try:
-        tmp = tempfile.TemporaryFile()
+        return tempfile.TemporaryFile()
     except OSError:
-        yield in_process
-        return
-
-    def format_run() -> None:
-        with open(tmp.fileno(), "wb", closefd=False) as out:
-            out.writelines(_run_chunks(run, depth))
-
-    def copy(path: Path) -> None:
-        if not done():
-            in_process(path)
-            return
-        # read with pread: the child moved the file offset this process shares with it
-        reader = _file_range(tmp.fileno(), 0)
-        atomic_write(path, iter(lambda: reader.read(1 << 20), b""))
-
-    with tmp, _forked(format_run) as done:
-        yield in_process if done is None else copy
+        return None
 
 
 def _parse_input(stage: str, parse, path: Path):

@@ -153,7 +153,7 @@ def counted_forks():
 
 @contextlib.contextmanager
 def two_cpus():
-    """Let ``core._forked`` fork on any machine and beside any thread a test left running.
+    """Let ``core._in_two`` fork on any machine and beside any thread a test left running.
 
     ``os.sched_getaffinity`` reports two CPUs and ``threading.active_count``
     one thread. Yields the list of the children forked (see ``counted_forks``).

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from fusekit import FactEntry, MemoryBank, ValidationError, VideoStatus
-from fusekit.memory import SLOTS, SUMMARY_CAP, KeywordMatches
+from fusekit.memory import _TRUNCATION_MARK, SLOTS, SUMMARY_CAP, KeywordMatches
 
 
 def seeded_bank() -> MemoryBank:
@@ -303,6 +303,20 @@ def test_summary_respects_cap():
     assert len(small_cap) <= 100
 
 
+@pytest.mark.parametrize("cap", [0, 5, 12, 13, 14, 20, True, 20.0, "20", None], ids=repr)
+def test_every_accepted_summary_cap_bounds_the_digest(cap):
+    bank = MemoryBank()
+    bank.add_fact("v1", FactEntry(fact="a fact", source_tool="t"))
+    full = bank.memory_summary()
+    if type(cap) is int and cap >= len(_TRUNCATION_MARK):
+        text = bank.memory_summary(cap)
+        assert len(text) == min(cap, len(full))
+        assert text == full if len(full) <= cap else text.endswith(_TRUNCATION_MARK)
+    else:
+        with pytest.raises(ValidationError, match=f"^summary cap must be an integer of at least 13, got {cap!r}$"):
+            bank.memory_summary(cap)
+
+
 # ---------------------------------------------------------------------------
 # dump / load
 # ---------------------------------------------------------------------------
@@ -425,11 +439,25 @@ def test_set_findings_touches_only_findings():
         (lambda bank: bank.remove_fact("vidA", 1.0), "fact index must be an integer, got 1.0"),
         (lambda bank: bank.remove_fact("vidA", 2), r"fact index 2 out of range for video 'vidA' \(2 facts\)"),
         (lambda bank: bank.select_facts([("vidA", 0), ("vidB", False)]), "fact index must be an integer, got False"),
+        (lambda bank: bank.clear_facts(["vidA"]), r"video id must be a non-empty string, got \['vidA'\]"),
+        (lambda bank: bank.clear_facts("vid A"), "video id must not contain whitespace: 'vid A'"),
+        (lambda bank: bank.remove_fact(["vidA"], 0), r"video id must be a non-empty string, got \['vidA'\]"),
+        (lambda bank: bank.remove_fact(7, 0), "video id must be a non-empty string, got 7"),
+        (lambda bank: bank.search_by_keyword(5), "keyword must be a string, got 5"),
+        (lambda bank: bank.search_by_keyword(b"fact"), "keyword must be a string, got b'fact'"),
+        (
+            lambda bank: bank.select_facts([("vidA", 0), ("vidA", 0, 1)]),
+            r"fact reference must be a \(video id, index\) pair, got \('vidA', 0, 1\)",
+        ),
+        (lambda bank: bank.select_facts(["vidA"]), r"fact reference must be a \(video id, index\) pair, got 'vidA'"),
+        (lambda bank: bank.select_facts([(None, 0)]), "video id must be a non-empty string, got None"),
     ],
     ids=[
         "add-fact-text", "add-fact-new-video", "keyword-int", "keyword-empty", "tool-int", "tool-none",
         "path-int", "caption-bytes", "findings-int", "findings-none", "remove-bool", "remove-float",
-        "remove-out-of-range", "select-bool",
+        "remove-out-of-range", "select-bool", "clear-list-video", "clear-whitespace-video",
+        "remove-list-video", "remove-int-video", "search-int", "search-bytes", "select-triple",
+        "select-string", "select-none-video",
     ],
 )
 def test_bad_operator_arguments_leave_the_bank_as_it_was(operate, message):

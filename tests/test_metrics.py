@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fusekit import (
     Cutoffs,
+    DeltaReport,
     EvalReport,
     ParseError,
     Qrels,
@@ -283,6 +284,34 @@ def test_delta_zero_baseline_is_na():
 def test_delta_metric_mismatch_is_error():
     with pytest.raises(ValidationError):
         delta_report(_report({"nDCG@10": 0.5}, "a"), _report({"R@10": 0.5}, "b"))
+
+
+@pytest.mark.parametrize(
+    "baseline, candidate, deltas, message",
+    [
+        ({}, {}, {1: None}, r"deltas must name the metrics \[\], got \[1\]"),
+        ({"m": 0.5}, {"m": 0.6}, {}, r"deltas must name the metrics \['m'\], got \[\]"),
+        ({"m": 0.5}, {"m": 0.6}, {"m": 1.0, "n": None}, r"deltas must name the metrics \['m'\], got \['m', 'n'\]"),
+        ({"m": 0.5}, {"n": 0.6}, {"m": None}, r"reports disagree on metrics: \['m'\] vs \['n'\]"),
+        ({"m": 0.5}, {"m": 0.6}, {"m": True}, "delta of m must be an int, a float or None, got True"),
+        ({"m": 0.5}, {"m": 0.6}, {"m": "20"}, "delta of m must be an int, a float or None, got '20'"),
+        (None, {}, {}, "a delta report compares EvalReports, got None"),
+    ],
+    ids=["int-key", "missing-key", "extra-key", "other-metrics", "bool", "string", "not-a-report"],
+)
+def test_a_delta_report_holds_only_what_render_delta_can_show(baseline, candidate, deltas, message):
+    if baseline is not None:
+        baseline = _report(baseline, "a")
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        DeltaReport(baseline, _report(candidate, "b"), deltas)
+
+
+def test_delta_report_of_reports_on_fewer_metrics_is_the_mismatch_error():
+    with pytest.raises(ValidationError, match=r"^reports disagree on metrics: \['m', 'n'\] vs \['n'\]$"):
+        delta_report(_report({"m": 0.5, "n": 0.1}, "a"), _report({"n": 0.5}, "b"))
+    assert render_delta(DeltaReport(_report({"m": 0.5}, "a"), _report({"m": 0.6}, "b"), {"m": 20})).endswith(
+        "20.00"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ label so several backends can coexist:
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -29,8 +28,8 @@ from functools import partial
 from typing import Iterable, Union
 
 from .core import (
-    DocId, QueryId, Source, _JSON_NUMBERS, _check_token, _expect, _json_float, _loads, from_json_object,
-    json_record, load_records, to_json_object,
+    DocId, QueryId, Source, _JSON_NUMBERS, _check_token, _expect, _json_float, _json_line, _loads,
+    from_json_object, json_record, load_records, to_json_object,
 )
 from .errors import AnswerTagError, ValidationError
 
@@ -173,7 +172,7 @@ def record_to_dict(record: EvidenceRecord) -> dict:
 
 
 def serialize(record: EvidenceRecord) -> bytes:
-    return json.dumps(record_to_dict(record), ensure_ascii=False).encode("utf-8")
+    return _json_line(record_to_dict(record)).encode("utf-8")
 
 
 def load_evidence(data: Source) -> list[EvidenceRecord]:
@@ -344,7 +343,7 @@ def calibrated_to_dict(item: CalibratedArtifact) -> dict:
 
 
 def serialize_calibrated(item: CalibratedArtifact) -> bytes:
-    return json.dumps(calibrated_to_dict(item), ensure_ascii=False).encode("utf-8")
+    return _json_line(calibrated_to_dict(item)).encode("utf-8")
 
 
 def _calibrated_artifact(data, backend: str) -> CalibratedArtifact:

@@ -258,6 +258,7 @@ class DeltaReport:
     ``deltas[name]`` is None where the change is undefined: metric value
     unchanged, or baseline non-positive. Both reports name the same
     metrics, and ``deltas`` holds one int, float or None for each of them.
+    Where both hold per-query rows, both rows cover the same queries.
     """
 
     baseline: EvalReport
@@ -274,6 +275,8 @@ class DeltaReport:
                 "reports disagree on metrics: "
                 f"{sorted(self.baseline.aggregate)} vs {sorted(self.candidate.aggregate)}"
             )
+        if self.baseline.per_query and self.candidate.per_query:
+            _check_same_queries(self.baseline.per_query, self.candidate.per_query)
         if set(self.deltas) != names:
             raise ValidationError(f"deltas must name the metrics {sorted(names)}, got {list(self.deltas)}")
         for name, delta in self.deltas.items():
@@ -281,8 +284,22 @@ class DeltaReport:
                 raise ValidationError(f"delta of {name} must be an int, a float or None, got {delta!r}")
 
 
+def _check_same_queries(baseline: dict, candidate: dict) -> None:
+    """A ValidationError unless two reports' per-query rows cover the same queries: their means would not compare."""
+    if baseline.keys() != candidate.keys():
+        only_base = sorted(baseline.keys() - candidate.keys())[:5]
+        only_cand = sorted(candidate.keys() - baseline.keys())[:5]
+        raise ValidationError(
+            f"reports cover different queries: {len(baseline)} in the baseline, {len(candidate)} in the candidate; "
+            f"missing from the candidate: {only_base}, missing from the baseline: {only_cand}"
+        )
+
+
 def delta_report(baseline: EvalReport, candidate: EvalReport) -> DeltaReport:
-    """Compare two reports metric by metric on their aggregates; reports on other metrics are a ValidationError."""
+    """Compare two reports metric by metric on their aggregates.
+
+    Reports on other metrics, or with per-query rows on other queries, are a ValidationError.
+    """
     deltas: dict[str, float | None] = {}
     for name, base in baseline.aggregate.items():
         cand = candidate.aggregate.get(name, base)  # DeltaReport rejects a metric the candidate lacks

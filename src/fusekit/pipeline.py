@@ -189,8 +189,8 @@ def decompose(record: dict, decomposer) -> DecompositionResult:
 
     Any malformed response (not a JSON array of non-empty strings) is not
     an error: the original query text becomes the sole sub-query and
-    ``fallback_used`` is set. Arrays longer than 25 are truncated. Only a
-    transport failure propagates.
+    ``fallback_used`` is set. Arrays longer than 25 are cut to their first
+    25, with a warning. Only a transport failure propagates.
     """
     _check_query_record(record)
     sub_queries = _parse_sub_queries(decomposer.decompose_raw(record))
@@ -201,6 +201,11 @@ def decompose(record: dict, decomposer) -> DecompositionResult:
             record["query_id"],
         )
         sub_queries = [record["query"]]
+    elif len(sub_queries) > MAX_SUB_QUERIES:
+        logger.warning(
+            "query %s: decomposition gave %d sub-queries, cut to %d",
+            record["query_id"], len(sub_queries), MAX_SUB_QUERIES,
+        )
     return DecompositionResult(
         query_id=record["query_id"],
         sub_queries=tuple(sub_queries[:MAX_SUB_QUERIES]),

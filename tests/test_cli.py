@@ -144,6 +144,26 @@ def test_delta_cli_rejects_malformed_reports(tmp_path, capsys, text, error):
     assert not out.exists()
 
 
+def test_delta_cli_of_reports_on_other_queries_exits_1_with_one_error(tmp_path, capsys):
+    reports = []
+    for name, rows in (("base.json", {"q1": 0.5}), ("cand.json", {"q1": 0.5, "q2": 1.0})):
+        path = tmp_path / name
+        aggregate = {"nDCG@10": sum(rows.values()) / len(rows)}
+        per_query = {q: {"nDCG@10": v} for q, v in rows.items()}
+        path.write_text(json.dumps({"tag": name, "aggregate": aggregate, "per_query": per_query}))
+        reports.append(path)
+    out = tmp_path / "delta.json"
+    assert run_cli("delta", "--baseline", reports[0], "--candidate", reports[1], "--json", out) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert json.loads(line) == {
+        "error": "ValidationError",
+        "message": "reports cover different queries: 1 in the baseline, 2 in the candidate; "
+        "missing from the candidate: [], missing from the baseline: ['q2']",
+    }
+    assert captured.out == "" and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ablate
 # ---------------------------------------------------------------------------
@@ -199,6 +219,16 @@ def test_claims_validate_cli(capsys):
     code = run_cli("claims", "validate", "--in", EVID / "artifacts.jsonl")
     assert code == 0
     assert "4 records" in capsys.readouterr().out
+
+
+def test_claims_validate_reads_back_the_records_it_wrote(tmp_path, capsys):
+    note = {"note_id": "n1", "video_id": "v1", "topic": "t", "text": "a\u2028b", "modality": "ocr"}
+    path, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    path.write_text(json.dumps(note) + "\n")
+    assert run_cli("claims", "validate", "--in", path, "--out", out) == 0
+    assert out.read_bytes() == json.dumps(note).encode() + b"\n"  # the line end escaped, as it was read
+    assert run_cli("claims", "validate", "--in", out) == 0
+    assert capsys.readouterr().out.splitlines() == ["ok: 1 records (1 notes, 0 claims)"] * 2
 
 
 def test_claims_validate_rejects_bad_file(tmp_path, capsys):
@@ -365,6 +395,19 @@ def test_decompose_cli_with_replay(tmp_path, capsys):
     mapping = parse_subquery_map(out.read_bytes())
     assert len(mapping.groups) == 3
     assert len(mapping.groups["3"]) == 1  # fallback probe
+
+
+def test_fuse_cli_reads_the_map_decompose_wrote(tmp_path, capsys):
+    queries, replay, runs = tmp_path / "queries.jsonl", tmp_path / "replay.jsonl", tmp_path / "subq.run"
+    queries.write_text(json.dumps({"query_id": "1", "query": "storm damage"}) + "\n")
+    replay.write_text(json.dumps({"query_id": "1", "response": json.dumps(["a\u0085b", "c"])}) + "\n")
+    runs.write_text("1-s000 Q0 d1 1 0.5 t\n1-s001 Q0 d2 1 0.5 t\n")
+    map_path, out = tmp_path / "map.jsonl", tmp_path / "fused.run"
+    assert run_cli("decompose", "--queries", queries, "--replay", replay, "--out", map_path) == 0
+    assert parse_subquery_map(map_path.read_bytes()).groups == {"1": (("1-s000", "a\x85b"), ("1-s001", "c"))}
+    assert run_cli("fuse", "--runs", runs, "--map", map_path, "--strategy", "rrf", "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    assert parse_run(out.read_bytes()).lists["1"].docs() == ("d1", "d2")
 
 
 def test_decompose_cli_falls_back_on_a_reply_json_cannot_read(tmp_path, capsys):

@@ -6,8 +6,8 @@ JSON reports are frozen too, so a rework of the metric arithmetic must keep
 every value bit-identical. A fixed ``memory --init`` session freezes the
 bank file and the REPL's stdout. The manifest is left out: it echoes the
 config. The outputs read from run, qrels and JSON-lines inputs are checked
-again with those inputs read a few bytes at a time, and with every run and
-qrels file parsed in two halves, the second in a forked child.
+again with those inputs read a few bytes at a time, and with every run file
+parsed in two halves, the second in a forked child.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def test_digests_hold_across_chunk_boundaries(tmp_path, capsys, monkeypatch, chu
 
 
 def test_digests_hold_when_inputs_are_parsed_in_two_halves(tmp_path, capsys, monkeypatch):
-    # every run and qrels file of 2 bytes or more is split, at any CPU or thread count
+    # every run file of 2 bytes or more is split, at any CPU or thread count; a qrels file is parsed whole
     monkeypatch.setattr(core, "_SPLIT_MIN", 1)
     monkeypatch.setattr(core, "_CHUNK", 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -314,6 +314,55 @@ def test_delta_report_of_reports_on_fewer_metrics_is_the_mismatch_error():
     )
 
 
+def _rows(scores: dict[str, float], tag: str) -> EvalReport:
+    """A report on nDCG@10 with one per-query row for each of ``scores``."""
+    mean = sum(scores[qid] for qid in sorted(scores)) / len(scores)
+    per_query = {qid: {"nDCG@10": v} for qid, v in scores.items()}
+    return EvalReport(per_query=per_query, aggregate={"nDCG@10": mean}, tag=tag)
+
+
+def _mismatch(base: int, cand: int, from_cand: list[str], from_base: list[str]) -> str:
+    return (
+        f"reports cover different queries: {base} in the baseline, {cand} in the candidate; "
+        f"missing from the candidate: {from_cand}, missing from the baseline: {from_base}"
+    )
+
+
+# two reports' query scores, and the errors of the delta of the first against the second and back
+QUERY_SET_MISMATCHES = {
+    # the candidate holds the baseline's q1, unchanged, and one more query
+    "one-extra": ({"q1": 0.5}, {"q1": 0.5, "q2": 1.0}, _mismatch(1, 2, [], ["q2"]), _mismatch(2, 1, ["q2"], [])),
+    "disjoint": (
+        {"q1": 0.5, "q2": 0.25}, {"q3": 0.5},
+        _mismatch(2, 1, ["q1", "q2"], ["q3"]), _mismatch(1, 2, ["q3"], ["q1", "q2"]),
+    ),
+    "first-five-named": (
+        {f"q{i}": 0.5 for i in range(10)}, {"q0": 0.5},
+        _mismatch(10, 1, ["q1", "q2", "q3", "q4", "q5"], []), _mismatch(1, 10, [], ["q1", "q2", "q3", "q4", "q5"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("read_back", [False, True], ids=["built", "read-back"])
+@pytest.mark.parametrize("name", sorted(QUERY_SET_MISMATCHES))
+def test_a_delta_of_reports_on_other_queries_is_a_validation_error_in_both_orders(name, read_back):
+    first, second, forward, backward = QUERY_SET_MISMATCHES[name]
+    a, b = _rows(first, "a"), _rows(second, "b")
+    if read_back:
+        a, b = report_from_json(report_to_json(a)), report_from_json(report_to_json(b))
+    for baseline, candidate, message in ((a, b, forward), (b, a, backward)):
+        with pytest.raises(ValidationError) as excinfo:
+            delta_report(baseline, candidate)
+        assert str(excinfo.value) == message
+
+
+def test_a_summary_only_report_compares_with_one_that_has_rows():
+    rows, summary = _rows({"q1": 0.5, "q2": 1.0}, "b"), _report({"nDCG@10": 0.5}, "a")
+    deltas = [delta_report(base, cand).deltas["nDCG@10"] for base, cand in ((summary, rows), (rows, summary))]
+    assert list(map(format_delta, deltas)) == ["50.00", "-33.33"]
+    assert delta_report(rows, _rows({"q2": 1.0, "q1": 0.5}, "c")).deltas == {"nDCG@10": None}
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Large run, qrels and ``claims filter`` inputs are read in two halves at once: the second in a forked child.
+"""Large run and ``claims filter`` inputs are read in two halves at once: the second in a forked child.
 
 The size and chunk constants are lowered here, so that small files take the
 two-half path. ``conftest.two_cpus`` lets the child be forked on a one-CPU
@@ -6,7 +6,9 @@ machine and beside any thread a test left running. Every result and every
 error must be the sequential parse's (the parse of the same bytes, which
 never splits), and no child process or file descriptor may outlive a call.
 ``claims filter`` must write the same files and print the same lines as
-its sequential run.
+its sequential run. A qrels file of any size is parsed in one process:
+where a run file would be split, it forks no child and gives the same
+judgments and errors.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from fusekit import cli, core, parse_qrels, parse_run
 from conftest import assert_nothing_left, counted_forks, open_fds, two_cpus
 
 PARSERS = {"run": parse_run, "qrels": parse_qrels}
+CHILDREN = {"run": 1, "qrels": 0}  # the children a parse of a large file forks: a qrels file is parsed whole
 
 
 @contextlib.contextmanager
@@ -60,12 +63,12 @@ def sequential_outcome(parse, data: bytes):
         return outcome(parse, data)
 
 
-def split_outcome(parse, path: Path, middle: int | None = None):
-    """``outcome`` of parsing the file at ``path`` in two halves; checks that a child ran and nothing is left."""
+def split_outcome(parse, path: Path, middle: int | None = None, children: int = 1):
+    """``outcome`` of parsing the file at ``path``; checks that ``children`` were forked and nothing is left."""
     fds_before = open_fds()
     with two_halves(middle) as made, open(path, "rb") as fh:
         result = outcome(parse, fh)
-    assert len(made) == 1
+    assert len(made) == children
     assert_nothing_left(fds_before)
     return result
 
@@ -111,12 +114,12 @@ def texts(draw, kind: str) -> list[str]:
     return lines
 
 
-def check_split_at(parse, lines: list[str], at: int, tmp_path: Path) -> None:
+def check_split_at(parse, lines: list[str], at: int, tmp_path: Path, children: int = 1) -> None:
     data = "".join(lines).encode("utf-8")
     path = tmp_path / "in.txt"
     path.write_bytes(data)
     middle = len("".join(lines[:at]).encode("utf-8"))
-    assert_same(split_outcome(parse, path, middle), sequential_outcome(parse, data))
+    assert_same(split_outcome(parse, path, middle, children), sequential_outcome(parse, data))
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,7 +127,7 @@ def check_split_at(parse, lines: list[str], at: int, tmp_path: Path) -> None:
 def test_a_split_at_any_line_gives_the_sequential_result(tmp_path_factory, data, kind):
     lines = data.draw(texts(kind))
     at = data.draw(st.integers(1, len(lines) - 1))
-    check_split_at(PARSERS[kind], lines, at, tmp_path_factory.mktemp("split"))
+    check_split_at(PARSERS[kind], lines, at, tmp_path_factory.mktemp("split"), CHILDREN[kind])
 
 
 def reference_lists(text: str) -> dict[str, list[tuple[str, float]]]:
@@ -262,7 +265,7 @@ def test_errors_match_the_sequential_parse(tmp_path, kind, defect, place):
     parse = PARSERS[kind]
     sequential = sequential_outcome(parse, data)
     assert sequential[0] is core.ParseError
-    assert split_outcome(parse, path, middle) == sequential
+    assert split_outcome(parse, path, middle, CHILDREN[kind]) == sequential
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +308,47 @@ def test_a_large_file_forks_with_only_the_size_floor_lowered(tmp_path):
         assert parse_run(fh) == parse_run("".join(lines))
     assert len(made) == 1
     assert_nothing_left(fds_before)
+
+
+# judgments of 30 docs per query, enough lines to make a file of _SPLIT_MIN bytes or more
+BIG_QRELS = [f"q{i // 30} 0 d{i} {i % 3}\n" for i in range(core._SPLIT_MIN // 16)]
+BIG_AT = len(BIG_QRELS) * 3 // 4  # a line in the second half
+
+# (line index, its replacement, the ParseError's message and line), as a one-process parse gives them
+BIG_QRELS_DEFECTS = {
+    "none": (None, None, None, None),
+    "field-count": (BIG_AT, "q1 0 dX\n", "expected 4 fields 'qid 0 docid grade', got 3", BIG_AT + 1),
+    "non-integer": (BIG_AT, "q1 0 dX high\n", "non-integer grade 'high'", BIG_AT + 1),
+    "negative": (BIG_AT, "q1 0 dX -1\n", "negative grade -1", BIG_AT + 1),
+    "duplicate": (BIG_AT, BIG_QRELS[BIG_AT - 1], f"duplicate judgment for query 'q{(BIG_AT - 1) // 30}', "
+                  f"doc 'd{BIG_AT - 1}'", BIG_AT + 1),
+    "last-line": (len(BIG_QRELS) - 1, "q1 0 dX 1_0", "non-integer grade '1_0'", len(BIG_QRELS)),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(BIG_QRELS_DEFECTS))
+def test_a_qrels_file_of_the_split_size_is_parsed_whole_in_this_process(tmp_path, defect):
+    lines = list(BIG_QRELS)
+    at, line, message, line_no = BIG_QRELS_DEFECTS[defect]
+    if at is not None:
+        lines[at] = line
+    path = tmp_path / "big.qrels"
+    path.write_text("".join(lines))
+    assert path.stat().st_size >= core._SPLIT_MIN
+    fds_before = open_fds()
+    with two_cpus() as made, open(path, "rb") as fh:  # two CPUs and one thread, as a run file of this size splits
+        result = outcome(parse_qrels, fh)
+        if message is None:
+            assert fh.read() == b""  # left at the end, as a run parse leaves it
+    assert made == []
+    assert_nothing_left(fds_before)
+    if message is None:
+        expected: dict[str, dict[str, int]] = {}
+        for i in range(len(BIG_QRELS)):
+            expected.setdefault(f"q{i // 30}", {})[f"d{i}"] = i % 3
+        assert_same(result, core.Qrels._trusted(expected))
+    else:
+        assert result == (core.ParseError, f"line {line_no}: {message}", line_no)
 
 
 def test_a_failing_first_half_kills_and_reaps_the_child(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import subprocess
 import sys
 from dataclasses import replace
@@ -75,6 +76,15 @@ def test_decompose_truncates_beyond_limit():
     result = decompose(QUERY_RECORD, CannedDecomposer(raw))
     assert len(result.sub_queries) == MAX_SUB_QUERIES
     assert result.sub_queries[-1] == "facet 24"
+
+
+@pytest.mark.parametrize("count, warnings", [(30, ["query 7: decomposition gave 30 sub-queries, cut to 25"]), (25, [])])
+def test_a_decomposition_cut_at_the_limit_logs_one_warning(caplog, count, warnings):
+    raw = json.dumps([f"facet {i}" for i in range(count)])
+    with caplog.at_level(logging.WARNING, logger="fusekit.pipeline"):
+        result = decompose(QUERY_RECORD, CannedDecomposer(raw))
+    assert result.fallback_used is False
+    assert [record.getMessage() for record in caplog.records] == warnings
 
 
 def test_decompose_empty_array_falls_back():

@@ -7,7 +7,9 @@ declaration order; reading what was written gives an equal record; an
 unknown key is ignored on read; a missing required field, and a text
 field holding anything but a string, is rejected with an error that names
 it. Each property is checked through the public
-API and through the two ``core`` helpers every record goes through.
+API and through the two ``core`` helpers every record goes through. And
+every JSON-lines writer writes one line per record, which the file reader
+reads back equal, whatever line-end characters its texts hold.
 """
 
 from __future__ import annotations
@@ -30,8 +32,21 @@ from fusekit import (
     ValidationError,
     validate,
 )
-from fusekit.core import from_json_object, to_json_object
-from fusekit.evidence import CLAIM_SOURCES, MODALITIES, load_predictions, record_to_dict
+from fusekit.core import SubQueryMap, from_json_object, parse_subquery_map, to_json_object, write_subquery_map
+from fusekit.evidence import (
+    CLAIM_SOURCES,
+    MODALITIES,
+    CalibratedArtifact,
+    CalibrationPayload,
+    load_calibrated,
+    load_evidence,
+    load_predictions,
+    record_to_dict,
+    serialize,
+    serialize_calibrated,
+)
+
+from test_core import LINE_PIECES
 
 WIRE_ORDER = {
     NoteRecord: ("note_id", "video_id", "topic", "text", "modality", "timestamp"),
@@ -206,3 +221,25 @@ def test_non_string_text_field_is_named(cls, data):
         build(obj)
     with pytest.raises(ValidationError, match=rf"^{key} must be a string, got "):
         cls(**{**fields, key: value})
+
+
+# ---------------------------------------------------------------------------
+# every JSON-lines writer: one record per line, read back whole by the file reader
+# ---------------------------------------------------------------------------
+
+# texts holding every character str.splitlines() ends a line at, which a writer must keep inside its record
+line_texts = st.lists(st.sampled_from(LINE_PIECES), max_size=12).map(lambda pieces: "x" + "".join(pieces))
+
+
+@settings(max_examples=100, deadline=None)
+@given(topic=line_texts, body=line_texts, extra=line_texts)
+def test_every_json_lines_writer_is_read_back_equal(topic, body, extra):
+    records = [
+        NoteRecord(note_id=body, video_id="v1", topic=topic, text=body, modality="ocr"),
+        ClaimRecord(claim_id="c1", query_id="q1", video_id="v1", topic=topic, claim=body, evidence=extra),
+    ]
+    assert load_evidence(b"".join(serialize(r) + b"\n" for r in records)) == records
+    calibrated = [CalibratedArtifact(r, CalibrationPayload(prob=0.5, raw_output=extra)) for r in records]
+    assert load_calibrated(b"".join(serialize_calibrated(c) + b"\n" for c in calibrated)) == calibrated
+    mapping = SubQueryMap({"q1": (("q1-s000", body), ("q1-s001", extra)), "q2": (("q2-s000", topic),)})
+    assert parse_subquery_map(write_subquery_map(mapping)) == mapping

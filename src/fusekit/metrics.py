@@ -360,47 +360,29 @@ def report_records(report: EvalReport) -> list[dict]:
     return records
 
 
-_BATCH = 1 << 16  # characters of report text joined into one chunk
-
-
 def report_json_chunks(report: EvalReport) -> Iterator[bytes]:
-    """``report_to_json(report)`` as UTF-8 chunks of about 64 KiB, made as they are written.
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, streamed a piece per query.
 
-    The text is ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``,
-    written from templates (``_report_pieces``) in batches of pieces, so
-    the writes are few and the whole report text is never held.
-    """
-    batch, size = [], 0
-    for piece in _report_pieces(report):
-        batch.append(piece)
-        size += len(piece)
-        if size >= _BATCH:
-            yield "".join(batch).encode("utf-8")
-            batch, size = [], 0
-    yield "".join(batch).encode("utf-8")
-
-
-def _report_pieces(report: EvalReport) -> Iterator[str]:
-    """The text of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``, a piece per query.
-
-    Every per-query row has the aggregate's metrics, so one row template,
-    made once from the sorted metric names, is filled per query in sorted
-    query order. ``%r`` writes an int or a float as ``json.dumps`` does.
+    Each piece is yielded as soon as it is made, so the whole report text is
+    never held; ``atomic_write``'s buffered file joins the pieces into its
+    writes. Every per-query row has the aggregate's metrics, so one row
+    template, made once from the sorted metric names, is filled per query in
+    sorted query order. ``%r`` writes an int or a float as ``json.dumps`` does.
     """
     names = sorted(report.aggregate)
     aggregate = _object_template(names, "  ") % tuple(map(report.aggregate.__getitem__, names))
-    yield f'{{\n  "aggregate": {aggregate},\n  "per_query": '
+    yield f'{{\n  "aggregate": {aggregate},\n  "per_query": '.encode()
     per_query = report.per_query
     if per_query:
         row = "%s    %s: " + _object_template(names, "    ")  # a separator, the query id, the values
         separator = "{\n"
         for qid in sorted(per_query):
-            yield row % (separator, encode_basestring_ascii(qid), *map(per_query[qid].__getitem__, names))
+            yield (row % (separator, encode_basestring_ascii(qid), *map(per_query[qid].__getitem__, names))).encode()
             separator = ",\n"
-        yield "\n  }"
+        yield b"\n  }"
     else:
-        yield "{}"
-    yield f',\n  "tag": {encode_basestring_ascii(report.tag)}\n}}\n'
+        yield b"{}"
+    yield f',\n  "tag": {encode_basestring_ascii(report.tag)}\n}}\n'.encode()
 
 
 def _object_template(names: list[str], indent: str) -> str:

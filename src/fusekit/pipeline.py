@@ -42,7 +42,6 @@ from .core import (
     SubQueryMap,
     _check_token,
     _expect,
-    _file_range,
     _in_two,
     _json_value,
     _loads,
@@ -382,16 +381,17 @@ def run_pipeline(config: PipelineConfig, out_dir: str | Path) -> PipelineResult:
         return result
 
     def theirs() -> Iterator[bool]:
-        with open(tmp.fileno(), "wb", closefd=False) as out:
-            out.writelines(_run_chunks(sub_runs, depth))
+        tmp.writelines(_run_chunks(sub_runs, depth))
+        tmp.flush()  # the child ends by os._exit, which flushes nothing
         yield True
 
     def join(result: tuple[RunSet, dict], records: Iterator) -> tuple[RunSet, dict] | None:
         if next(records, None) is None:  # the child failed
             return None
-        # read with pread: the child moved the file offset this process shares with it
-        reader = _file_range(tmp.fileno(), 0)
-        atomic_write(stage_paths["subqueries.run"], iter(lambda: reader.read(1 << 20), b""))
+        # this process never read or wrote tmp, so its buffer is empty and the seek
+        # moves the file offset, which it shares with the child, from where the child left it
+        tmp.seek(0)
+        atomic_write(stage_paths["subqueries.run"], iter(lambda: tmp.read(1 << 20), b""))
         return result
 
     # a large subqueries.run is formatted in a forked child while this process fuses and reranks

@@ -22,6 +22,7 @@ from fusekit import (
     ndcg_at_k,
     recall_at_k,
 )
+from fusekit.core import atomic_write
 from fusekit.metrics import (
     _query_metrics,
     format_delta,
@@ -34,6 +35,7 @@ from fusekit.metrics import (
 )
 
 from conftest import make_list
+from test_io_memory import traced_call
 from reference_eval import (
     CUTOFF_VALUES,
     FIXTURE_JUDGMENTS,
@@ -386,7 +388,7 @@ def test_report_json_round_trip():
     assert loaded == report
 
 
-def test_report_json_streams_the_indented_dump_in_batches():
+def test_report_json_streams_the_indented_dump_piece_by_piece(tmp_path):
     per_query = {f"q{i:04d}": {"nDCG@10": i / 2000, "R@10": 0.5} for i in range(2000)}
     aggregate = {name: sum(m[name] for m in per_query.values()) / 2000 for name in ("nDCG@10", "R@10")}
     report = EvalReport(per_query=per_query, aggregate=aggregate, tag="big")
@@ -394,9 +396,12 @@ def test_report_json_streams_the_indented_dump_in_batches():
     payload = {"tag": "big", "aggregate": aggregate, "per_query": per_query}
     assert b"".join(chunks) == report_to_json(report)
     assert report_to_json(report) == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-    # ~140 kB of text in a few writes of about 64 KiB, not one per encoder piece
-    assert 2 <= len(chunks) <= 4
-    assert all(len(chunk) < (1 << 16) + 100 for chunk in chunks)
+    # the ~130 kB report is never held whole, nor in large batches: measured, a 22 kB peak
+    # (the sorted query ids and the file's buffer), and 277 kB joining 64 KiB batches first
+    path = tmp_path / "report.json"
+    _, _, peak = traced_call(atomic_write, path, report_json_chunks(report))
+    assert path.read_bytes() == report_to_json(report)
+    assert peak < len(report_to_json(report)) // 4
 
 
 @pytest.mark.parametrize(

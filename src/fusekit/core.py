@@ -57,13 +57,29 @@ QueryId = str
 DocId = str
 
 
+def _check_text(value, what: str) -> str:
+    """``value``, or a ValidationError naming ``what`` unless it is a str that UTF-8 encodes, as every JSON string read is.
+
+    A lone surrogate is the one str character UTF-8 cannot encode, and an
+    ASCII str (``str.isascii`` reads a flag) holds none.
+    """
+    if type(value) is not str:
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValidationError(f"{what} {value!r} holds a lone surrogate") from None
+    return value
+
+
 def _check_token(value: str, what: str) -> str:
-    if not isinstance(value, str) or not value:
+    if type(value) is not str or not value:
         raise ValidationError(f"{what} must be a non-empty string, got {value!r}")
     # str.split() separates on exactly the characters str.isspace() accepts
     if value.split() != [value]:
         raise ValidationError(f"{what} must not contain whitespace: {value!r}")
-    return value
+    return _check_text(value, what)
 
 
 def _decode(data: bytes | str) -> str:
@@ -404,7 +420,8 @@ def json_record(cls):
     """Class decorator: the dataclass's fields, in order, are the keys of its JSON object.
 
     A field with no default is required. A field annotated ``str`` must hold a
-    string, one annotated ``str | None`` a string or None: the class's
+    string UTF-8 encodes (``_check_text``), one annotated ``str | None`` such a
+    string or None: the class's
     ``__post_init__`` (which the dataclass must define, so that its ``__init__``
     calls it) is wrapped to check this on every construction, before the
     record's own checks, which cover every other annotation. The shape is
@@ -423,8 +440,9 @@ def json_record(cls):
     def __post_init__(self):
         for name, optional in texts:
             value = getattr(self, name)
-            if not isinstance(value, str) and not (optional and value is None):
-                raise ValidationError(f"{name} must be a string, got {value!r}")
+            # inline, the test of the common case: an ASCII str
+            if (type(value) is not str or not value.isascii()) and not (optional and value is None):
+                _check_text(value, name)
         post_init(self)
 
     cls.__post_init__ = __post_init__
@@ -586,6 +604,8 @@ def _score(doc: DocId, score) -> float:
 
 def truncate(ranking: ScoredList, depth: int) -> ScoredList:
     """First ``min(depth, len)`` entries, order preserved. Idempotent."""
+    if not _is_json(depth, int):
+        raise ValidationError(f"depth must be an integer, got {depth!r}")
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
     if depth >= len(ranking):
@@ -748,9 +768,9 @@ def _ranked(scores: dict[DocId, float]) -> ScoredList:
 
 
 def _check_depth(depth: int) -> None:
-    """A ValidationError unless ``depth``, the entries per query a run file is written with, is at least 1."""
-    if depth < 1:
-        raise ValidationError(f"depth must be a positive integer, got {depth}")
+    """A ValidationError unless ``depth``, the entries per query a run file is written with, is an int of at least 1."""
+    if not _is_json(depth, int) or depth < 1:
+        raise ValidationError(f"depth must be a positive integer, got {depth!r}")
 
 
 def write_run(run: RunSet, depth: int) -> bytes:
@@ -911,8 +931,7 @@ def _check_group(qid: QueryId, subs: tuple[tuple[QueryId, str], ...], seen_sub: 
         raise ValidationError(f"query {qid!r} has an empty sub-query group")
     for sub_id, text in subs:
         _check_token(sub_id, "sub-query id")
-        if not isinstance(text, str):
-            raise ValidationError(f"sub-query {sub_id!r} text must be a string")
+        _check_text(text, f"sub-query {sub_id!r} text")
         if sub_id in seen_sub:
             raise ValidationError(f"sub-query id {sub_id!r} appears twice")
         seen_sub.add(sub_id)

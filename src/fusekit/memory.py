@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import _check_token, _expect, _is_json, _loads, from_json_object, json_record, to_json_object
+from .core import _check_text, _check_token, _expect, _is_json, _loads, from_json_object, json_record, to_json_object
 from .errors import ValidationError
 from .evidence import _check_confidence
 
@@ -72,11 +72,10 @@ class VideoStatus:
 
 
 def _check_name(value, what: str) -> None:
-    """A ValidationError naming ``what`` unless ``value`` is a non-empty str."""
+    """A ValidationError naming ``what`` unless ``value`` is a non-empty str that UTF-8 encodes."""
     if not value:
         raise ValidationError(f"{what} must be non-empty")
-    if not isinstance(value, str):
-        raise ValidationError(f"{what} must be a string, got {value!r}")
+    _check_text(value, what)
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,10 @@ class MemoryBank:
 
     def set_findings(self, findings: list[str]) -> None:
         """Whole-slot replace; findings have no finer-grained editor."""
-        self.findings = _expect(list(findings), list, "findings", item=str)
+        findings = _expect(list(findings), list, "findings", item=str)
+        for finding in findings:
+            _check_text(finding, "finding")
+        self.findings = findings
 
     def mark_processed(
         self, video_id: str, tool: str, path: str | None = None, caption: str | None = None
@@ -191,8 +193,8 @@ class MemoryBank:
         """Record a tool run against a video and flip it to processed."""
         _check_name(tool, "tool name")
         for name, value in (("path", path), ("caption", caption)):
-            if value is not None and not isinstance(value, str):
-                raise ValidationError(f"{name} must be a string, got {value!r}")
+            if value is not None:
+                _check_text(value, name)
         self._register_video(video_id)
         status = self.videos[video_id]
         status.tools_used.add(tool)

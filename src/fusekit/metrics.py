@@ -28,6 +28,7 @@ from .core import (
     QueryId,
     RunSet,
     ScoredList,
+    _check_text,
     _expect,
     _is_json,
     _loads,
@@ -166,7 +167,6 @@ class EvalReport:
 
     def __post_init__(self):
         per_query = _expect(self.per_query, dict, "per_query", item=dict)
-        _check_text(self.tag, "tag")
         for qid in per_query:
             _check_text(qid, "query id")
         for metrics in list(per_query.values()) + [_expect(self.aggregate, dict, "aggregate")]:
@@ -199,16 +199,6 @@ class EvalReport:
         object.__setattr__(report, "aggregate", aggregate)
         object.__setattr__(report, "tag", tag)
         return report
-
-
-def _check_text(value, what: str) -> None:
-    """A ValidationError naming ``what`` unless ``value`` is a str that UTF-8 encodes, as every JSON string read is."""
-    if type(value) is not str:
-        raise ValidationError(f"{what} must be a string, got {value!r}")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValidationError(f"{what} {value!r} holds a lone surrogate") from None
 
 
 def evaluate(

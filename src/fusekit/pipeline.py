@@ -43,6 +43,7 @@ from .core import (
     _check_token,
     _expect,
     _in_two,
+    _is_json,
     _json_value,
     _loads,
     atomic_write,
@@ -94,10 +95,10 @@ class PipelineConfig:
     inputs: dict[str, Path] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.first_stage_depth < 1:
-            raise ValidationError("first_stage_depth must be positive")
-        if self.rerank_depth < 1:
-            raise ValidationError("rerank_depth must be positive")
+        for name in ("first_stage_depth", "rerank_depth"):
+            depth = getattr(self, name)
+            if not _is_json(depth, int) or depth < 1:
+                raise ValidationError(f"{name} must be a positive integer, got {depth!r}")
         if self.rerank_depth > self.first_stage_depth:
             raise ValidationError(
                 f"rerank_depth {self.rerank_depth} exceeds first_stage_depth {self.first_stage_depth}"
@@ -262,6 +263,8 @@ def decompose_all(records: list[dict], decomposer) -> tuple[SubQueryMap, list[De
 
 
 def _check_rerank_depth(rerank_depth: int) -> None:
+    if not _is_json(rerank_depth, int):
+        raise ValidationError(f"rerank_depth must be an integer, got {rerank_depth!r}")
     if rerank_depth < 0:
         raise ValidationError("rerank_depth must be >= 0")
 

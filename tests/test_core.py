@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import sys
 from unittest import mock
 
@@ -108,6 +109,38 @@ def test_check_token_rejects_empty_and_non_strings(value):
         core._check_token(value, "doc id")
 
 
+@pytest.mark.parametrize("value", ["\ud800", "d\udfffA", "\u00e9\udc80"])
+def test_check_text_and_check_token_reject_a_lone_surrogate(value):
+    # the one str character UTF-8 cannot encode, so no writer could write it
+    message = rf"^doc id {re.escape(repr(value))} holds a lone surrogate$"
+    for check in (core._check_text, core._check_token):
+        with pytest.raises(ValidationError, match=message):
+            check(value, "doc id")
+
+
+@pytest.mark.parametrize("value", ["dA", "d\u00e9", "\U0001f600"])
+def test_check_text_returns_what_utf8_encodes(value):
+    assert core._check_text(value, "doc id") is value
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ScoredList([("d\ud800", 1.0)]), "doc id 'd\\ud800'"),
+        (lambda: ScoredList.from_pairs([("d\ud800", 1.0)]), "doc id 'd\\ud800'"),
+        (lambda: RunSet({"q\ud800": make_list(("dA", 1.0))}), "query id 'q\\ud800'"),
+        (lambda: write_run(RunSet({"q1": make_list(("dA", 1.0))}, tag="t\ud800"), 10), "run tag 't\\ud800'"),
+        (lambda: Qrels({("q1", "d\udc00"): 1}), "doc id 'd\\udc00'"),
+        (lambda: SubQueryMap({"q1": (("q1-s\ud800", "a"),)}), "sub-query id 'q1-s\\ud800'"),
+        (lambda: SubQueryMap({"q1": (("q1-s0", "a\ud800"),)}), "sub-query 'q1-s0' text 'a\\ud800'"),
+    ],
+    ids=["scored-list", "from-pairs", "run-query", "run-tag", "qrels-doc", "map-sub-id", "map-text"],
+)
+def test_a_lone_surrogate_is_a_validation_error_where_the_value_enters(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)} holds a lone surrogate$"):
+        build()
+
+
 def test_split_drops_exactly_the_characters_isspace_accepts():
     # _check_token tests a token with str.split() instead of scanning it with str.isspace()
     for code in range(sys.maxunicode + 1):
@@ -138,6 +171,15 @@ def test_truncate_keeps_head():
 def test_truncate_rejects_negative_depth():
     with pytest.raises(ValueError):
         truncate(make_list(("dA", 1.0)), -1)
+
+
+@pytest.mark.parametrize("depth", [2.5, True, "3", None], ids=["float", "bool", "string", "none"])
+def test_truncate_and_write_run_take_only_an_int_depth(depth):
+    ranking = make_list(("dA", 1.0), ("dB", 0.5))
+    with pytest.raises(ValidationError, match=rf"^depth must be an integer, got {re.escape(repr(depth))}$"):
+        truncate(ranking, depth)
+    with pytest.raises(ValidationError, match=rf"^depth must be a positive integer, got {re.escape(repr(depth))}$"):
+        write_run(RunSet(lists={"q1": ranking}, tag="t"), depth)
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=8))

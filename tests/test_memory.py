@@ -451,13 +451,22 @@ def test_set_findings_touches_only_findings():
         ),
         (lambda bank: bank.select_facts(["vidA"]), r"fact reference must be a \(video id, index\) pair, got 'vidA'"),
         (lambda bank: bank.select_facts([(None, 0)]), "video id must be a non-empty string, got None"),
+        # a lone surrogate, which no UTF-8 bank file can hold
+        (lambda bank: bank.add_fact("vidA", FactEntry(fact="a\ud800")), r"fact 'a\\ud800' holds a lone surrogate"),
+        (lambda bank: bank.add_keyword("vidA", "k\ud800"), r"keyword 'k\\ud800' holds a lone surrogate"),
+        (lambda bank: bank.add_keyword("v\ud800", "k"), r"video id 'v\\ud800' holds a lone surrogate"),
+        (lambda bank: bank.mark_processed("vidB", "o\udc00"), r"tool name 'o\\udc00' holds a lone surrogate"),
+        (lambda bank: bank.mark_processed("vidB", "ocr", path="\udfff"), r"path '\\udfff' holds a lone surrogate"),
+        (lambda bank: bank.mark_processed("vidB", "ocr", caption="c\ud800"), r"caption 'c\\ud800' holds a lone surrogate"),
+        (lambda bank: bank.set_findings(["ok", "f\udc00"]), r"finding 'f\\udc00' holds a lone surrogate"),
     ],
     ids=[
         "add-fact-text", "add-fact-new-video", "keyword-int", "keyword-empty", "tool-int", "tool-none",
         "path-int", "caption-bytes", "findings-int", "findings-none", "remove-bool", "remove-float",
         "remove-out-of-range", "select-bool", "clear-list-video", "clear-whitespace-video",
         "remove-list-video", "remove-int-video", "search-int", "search-bytes", "select-triple",
-        "select-string", "select-none-video",
+        "select-string", "select-none-video", "fact-surrogate", "keyword-surrogate", "video-surrogate",
+        "tool-surrogate", "path-surrogate", "caption-surrogate", "findings-surrogate",
     ],
 )
 def test_bad_operator_arguments_leave_the_bank_as_it_was(operate, message):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -258,6 +259,21 @@ def test_inject_rerank_tail_untouched():
 def test_config_depth_ordering_enforced():
     with pytest.raises(ValidationError):
         PipelineConfig(strategy=FusionStrategy("rrf", 10), first_stage_depth=50, rerank_depth=100)
+
+
+@pytest.mark.parametrize("name", ["first_stage_depth", "rerank_depth"])
+@pytest.mark.parametrize("depth", [2.5, True, "3", None], ids=["float", "bool", "string", "none"])
+def test_config_takes_only_int_depths(name, depth):
+    # a library caller's config, which from_dict's type checks never see
+    other = {"first_stage_depth": 1000, "rerank_depth": 1}
+    with pytest.raises(ValidationError, match=rf"^{name} must be a positive integer, got {re.escape(repr(depth))}$"):
+        PipelineConfig(strategy=FusionStrategy("rrf", 10), **{**other, name: depth})
+
+
+@pytest.mark.parametrize("depth", [2.5, True, "3", None], ids=["float", "bool", "string", "none"])
+def test_inject_rerank_takes_only_an_int_depth(depth):
+    with pytest.raises(ValidationError, match=rf"^rerank_depth must be an integer, got {re.escape(repr(depth))}$"):
+        inject_rerank(fused_run(), RunSet(lists={}, tag="rr"), depth)
 
 
 def test_config_round_trip():

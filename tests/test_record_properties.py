@@ -4,9 +4,9 @@ For evidence notes and claims, calibration predictions and memory-bank
 fact entries: required fields are always written, optional fields only
 when set, in the order of ``WIRE_ORDER``, which is each dataclass's
 declaration order; reading what was written gives an equal record; an
-unknown key is ignored on read; a missing required field, and a text
-field holding anything but a string, is rejected with an error that names
-it. Each property is checked through the public
+unknown key is ignored on read; a missing required field, a text field
+holding anything but a string, and one holding a lone surrogate, is
+rejected with an error that names it. Each property is checked through the public
 API and through the two ``core`` helpers every record goes through. And
 every JSON-lines writer writes one line per record, which the file reader
 reads back equal, whatever line-end characters its texts hold.
@@ -220,6 +220,20 @@ def test_non_string_text_field_is_named(cls, data):
     with pytest.raises(error, match=rf"\b{key} must be a string, got "):
         build(obj)
     with pytest.raises(ValidationError, match=rf"^{key} must be a string, got "):
+        cls(**{**fields, key: value})
+
+
+@CLASSES
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_a_lone_surrogate_in_a_text_field_is_named(cls, data):
+    # a lone surrogate is a str no UTF-8 writer can write, so construction rejects it
+    fields = data.draw(FIELDS[cls])
+    key = data.draw(st.sampled_from(TEXT_FIELDS[cls]))
+    text = fields[key] or ""
+    at = data.draw(st.integers(0, len(text)))
+    value = text[:at] + chr(data.draw(st.integers(0xD800, 0xDFFF))) + text[at:]
+    with pytest.raises(ValidationError, match=rf"^{key} {re.escape(repr(value))} holds a lone surrogate$"):
         cls(**{**fields, key: value})
 
 
